@@ -25,6 +25,7 @@ from .fractional import (
     GridTooCoarse,
     InvalidOrder,
     InvalidSpec,
+    KernelMoments,
     QuadratureFailure,
     TimeGrid,
     TimeSeries,

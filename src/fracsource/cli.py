@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -121,12 +120,6 @@ def _parse_operator(cfg: dict) -> FractionalOperatorSpec:
     terms = tuple(
         (float(psi), float(a_i)) for psi, a_i in section.get("terms", [])
     )
-    for _, a_i in terms:
-        if a_i >= alpha:
-            raise ConfigError(
-                f"operator ordering violated: lower-order exponent {a_i} must be "
-                f"strictly below alpha = {alpha}"
-            )
     return FractionalOperatorSpec(alpha, terms)
 
 
@@ -168,8 +161,7 @@ def _parse_amplitude(cfg: dict, grid: TimeGrid, key: str = "amplitude"):
     if section is None:
         return None
     if "csv" in section:
-        t, v = _read_series_csv(section["csv"])
-        return TimeSeries(grid, np.interp(grid.nodes, t, v))
+        return TimeSeries(grid, _read_series_csv(section["csv"], grid))
     fn = make_time_fn(_require(section, "name", key), section.get("params"))
     return TimeSeries.from_function(grid, fn)
 
@@ -195,15 +187,27 @@ def _parse_times(cfg: dict) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
+    """Values of a (t, value) CSV at the grid nodes by linear interpolation.
+    The t column must increase strictly and cover [0, T]: the series is
+    never extrapolated."""
     if not Path(path).exists():
         raise ConfigError(f"series file not found: {path}")
     data = np.genfromtxt(path, delimiter=",", names=True)
     if data.dtype.names and len(data.dtype.names) >= 2:
         names = data.dtype.names
-        return np.asarray(data[names[0]], float), np.asarray(data[names[1]], float)
-    raw = np.loadtxt(path, delimiter=",")
-    return raw[:, 0], raw[:, 1]
+        t, v = np.asarray(data[names[0]], float), np.asarray(data[names[1]], float)
+    else:
+        raw = np.loadtxt(path, delimiter=",")
+        t, v = raw[:, 0], raw[:, 1]
+    if np.any(np.diff(t) <= 0.0):
+        raise ConfigError(f"{path}: the t column is not strictly increasing")
+    if t[0] > 0.0 or t[-1] < grid.T:
+        raise ConfigError(
+            f"{path}: the t column spans [{t[0]:g}, {t[-1]:g}], which does not "
+            f"cover [0, {grid.T:g}]"
+        )
+    return np.interp(grid.nodes, t, v)
 
 
 # emission ----------------------------------------------------------------------
@@ -305,8 +309,7 @@ def cmd_inverse(cfg: dict, out: Path, tol: float | None) -> int:
     grid = problem.grid
     esec = _require(cfg, "energy")
     if "csv" in esec:
-        t, e = _read_series_csv(esec["csv"])
-        datum = EnergyDatum(TimeSeries(grid, np.interp(grid.nodes, t, e)))
+        datum = EnergyDatum(TimeSeries(grid, _read_series_csv(esec["csv"], grid)))
     elif "synthesize" in esec:
         syn = esec["synthesize"]
         gen_grid = TimeGrid(grid.T, int(syn.get("N", 2 * grid.N)))
@@ -565,16 +568,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = _load_config(args.config)
         out = Path(args.out or cfg.get("out", "out"))

@@ -18,6 +18,7 @@ import numpy as np
 from .catalog import SpaceTimeField
 from .fractional import (
     FractionalOperatorSpec,
+    KernelMoments,
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
@@ -95,9 +96,12 @@ def _mode_trajectory(
     forcing: TimeSeries | None,
     op: FractionalOperatorSpec,
     grid: TimeGrid,
+    tables: dict,
 ) -> TimeSeries:
     """Solve one mode ODE (D^alpha + sum psi_i D^alpha_i + sigma) T = forcing,
-    T(0) = phi_c, via the explicit relaxation-kernel formula."""
+    T(0) = phi_c, via the explicit relaxation-kernel formula.  ``tables``
+    maps sigma to the kernel's moment table; a missing table is built and
+    stored there, so modes sharing an eigenvalue share one table."""
     spec = mode_kernel_spec(op, sigma)
     vals = np.zeros(grid.N + 1)
     ts = grid.nodes[1:]
@@ -111,8 +115,9 @@ def _mode_trajectory(
                 )
         vals[1:] = phi_c * homog
     if forcing is not None and np.any(forcing.values):
-        conv = singular_convolve(forcing, spec.with_eta(op.alpha), grid)
-        vals += conv.values
+        if sigma not in tables:
+            tables[sigma] = KernelMoments(spec.with_eta(op.alpha), grid)
+        vals += singular_convolve(forcing, tables[sigma], grid).values
     return TimeSeries(grid, vals)
 
 
@@ -123,18 +128,25 @@ def _forcing(problem: ProblemData, f_nk: TimeSeries) -> TimeSeries | None:
     return TimeSeries(problem.grid, vals) if np.any(vals) else None
 
 
-def mode_zero(k: int, problem: ProblemData, phi_c: float, f_0k: TimeSeries) -> TimeSeries:
+def mode_zero(
+    k: int, problem: ProblemData, phi_c: float, f_0k: TimeSeries, tables: dict
+) -> TimeSeries:
     """Trajectory of the Zero-family mode (eigenvalue mu_k)."""
     sigma = eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk
-    return _mode_trajectory(sigma, phi_c, _forcing(problem, f_0k), problem.op, problem.grid)
+    return _mode_trajectory(
+        sigma, phi_c, _forcing(problem, f_0k), problem.op, problem.grid, tables
+    )
 
 
 def mode_even(
-    n: int, k: int, problem: ProblemData, phi_c: float, f_nk: TimeSeries
+    n: int, k: int, problem: ProblemData, phi_c: float, f_nk: TimeSeries,
+    tables: dict,
 ) -> TimeSeries:
     """Trajectory of the Even-family mode (eigenvalue sigma_nk)."""
     sigma = eigen(ModeIndex(Family.Even, n, k)).sigma_nk
-    return _mode_trajectory(sigma, phi_c, _forcing(problem, f_nk), problem.op, problem.grid)
+    return _mode_trajectory(
+        sigma, phi_c, _forcing(problem, f_nk), problem.op, problem.grid, tables
+    )
 
 
 def mode_odd(
@@ -144,6 +156,7 @@ def mode_odd(
     phi_c: float,
     f_nk: TimeSeries,
     even_traj: TimeSeries,
+    tables: dict,
 ) -> TimeSeries:
     """Trajectory of the Odd-family mode; couples to the Even trajectory of
     the same index through the forcing term 4 lambda_n^(3/4) T_even."""
@@ -156,7 +169,7 @@ def mode_odd(
     coupled = TimeSeries(problem.grid, vals)
     if not np.any(coupled.values):
         coupled = None
-    return _mode_trajectory(sigma, phi_c, coupled, problem.op, problem.grid)
+    return _mode_trajectory(sigma, phi_c, coupled, problem.op, problem.grid, tables)
 
 
 def energy_of_coeffs(coeffs: SpectralCoefficients, grid: TimeGrid) -> TimeSeries:
@@ -170,13 +183,10 @@ def energy_of_coeffs(coeffs: SpectralCoefficients, grid: TimeGrid) -> TimeSeries
     return TimeSeries(grid, vals)
 
 
-def energy(bundle: SolutionBundle) -> TimeSeries:
-    return energy_of_coeffs(bundle.coeffs, bundle.energy.grid)
-
-
 def solve_forward(problem: ProblemData) -> SolutionBundle:
     """Project the data, solve every mode ODE in closed form (Even before
-    Odd at equal index), and assemble coefficients and energy."""
+    Odd at equal index), and assemble coefficients and energy.  Kernel
+    moment tables are built once per eigenvalue and dropped on return."""
     t0 = time.perf_counter()
     grid = problem.grid
     phi_coeffs = SpectralCoefficients.project_field(
@@ -185,6 +195,7 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
     f_coeffs = problem.source.coeff_series(grid, problem.n_max, problem.k_max)
     coeffs = SpectralCoefficients(problem.n_max, problem.k_max)
     forcing_coeffs = SpectralCoefficients(problem.n_max, problem.k_max)
+    tables: dict = {}
 
     for index in enumerate_modes(problem.n_max, problem.k_max):
         f_nk = f_coeffs[index]
@@ -192,20 +203,26 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
         forcing_coeffs[index] = (
             forcing if forcing is not None else TimeSeries.zeros(grid)
         )
+        if index in coeffs:
+            continue  # an Even mode already solved for its Odd partner
         if index.family is Family.Zero:
-            coeffs[index] = mode_zero(index.k, problem, phi_coeffs[index], f_nk)
+            coeffs[index] = mode_zero(
+                index.k, problem, phi_coeffs[index], f_nk, tables
+            )
         elif index.family is Family.Even:
             coeffs[index] = mode_even(
-                index.n, index.k, problem, phi_coeffs[index], f_nk
+                index.n, index.k, problem, phi_coeffs[index], f_nk, tables
             )
         else:
             even_idx = ModeIndex(Family.Even, index.n, index.k)
             if even_idx not in coeffs:
                 coeffs[even_idx] = mode_even(
-                    index.n, index.k, problem, phi_coeffs[even_idx], f_coeffs[even_idx]
+                    index.n, index.k, problem, phi_coeffs[even_idx],
+                    f_coeffs[even_idx], tables,
                 )
             coeffs[index] = mode_odd(
-                index.n, index.k, problem, phi_coeffs[index], f_nk, coeffs[even_idx]
+                index.n, index.k, problem, phi_coeffs[index], f_nk,
+                coeffs[even_idx], tables,
             )
 
     e = energy_of_coeffs(coeffs, grid)

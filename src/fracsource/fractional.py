@@ -3,17 +3,19 @@
 Provides the L1 approximation of the multi-term Caputo derivative, the
 piecewise-linear product-integration Riemann-Liouville integral, and the
 weakly singular Laplace convolution of a signal against a relaxation kernel.
+The convolution is product integration too: the signal's cubic spline is
+integrated exactly against the kernel through a table of kernel moments
+over one grid interval, exact on the singular first interval and by
+Gauss-Legendre quadrature on the smooth later ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi
 
 from .mlf import RelaxationKernelSpec, eval_kernel_grid
 
@@ -31,7 +33,7 @@ class InvalidOrder(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Convolution quadrature did not stabilize under node doubling."""
+    """Convolution quadrature disagrees between its two Gauss rules."""
 
 
 @dataclass(frozen=True)
@@ -170,173 +172,96 @@ def rl_integral(signal: TimeSeries, xi: float) -> TimeSeries:
 
 # singular convolution -------------------------------------------------------
 
-_JACOBI_NODES = 32
-_PANEL_NODES = 16
-_PANEL_RATIO = 4.0
+# Gauss-Legendre rules on (0, 1) for the smooth intervals: the larger one
+# gives the moments, the smaller one the refusal check.
+_RULES = tuple(
+    ((x + 1.0) / 2.0, w / 2.0)
+    for x, w in map(np.polynomial.legendre.leggauss, (16, 8))
+)
 
 
-@lru_cache(maxsize=256)
-def _jacobi_rule(n: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    # weight (1 + x)^(eta - 1) on [-1, 1]
-    return roots_jacobi(n, 0.0, eta - 1.0)
+class KernelMoments:
+    """Moments I_k(p) = int_0^tau u^k e(p tau - u) du, k = 0..3, p = 1..N,
+    of one relaxation kernel ``e`` on one uniform grid.
 
-
-@lru_cache(maxsize=32)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-class SmoothKernelFactor:
-    """Cached evaluator of the smooth factor of a relaxation kernel,
-    E(-m_1 s^xi_1, ...) = e(s) * s^(1 - eta), on (0, t_max].
-
-    Built from direct kernel evaluations on a dense logarithmic grid and
-    interpolated with a cubic spline in log s; the factor varies slowly on
-    that scale, so the spline reproduces direct evaluation to ~1e-9.
+    The first interval holds the weak singularity and is exact:
+    I_k(1) = k! e_{eta+k+1}(tau) by the kernel's antiderivative identity.
+    Every later interval is at least tau away from the singularity and takes
+    a 16-point Gauss-Legendre rule; an 8-point rule on the same intervals is
+    kept for the refusal check in :func:`singular_convolve`.
     """
 
-    _cache: dict = {}
-
-    def __init__(self, spec: RelaxationKernelSpec, t_max: float,
-                 points_per_decade: int = 320):
+    def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid):
         spec = spec.reduced()
-        self.spec = spec
-        self.t_max = t_max
-        if not spec.terms:
-            self.constant = 1.0 / math.gamma(spec.eta)
-            self.spline = None
-            return
-        self.constant = None
-        # Below s_lo every argument satisfies m_j s^xi_j <= 1e-4, so the
-        # two-term series expansion is accurate to ~1e-8 there and the spline
-        # table only has to cover [s_lo, t_max].
-        s_lo = min(
-            min((1e-4 / m) ** (1.0 / xi) for m, xi in spec.terms),
-            1e-10 * t_max,
-        )
-        decades = math.log10(t_max / s_lo)
-        npts = min(max(int(decades * points_per_decade), 50), 20000)
-        s = np.geomspace(s_lo, t_max, npts)
-        smooth = eval_kernel_grid(spec, s) * s ** (1.0 - spec.eta)
-        self.s_lo = s_lo
-        self.spline = CubicSpline(np.log(s), smooth)
-
-    def _expansion(self, s: np.ndarray) -> np.ndarray:
-        out = np.full_like(s, 1.0 / math.gamma(self.spec.eta))
-        for m, xi in self.spec.terms:
-            out -= m * s**xi / math.gamma(self.spec.eta + xi)
-        return out
-
-    @classmethod
-    def get(cls, spec: RelaxationKernelSpec, t_max: float) -> "SmoothKernelFactor":
-        key = (spec.reduced(), float(t_max))
-        table = cls._cache.get(key)
-        if table is None:
-            table = cls(spec, t_max)
-            cls._cache[key] = table
-        return table
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        if self.spline is None:
-            return np.full_like(s, self.constant)
-        below = s < self.s_lo
-        if not np.any(below):
-            return self.spline(np.log(s))
-        out = np.empty_like(s)
-        out[below] = self._expansion(s[below])
-        out[~below] = self.spline(np.log(s[~below]))
-        return out
+        self.grid = grid
+        tau, n = grid.tau, grid.N
+        first = [
+            math.factorial(k)
+            * eval_kernel_grid(spec.with_eta(spec.eta + k + 1.0), np.array([tau]))[0]
+            for k in range(4)
+        ]
+        u = np.concatenate([x for x, _ in _RULES]) * tau
+        p = np.arange(2, n + 1, dtype=float)
+        e = eval_kernel_grid(spec, (p[:, None] * tau - u[None, :]).ravel())
+        e = e.reshape(n - 1, u.size)
+        # (rule, k, p - 1)
+        self.moments = np.empty((2, 4, n))
+        self.moments[:, :, 0] = first
+        blocks = np.split(e, [_RULES[0][0].size], axis=1)
+        for r, ((x, w), e_r) in enumerate(zip(_RULES, blocks)):
+            for k in range(4):
+                self.moments[r, k, 1:] = e_r @ (w * tau * (x * tau) ** k)
 
 
-def _convolve_at(
-    t: float,
-    eta: float,
-    smooth,
-    ginterp,
-    scale: float,
-    tau: float,
-    nq: int,
-) -> float:
-    """One evaluation of int_0^t g(t - s) s^(eta-1) * smooth(s) ds.
-
-    The Gauss-Jacobi panel carries the power weight s^(eta-1) exactly, but
-    the smooth factor itself contains fractional powers s^(xi_j) at the
-    origin, so the panel is kept short enough that the factor is constant
-    there to well below tolerance; the remainder is covered by geometric
-    Gauss-Legendre panels graded toward both endpoints — toward s = 0 for
-    the kernel, and toward s = t because g often varies fastest right after
-    t = 0 (grading stops at the signal's grid spacing ``tau``, below which
-    the interpolant is a single cubic).
-    """
-    a = t if math.isinf(scale) else 1e-10 * min(t, scale)
-    x, w = _jacobi_rule(nq, eta)
-    s = a * (x + 1.0) / 2.0
-    total = (a / 2.0) ** eta * float(np.dot(w, smooth(s) * ginterp(t - s)))
-    if a >= t:
-        return total
-    mid_pt = t / 2.0
-    left = [a]
-    while left[-1] * _PANEL_RATIO < mid_pt:
-        left.append(left[-1] * _PANEL_RATIO)
-    right = [t - mid_pt]  # distances from t, shrinking geometrically
-    while right[-1] / _PANEL_RATIO > tau / 2.0:
-        right.append(right[-1] / _PANEL_RATIO)
-    edges = np.concatenate([left, [mid_pt], t - np.asarray(right[1:]), [t]])
-    xg, wg = _legendre_rule(max(nq // 2, 4))
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    vals = s ** (eta - 1.0) * smooth(s) * ginterp(t - s)
-    total += float(np.dot(vals, (half[:, None] * wg[None, :]).ravel()))
-    return total
+def _local_coefficients(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """Power coefficients of the signal's interpolant on each interval,
+    shape (4, N): row k multiplies (t - t_i)^k.  A not-a-knot cubic spline
+    from 3 intervals on, piecewise linear below."""
+    if grid.N >= 3:
+        return CubicSpline(grid.nodes, values).c[::-1]
+    c = np.zeros((4, grid.N))
+    c[0] = values[:-1]
+    c[1] = np.diff(values) / grid.tau
+    return c
 
 
 def singular_convolve(
     g: TimeSeries,
-    spec: RelaxationKernelSpec,
+    kernel: RelaxationKernelSpec | KernelMoments,
     grid: TimeGrid | None = None,
-    validate: bool = True,
 ) -> TimeSeries:
     """Laplace convolution (g * e)(t_j) with the relaxation kernel ``e``.
 
-    The kernel is factored as s^(eta-1) times a smooth part; the weakly
-    singular first panel is handled by Gauss-Jacobi quadrature carrying the
-    power weight and the remainder by geometrically graded Gauss-Legendre
-    panels (the smooth factor of stiff kernels decays on a scale much shorter
-    than the grid spacing).  Signal values between nodes come from a cubic
-    spline.  Node counts are doubled once for validation.
+    The signal's cubic spline is integrated exactly against the kernel
+    through its moment table (pass a :class:`KernelMoments` to reuse one
+    across calls): each power of the local spline coefficients is one
+    discrete convolution with a row of the table.  The 8-point table is
+    convolved too, and node values that move by more than 1e-7 relative
+    raise :class:`QuadratureFailure`.
     """
     if grid is None:
         grid = g.grid
-    spec = spec.reduced()
-    eta = spec.eta
-    smooth = SmoothKernelFactor.get(spec, grid.T)
-    nodes = grid.nodes
-    ginterp = CubicSpline(nodes, g.values) if grid.N >= 3 else (
-        lambda s: np.interp(s, nodes, g.values)
-    )
-    scale = spec.decay_scale()
-
     out = np.zeros(grid.N + 1)
     if not np.any(g.values):
         return TimeSeries(grid, out)
+    table = kernel if isinstance(kernel, KernelMoments) else KernelMoments(kernel, grid)
+    if table.grid != grid:
+        raise ValueError("moment table was built for a different grid")
+    c = _local_coefficients(grid, g.values)
+    fine, coarse = (
+        sum(np.convolve(c[k], m[k])[: grid.N] for k in range(4))
+        for m in table.moments
+    )
     # A-priori bound on the convolution, max|g| * int_0^T e: node values more
     # than 10 digits below it are accepted on absolute accuracy grounds
     # (relative digits are unrecoverable that far down in doubles).
-    bound = abs(
-        eval_kernel_grid(spec.with_eta(eta + 1.0), np.asarray([grid.T]))[0]
-    ) * np.max(np.abs(g.values))
-    for j in range(1, grid.N + 1):
-        t = float(nodes[j])
-        v = _convolve_at(t, eta, smooth, ginterp, scale, grid.tau, _JACOBI_NODES)
-        if validate:
-            v2 = _convolve_at(
-                t, eta, smooth, ginterp, scale, grid.tau, 2 * _JACOBI_NODES
-            )
-            if abs(v - v2) > max(1e-7 * abs(v2), 1e-10 * bound):
-                raise QuadratureFailure(
-                    f"convolution quadrature unstable at t={t:g}: {v:g} vs {v2:g}"
-                )
-            v = v2
-        out[j] = v
+    bound = abs(float(np.sum(table.moments[0, 0]))) * np.max(np.abs(g.values))
+    bad = np.abs(coarse - fine) > np.maximum(1e-7 * np.abs(fine), 1e-10 * bound)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise QuadratureFailure(
+            f"convolution quadrature unstable at t={grid.nodes[j + 1]:g}: "
+            f"{coarse[j]:g} vs {fine[j]:g}"
+        )
+    out[1:] = fine
     return TimeSeries(grid, out)

@@ -25,6 +25,7 @@ from .catalog import SpaceTimeField
 from .forward import ProblemData, SolutionBundle, mode_kernel_spec, solve_forward
 from .fractional import (
     FractionalOperatorSpec,
+    KernelMoments,
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
@@ -62,7 +63,6 @@ class SourceAmplitude:
     extrapolation from the first three interior nodes."""
 
     a: TimeSeries
-    origin_extrapolated: bool = True
     metadata: dict = field(default_factory=dict)
 
 
@@ -127,18 +127,18 @@ def _flux_components(
     The associated (Even-family, k = 0) eigenfunctions have nonzero spatial
     mean but do not diagonalize the fourth-order operator: their trajectories
     feed the spatially integrated equation through the boundary flux at the
-    nonlocal edge.  Returns, per mode f excites, the weight c_n = sigma_n *
-    mean(Z_n), the forcing factor F_n(t), and the relaxation kernel of the
-    mode ODE.
+    nonlocal edge.  Returns the spatial mean of f truncated consistently with
+    the flux sum, f_00(t) + sum_{n <= flux_modes} mean(Z_n) f_n(t), and, per
+    mode f excites, the weight c_n = sigma_n * mean(Z_n), the forcing factor
+    F_n(t) = f_n(t), and the moment table of the mode ODE's kernel.
     """
     comps = []
     hvals = [np.asarray(h(grid.nodes), dtype=float) for _, h in f.terms]
     projections = []
+    zero = ModeIndex(Family.Zero, 0, 0)
+    indices = [zero] + [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
     for g, _ in f.terms:
-        cs = {
-            ModeIndex(Family.Even, n, 0): project(g, ModeIndex(Family.Even, n, 0))
-            for n in range(1, flux_modes + 1)
-        }
+        cs = {index: project(g, index) for index in indices}
         # snap against the field's own scale, not just the largest of these
         # projections: a field with no associated content at all must yield
         # an exactly empty component list, not quadrature dust
@@ -146,19 +146,20 @@ def _flux_components(
         snap_tiny(cs)
         del cs["__scale__"]
         projections.append(cs)
-    for n in range(1, flux_modes + 1):
-        index = ModeIndex(Family.Even, n, 0)
+    fmean = np.zeros(grid.N + 1)
+    for index in indices:
         F = np.zeros(grid.N + 1)
         for cs, hv in zip(projections, hvals):
             if cs[index] != 0.0:
                 F += cs[index] * hv
-        if not np.any(F):
+        fmean += mode_mean(index) * F
+        if index is zero or not np.any(F):
             continue
         sigma = eigen(index).sigma_nk
         c_n = sigma * mode_mean(index)
-        spec = mode_kernel_spec(op, sigma).with_eta(op.alpha)
-        comps.append((c_n, F, spec))
-    return comps
+        table = KernelMoments(mode_kernel_spec(op, sigma).with_eta(op.alpha), grid)
+        comps.append((c_n, F, table))
+    return fmean, comps
 
 
 def _extrapolate_origin(a: np.ndarray, N: int) -> None:
@@ -183,7 +184,9 @@ def recover_source(
 ) -> SourceAmplitude:
     """Per-node amplitude a(t_j) = (multi-term Caputo of E)(t_j) / f-mean(t_j),
     plus the boundary-flux closure when f excites mean-bearing associated
-    modes.
+    modes.  f-mean is the spatial mean of f truncated to the ``flux_modes``
+    modes the closure keeps; dividing by the full integral instead leaves a
+    bias of order 1/flux_modes.
 
     The spatially integrated equation reads (multi-term Caputo of E) =
     a * f-mean - sum_n c_n T_n with T_n the trajectory of the n-th associated
@@ -206,13 +209,13 @@ def recover_source(
             f"E(0) = {E.values[0]:.9g} but the initial datum integrates to "
             f"{phi_mean:.9g}"
         )
-    fmean = f.mean_series(grid).values
+    fmean, comps = _flux_components(f, grid, op, flux_modes)
     bad = np.abs(fmean) < mean_threshold
     if np.any(bad):
         j = int(np.argmax(bad))
         raise MeanTooSmall(
-            f"|integral of f| = {abs(fmean[j]):.3g} at t = {grid.nodes[j]:.6g} "
-            f"is below the threshold {mean_threshold:g}"
+            f"|truncated mean of f| = {abs(fmean[j]):.3g} at t = "
+            f"{grid.nodes[j]:.6g} is below the threshold {mean_threshold:g}"
         )
     deriv = caputo_multiterm(E, op).values
     if startup_correction:
@@ -220,13 +223,12 @@ def recover_source(
     a = np.empty(grid.N + 1)
     a[1:] = deriv[1:] / fmean[1:]
     _extrapolate_origin(a, grid.N)
-    comps = _flux_components(f, grid, op, flux_modes)
     iterations = 0
     if comps:
         for iterations in range(1, max_flux_iterations + 1):
             flux = np.zeros(grid.N + 1)
-            for c_n, F, spec in comps:
-                conv = singular_convolve(TimeSeries(grid, a * F), spec, grid)
+            for c_n, F, table in comps:
+                conv = singular_convolve(TimeSeries(grid, a * F), table, grid)
                 flux += c_n * conv.values
             new = np.empty(grid.N + 1)
             new[1:] = (deriv[1:] + flux[1:]) / fmean[1:]
@@ -237,7 +239,6 @@ def recover_source(
                 break
     return SourceAmplitude(
         a=TimeSeries(grid, a),
-        origin_extrapolated=True,
         metadata={
             "startup_correction": startup_correction,
             "flux_modes_excited": len(comps),
@@ -254,7 +255,8 @@ def solve_inverse(
     reported as a self-consistency residual."""
     phi_mean = field_mean(problem.phi)
     amplitude = recover_source(
-        problem.source, datum, problem.op, problem.grid, phi_mean=phi_mean
+        problem.source, datum, problem.op, problem.grid, phi_mean=phi_mean,
+        flux_modes=problem.n_max,
     )
     bundle = solve_forward(problem.with_amplitude(amplitude.a))
     residual = float(np.max(np.abs(bundle.energy.values - datum.E.values)))

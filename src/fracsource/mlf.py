@@ -196,13 +196,15 @@ def _series_values_grid(
     absacc = np.abs(total.copy())
     ok = np.ones(nt, dtype=bool)
     done = np.zeros(nt, dtype=bool)
-    # convergence forecast per point, as in ml_series
-    ks = np.arange(1, _MAX_SHELLS + 1)
-    sumabs = np.exp(logz).sum(axis=0)
-    bound = ks[:, None] * np.log(sumabs)[None, :] - gammaln(
-        eta + ks[:, None] * np.min(xis)
-    )
-    ok &= np.min(bound, axis=0) <= math.log(_SERIES_RTOL)
+    # convergence forecast per point, as in ml_series; the log bound is
+    # concave in k (gammaln is convex), so its minimum over the shell budget
+    # sits at one of the two ends
+    log_sumabs = np.log(np.exp(logz).sum(axis=0))
+
+    def log_bound(k: int) -> np.ndarray:
+        return k * log_sumabs - gammaln(eta + k * np.min(xis))
+
+    ok &= np.minimum(log_bound(1), log_bound(_MAX_SHELLS)) <= math.log(_SERIES_RTOL)
     for k in range(1, _MAX_SHELLS + 1):
         ls = _composition_matrix(k, n)
         base = gammaln(k + 1) - gammaln(ls + 1).sum(axis=1) - gammaln(eta + ls @ xis)

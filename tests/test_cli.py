@@ -142,6 +142,29 @@ class TestInverse:
         half = rows["t"] >= 0.5
         np.testing.assert_allclose(rows["a"][half], 1.0, rtol=2e-2)
 
+    @pytest.mark.parametrize("ts", [
+        np.linspace(0.0, 0.5, 33),  # ends at T/2
+        np.linspace(0.0, 1.0, 65)[::-1],  # unsorted
+    ])
+    def test_energy_csv_must_cover_horizon_in_order(self, tmp_path, ts):
+        lines = ["t,E"] + [f"{t:.17g},{t:.17g}" for t in ts]
+        (tmp_path / "energy.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg(N=64)
+        del payload["amplitude"]
+        payload["phi"] = {"name": "constant", "params": {"value": 0.0}}
+        payload["energy"] = {"csv": str(tmp_path / "energy.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    def test_amplitude_csv_must_cover_horizon(self, tmp_path):
+        ts = np.linspace(0.0, 0.5, 33)
+        lines = ["t,a"] + [f"{t:.17g},1" for t in ts]
+        (tmp_path / "a.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg(N=64)
+        payload["amplitude"] = {"csv": str(tmp_path / "a.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
     def test_incompatible_datum_exit_code(self, tmp_path):
         # phi has mean 1/2 but the datum starts at 2: compatibility failure
         ts = np.linspace(0.0, 1.0, 65)

@@ -14,6 +14,7 @@ import pytest
 from test_mlf import mpmath_kernel
 
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
+from fracsource import forward
 from fracsource.forward import (
     ProblemData,
     mode_kernel_spec,
@@ -226,3 +227,30 @@ class TestResidualAndEnergy:
         _, bundle = mixed_bundle
         assert "truncation_tail" in bundle.metadata
         assert bundle.metadata["truncation_tail"] >= 0.0
+
+
+def test_each_even_mode_solved_once(monkeypatch):
+    # the Odd branch solves its Even partner first; the Even index itself
+    # must then be skipped, so n = k = 4 takes 4 * 5 Even solves
+    calls = []
+    original = forward.mode_even
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "mode_even", counted)
+    grid = TimeGrid(1.0, 16)
+    prob = ProblemData(
+        op=FractionalOperatorSpec(0.8),
+        phi=make_field("cos_exp"),
+        source=SpaceTimeField.static(Field2D.constant(1.0)),
+        grid=grid,
+        amplitude=_amp(grid, lambda t: 1.0 + t),
+        n_max=4,
+        k_max=4,
+    )
+    bundle = solve_forward(prob)
+    assert len(calls) == 20
+    assert len(set(calls)) == 20
+    assert len(bundle.coeffs.data) == 45

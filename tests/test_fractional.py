@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsource import fractional
 from fracsource.fractional import (
     FractionalOperatorSpec,
     GridTooCoarse,
     InvalidOrder,
     InvalidSpec,
+    KernelMoments,
+    QuadratureFailure,
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
@@ -257,3 +260,34 @@ class TestSingularConvolve:
         np.testing.assert_allclose(
             got[8:], (1.0 + grid.nodes[8:]) / 2.0e4, rtol=1e-2
         )
+
+    def test_disagreeing_rules_refuse(self, monkeypatch):
+        # relative noise of 1e-5 on the kernel values of the later intervals
+        # makes the 8- and 16-point rules disagree far past 1e-7
+        grid = TimeGrid(1.0, 32)
+        spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
+        g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
+        rng = np.random.default_rng(0)
+
+        def noisy(spec, ts):
+            values = eval_kernel_grid(spec, ts)
+            later = np.asarray(ts) > grid.tau
+            return values * np.where(later, 1.0 + 1e-5 * rng.standard_normal(values.shape), 1.0)
+
+        monkeypatch.setattr(fractional, "eval_kernel_grid", noisy)
+        with pytest.raises(QuadratureFailure):
+            singular_convolve(g, spec, grid)
+
+    def test_prebuilt_table_matches_and_is_grid_bound(self):
+        grid = TimeGrid(1.0, 40)
+        spec = RelaxationKernelSpec(0.7, ((2.0, 0.7), (0.5, 0.3)))
+        table = KernelMoments(spec, grid)
+        for fn in (np.cos, lambda t: t**2):
+            g = TimeSeries.from_function(grid, fn)
+            np.testing.assert_array_equal(
+                singular_convolve(g, table, grid).values,
+                singular_convolve(g, spec, grid).values,
+            )
+        other = TimeGrid(1.0, 20)
+        with pytest.raises(ValueError):
+            singular_convolve(TimeSeries.from_function(other, np.cos), table, other)

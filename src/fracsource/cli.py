@@ -248,7 +248,7 @@ def _write_field_slice(path: Path, bundle, time_index: int, m: int = 64) -> None
 # commands ----------------------------------------------------------------------
 
 
-def cmd_mlf_eval(cfg: dict, out: Path, tol: float | None) -> int:
+def cmd_mlf_eval(cfg: dict, out: Path) -> int:
     spec = _parse_kernel(cfg)
     ts = _parse_times(cfg)
     if np.any(ts < 0.0):
@@ -282,7 +282,7 @@ def _build_problem(cfg: dict) -> ProblemData:
     )
 
 
-def cmd_forward(cfg: dict, out: Path, tol: float | None) -> int:
+def cmd_forward(cfg: dict, out: Path) -> int:
     problem = _build_problem(cfg)
     if problem.amplitude is None:
         problem = problem.with_amplitude(
@@ -304,7 +304,7 @@ def cmd_forward(cfg: dict, out: Path, tol: float | None) -> int:
     return EXIT_OK
 
 
-def cmd_inverse(cfg: dict, out: Path, tol: float | None) -> int:
+def cmd_inverse(cfg: dict, out: Path) -> int:
     problem = _build_problem(cfg)
     grid = problem.grid
     esec = _require(cfg, "energy")
@@ -496,7 +496,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: dict, out: Path, tol: float | None) -> int:
+def cmd_verify(cfg: dict, out: Path) -> int:
     names = cfg.get("suites", sorted(_SUITES))
     unknown = [s for s in names if s not in _SUITES]
     if unknown:
@@ -568,7 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    sub.choices["oracle-compare"].add_argument(
+        "--tol", type=float, default=None,
+        help="relative L2 tolerance, overriding the config's 'tol'",
+    )
     return parser
 
 
@@ -578,7 +581,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out = Path(args.out or cfg.get("out", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.tol)
+        options = {"tol": args.tol} if "tol" in args else {}
+        return _COMMANDS[args.command](cfg, out, **options)
     except CompatibilityViolation as exc:
         print(f"compatibility violation: {exc}", file=sys.stderr)
         return EXIT_COMPATIBILITY

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import SpaceTimeField
-from .forward import ProblemData, SolutionBundle, mode_kernel_spec, solve_forward
+from .forward import (
+    ProblemData,
+    SolutionBundle,
+    _mode_trajectory,
+    mode_kernel_spec,
+    solve_forward,
+)
 from .fractional import (
     FractionalOperatorSpec,
     KernelMoments,
@@ -31,7 +37,16 @@ from .fractional import (
     caputo_multiterm,
     singular_convolve,
 )
-from .spectral import Family, ModeIndex, eigen, field_mean, mode_mean, project, snap_tiny
+from .spectral import (
+    Family,
+    Field2D,
+    ModeIndex,
+    eigen,
+    field_mean,
+    mode_mean,
+    project,
+    snap_tiny,
+)
 
 
 class MeanTooSmall(ValueError):
@@ -119,6 +134,36 @@ def _startup_correction(
     return correction
 
 
+def _snapped_projections(g: Field2D, indices: list[ModeIndex]) -> dict:
+    """Projections of g onto ``indices``, snapped against the field's own
+    scale and not just the largest of these projections: a field with no
+    associated content at all must yield exact zeros, not quadrature dust."""
+    cs = {index: project(g, index) for index in indices}
+    cs["__scale__"] = field_mean(g)
+    snap_tiny(cs)
+    del cs["__scale__"]
+    return cs
+
+
+def _initial_flux_energy(
+    phi: Field2D, op: FractionalOperatorSpec, grid: TimeGrid, flux_modes: int
+) -> np.ndarray:
+    """sum_{n <= flux_modes} mean(Z_n) phi_n (h_n(t) - 1) over the
+    mean-bearing associated modes, h_n the unforced mode trajectory with
+    h_n(0) = 1.  Its exact Caputo derivative is sum_n c_n phi_n h_n, the
+    boundary flux the initial datum drives; subtracting it from the energy
+    before differentiating closes that flux without asking the L1 scheme to
+    resolve the stiff h_n."""
+    indices = [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
+    cs = _snapped_projections(phi, indices)
+    out = np.zeros(grid.N + 1)
+    for index in indices:
+        if cs[index] != 0.0:
+            h = _mode_trajectory(eigen(index).sigma_nk, 1.0, None, op, grid, {})
+            out += mode_mean(index) * cs[index] * (h.values - 1.0)
+    return out
+
+
 def _flux_components(
     f: SpaceTimeField, grid: TimeGrid, op: FractionalOperatorSpec, flux_modes: int
 ):
@@ -138,14 +183,7 @@ def _flux_components(
     zero = ModeIndex(Family.Zero, 0, 0)
     indices = [zero] + [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
     for g, _ in f.terms:
-        cs = {index: project(g, index) for index in indices}
-        # snap against the field's own scale, not just the largest of these
-        # projections: a field with no associated content at all must yield
-        # an exactly empty component list, not quadrature dust
-        cs["__scale__"] = field_mean(g)
-        snap_tiny(cs)
-        del cs["__scale__"]
-        projections.append(cs)
+        projections.append(_snapped_projections(g, indices))
     fmean = np.zeros(grid.N + 1)
     for index in indices:
         F = np.zeros(grid.N + 1)
@@ -178,6 +216,7 @@ def recover_source(
     grid: TimeGrid | None = None,
     mean_threshold: float = DEFAULT_MEAN_THRESHOLD,
     phi_mean: float | None = None,
+    phi: Field2D | None = None,
     startup_correction: bool = True,
     flux_modes: int = 8,
     max_flux_iterations: int = 20,
@@ -197,7 +236,9 @@ def recover_source(
     and the amplitude is the explicit ratio.
 
     When ``phi_mean`` is supplied, the compatibility condition
-    E(0) = integral of phi is enforced first.
+    E(0) = integral of phi is enforced first.  When ``phi`` is supplied, the
+    flux its mean-bearing associated modes drive is closed too, by taking
+    their homogeneous energy out of E before differentiating.
     """
     if grid is None:
         grid = datum.E.grid
@@ -217,6 +258,8 @@ def recover_source(
             f"|truncated mean of f| = {abs(fmean[j]):.3g} at t = "
             f"{grid.nodes[j]:.6g} is below the threshold {mean_threshold:g}"
         )
+    if phi is not None:
+        E = TimeSeries(grid, E.values - _initial_flux_energy(phi, op, grid, flux_modes))
     deriv = caputo_multiterm(E, op).values
     if startup_correction:
         deriv = deriv + _startup_correction(E, op)
@@ -256,7 +299,7 @@ def solve_inverse(
     phi_mean = field_mean(problem.phi)
     amplitude = recover_source(
         problem.source, datum, problem.op, problem.grid, phi_mean=phi_mean,
-        flux_modes=problem.n_max,
+        phi=problem.phi, flux_modes=problem.n_max,
     )
     bundle = solve_forward(problem.with_amplitude(amplitude.a))
     residual = float(np.max(np.abs(bundle.energy.values - datum.E.values)))
@@ -284,6 +327,8 @@ def stability_probe(
     amplitude moves; the log-log slope quantifies the (linear) stability."""
     grid = problem.grid
     base = recover_source(problem.source, datum, problem.op, grid)
+    if solve_fields:
+        b0 = solve_forward(problem.with_amplitude(base.a))
     a_diffs = []
     u_diffs = []
     for d in deltas:
@@ -305,7 +350,6 @@ def stability_probe(
         pert = recover_source(src, tilde, problem.op, grid)
         a_diffs.append(float(np.max(np.abs(pert.a.values - base.a.values))))
         if solve_fields:
-            b0 = solve_forward(problem.with_amplitude(base.a))
             b1 = solve_forward(
                 ProblemData(
                     op=problem.op, phi=problem.phi, source=src, grid=grid,

@@ -104,6 +104,14 @@ class TestForward:
         path.write_text("{not json")
         assert main(["forward", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_tol_rejected(self, tmp_path):
+        # only oracle-compare reads a tolerance; elsewhere --tol is a usage error
+        cfg = _write_cfg(tmp_path, "c.json", _forward_cfg())
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", cfg, "--out", str(tmp_path / "o"), "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestInverse:
     def test_synthesized_round_trip(self, tmp_path):

@@ -152,6 +152,30 @@ class TestRoundTrip:
         err = np.max(np.abs(amp.a.values[late] - want) / want)
         assert err <= 1e-3
 
+    def test_flux_closure_covers_initial_datum(self):
+        # phi = 1 + xy/2 seeds the mean-bearing associated modes too; their
+        # homogeneous trajectories feed the boundary flux, which the closure
+        # over the a * F_n convolutions alone misses (4.6e-2 error)
+        poly = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
+        f = SpaceTimeField.static(poly)
+        op = FractionalOperatorSpec(0.8, ((0.5, 0.4),))
+        gen_grid = TimeGrid(1.0, 256)
+        gen = ProblemData(
+            op=op, phi=poly, source=f, grid=gen_grid,
+            amplitude=TimeSeries.from_function(gen_grid, lambda t: 1.0 + t),
+            n_max=4, k_max=0,
+        )
+        energy = solve_forward(gen).energy.values[::2]
+        grid = TimeGrid(1.0, 128)
+        amp = recover_source(
+            f, EnergyDatum(TimeSeries(grid, energy)), op, grid, phi=poly,
+            flux_modes=4,
+        )
+        late = grid.nodes > 0.1
+        want = 1.0 + grid.nodes[late]
+        err = np.max(np.abs(amp.a.values[late] - want) / want)
+        assert err <= 1e-3
+
     def test_flux_closure_reported_in_metadata(self):
         grid = TimeGrid(1.0, 64)
         datum = EnergyDatum(TimeSeries.from_function(grid, lambda t: 1.0 + t**2))
@@ -214,6 +238,17 @@ class TestStability:
         prob, datum = setup
         rep = stability_probe(prob, datum, perturb="source")
         assert rep.slope == pytest.approx(1.0, abs=0.05)
+
+    def test_field_differences_grow_with_delta(self, setup):
+        prob, datum = setup
+        deltas = (1e-1, 1e-2, 1e-3)
+        rep = stability_probe(prob, datum, deltas=deltas, solve_fields=True)
+        assert len(rep.u_diffs) == len(deltas)
+        assert all(d > 0.0 for d in rep.u_diffs)
+        # the map is linear: each tenfold smaller delta moves the field tenfold less
+        np.testing.assert_allclose(
+            np.asarray(rep.u_diffs[:-1]) / np.asarray(rep.u_diffs[1:]), 10.0, rtol=0.05
+        )
 
     def test_unknown_perturbation_rejected(self, setup):
         prob, datum = setup

@@ -24,6 +24,7 @@ from fracsource.mlf import (
     eval_kernel_grid,
     kernel_antiderivative,
     ml_contour,
+    ml_contour_grid,
     ml_series,
 )
 
@@ -99,6 +100,11 @@ def mpmath_kernel(spec, t, dps=40):
     if _series_budget(spec.eta, spec.orders, args, dps) is not None:
         val = mpmath_multinomial_ml(spec.eta, spec.orders, args, dps=dps)
         return t ** (spec.eta - 1.0) * val
+    return mpmath_talbot(spec, t, dps)
+
+
+def mpmath_talbot(spec, t, dps):
+    """mpmath's Talbot inversion of s^(-eta) / (1 + sum m_j s^(-xi_j))."""
     with mpmath.workdps(dps):
 
         def transform(s):
@@ -204,6 +210,36 @@ class TestContour:
         got = ml_contour(spec, t)
         want = mpmath_kernel(spec, t)
         assert got == pytest.approx(want, rel=2e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("eta", [0.8, 1.4, 4.8])
+    def test_grid_matches_mpmath_on_mode_kernels(self, eta):
+        # the kernels a moment table requests: (psi, alpha - alpha_1) and
+        # (sigma, alpha) for alpha = 0.8, alpha_1 = 0.4, eta from alpha to
+        # alpha + 4, t from tau = 1/1024 to T = 1
+        ts = np.array([1.0 / 1024.0, 1.0 / 32.0, 1.0])
+        for sigma in (1e2, 1e4, 1e6, 1e8):
+            spec = RelaxationKernelSpec(eta, ((0.5, 0.4), (sigma, 0.8)))
+            got = ml_contour_grid(spec, ts)
+            want = np.array([mpmath_talbot(spec, t, 30) for t in ts])
+            # the accuracy the node-doubling check certifies: 2e-8 relative,
+            # floored at 1e-12 of the envelope t^(eta-1)/Gamma(eta)
+            envelope = ts ** (eta - 1.0) / math.gamma(eta)
+            bound = np.maximum(2e-8 * np.abs(want), 1e-12 * envelope)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_refuses_unstable_quadrature(self):
+        # a large eta at small t: 24 and 48 nodes disagree by 3.5 times the
+        # tolerance, so the contour must refuse rather than pick one
+        spec = RelaxationKernelSpec(4.996, ((0.0105, 0.994),))
+        with pytest.raises(ContourFailure):
+            ml_contour_grid(spec, np.array([1.17e-5]))
+        with pytest.raises(ContourFailure):
+            ml_contour(spec, 1.17e-5)
+
+    def test_rejects_odd_node_count(self):
+        spec = RelaxationKernelSpec(1.0, ((2.0, 0.5),))
+        with pytest.raises(InvalidParameters):
+            ml_contour(spec, 1.0, nodes=25)
 
     def test_series_contour_overlap_band(self):
         # both evaluation paths live on max_j m_j t^xi_j in [0.5, 5]

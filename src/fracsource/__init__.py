@@ -82,6 +82,7 @@ from .spectral import (
     field_mean,
     mode_mean,
     project,
+    project_modes,
     synthesize,
 )
 

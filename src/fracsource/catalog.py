@@ -19,7 +19,7 @@ from .spectral import (
     SpectralCoefficients,
     enumerate_modes,
     field_mean,
-    project,
+    project_modes,
     snap_tiny,
 )
 
@@ -162,7 +162,7 @@ class SpaceTimeField:
         modes = enumerate_modes(n_max, k_max)
         spatial = []
         for g, _ in self.terms:
-            cs = {index: project(g, index) for index in modes}
+            cs = dict(zip(modes, project_modes(g, modes).tolist()))
             snap_tiny(cs)
             spatial.append(cs)
         for index in modes:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .spectral import (
     eigen,
     field_mean,
     mode_mean,
-    project,
+    project_modes,
     snap_tiny,
 )
 
@@ -134,11 +135,15 @@ def _startup_correction(
     return correction
 
 
-def _snapped_projections(g: Field2D, indices: list[ModeIndex]) -> dict:
-    """Projections of g onto ``indices``, snapped against the field's own
-    scale and not just the largest of these projections: a field with no
-    associated content at all must yield exact zeros, not quadrature dust."""
-    cs = {index: project(g, index) for index in indices}
+def _mean_bearing_projections(g: Field2D, flux_modes: int) -> dict:
+    """Projections of g onto the modes that carry a spatial mean: the Zero
+    (0, 0) mode and the associated Even (n, 0), n <= flux_modes.  They are
+    snapped against the field's own scale and not just the largest of these
+    projections: a field with no associated content at all must yield exact
+    zeros, not quadrature dust."""
+    indices = [ModeIndex(Family.Zero, 0, 0)]
+    indices += [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
+    cs = dict(zip(indices, project_modes(g, indices).tolist()))
     cs["__scale__"] = field_mean(g)
     snap_tiny(cs)
     del cs["__scale__"]
@@ -146,21 +151,19 @@ def _snapped_projections(g: Field2D, indices: list[ModeIndex]) -> dict:
 
 
 def _initial_flux_energy(
-    phi: Field2D, op: FractionalOperatorSpec, grid: TimeGrid, flux_modes: int
+    phi_cs: dict, op: FractionalOperatorSpec, grid: TimeGrid
 ) -> np.ndarray:
-    """sum_{n <= flux_modes} mean(Z_n) phi_n (h_n(t) - 1) over the
-    mean-bearing associated modes, h_n the unforced mode trajectory with
-    h_n(0) = 1.  Its exact Caputo derivative is sum_n c_n phi_n h_n, the
-    boundary flux the initial datum drives; subtracting it from the energy
-    before differentiating closes that flux without asking the L1 scheme to
-    resolve the stiff h_n."""
-    indices = [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
-    cs = _snapped_projections(phi, indices)
+    """sum_n mean(Z_n) phi_n (h_n(t) - 1) over the mean-bearing associated
+    modes in ``phi_cs``, h_n the unforced mode trajectory with h_n(0) = 1.
+    Its exact Caputo derivative is sum_n c_n phi_n h_n, the boundary flux
+    the initial datum drives; subtracting it from the energy before
+    differentiating closes that flux without asking the L1 scheme to resolve
+    the stiff h_n."""
     out = np.zeros(grid.N + 1)
-    for index in indices:
-        if cs[index] != 0.0:
+    for index, c in phi_cs.items():
+        if index.family is Family.Even and c != 0.0:
             h = _mode_trajectory(eigen(index).sigma_nk, 1.0, None, op, grid, {})
-            out += mode_mean(index) * cs[index] * (h.values - 1.0)
+            out += mode_mean(index) * c * (h.values - 1.0)
     return out
 
 
@@ -179,19 +182,15 @@ def _flux_components(
     """
     comps = []
     hvals = [np.asarray(h(grid.nodes), dtype=float) for _, h in f.terms]
-    projections = []
-    zero = ModeIndex(Family.Zero, 0, 0)
-    indices = [zero] + [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
-    for g, _ in f.terms:
-        projections.append(_snapped_projections(g, indices))
+    projections = [_mean_bearing_projections(g, flux_modes) for g, _ in f.terms]
     fmean = np.zeros(grid.N + 1)
-    for index in indices:
+    for index in projections[0]:
         F = np.zeros(grid.N + 1)
         for cs, hv in zip(projections, hvals):
             if cs[index] != 0.0:
                 F += cs[index] * hv
         fmean += mode_mean(index) * F
-        if index is zero or not np.any(F):
+        if index.family is Family.Zero or not np.any(F):
             continue
         sigma = eigen(index).sigma_nk
         c_n = sigma * mode_mean(index)
@@ -235,16 +234,27 @@ def recover_source(
     contraction); when f excites none of these modes the iteration is skipped
     and the amplitude is the explicit ratio.
 
-    When ``phi_mean`` is supplied, the compatibility condition
-    E(0) = integral of phi is enforced first.  When ``phi`` is supplied, the
-    flux its mean-bearing associated modes drive is closed too, by taking
-    their homogeneous energy out of E before differentiating.
+    When ``phi`` is supplied, E(0) must equal the mean of phi truncated
+    as the forward energy carries it, phi_00 + sum_{n <= flux_modes}
+    mean(Z_n) phi_n, and the flux phi's mean-bearing associated modes drive
+    is closed too, by taking their homogeneous energy out of E before
+    differentiating.  When ``phi_mean`` is supplied, E(0) = phi_mean is
+    enforced as well.
     """
     if grid is None:
         grid = datum.E.grid
     E = datum.E
     if E.grid.N != grid.N or E.grid.T != grid.T:
         raise ValueError("energy datum grid does not match the requested grid")
+    phi_cs = None
+    if phi is not None:
+        phi_cs = _mean_bearing_projections(phi, flux_modes)
+        truncated = sum(mode_mean(index) * c for index, c in phi_cs.items())
+        if not abs(E.values[0] - truncated) <= COMPATIBILITY_TOL:
+            raise CompatibilityViolation(
+                f"E(0) = {E.values[0]:.9g} but the initial datum's mean over "
+                f"the modes n <= {flux_modes} is {truncated:.9g}"
+            )
     if phi_mean is not None and abs(E.values[0] - phi_mean) > COMPATIBILITY_TOL:
         raise CompatibilityViolation(
             f"E(0) = {E.values[0]:.9g} but the initial datum integrates to "
@@ -258,8 +268,8 @@ def recover_source(
             f"|truncated mean of f| = {abs(fmean[j]):.3g} at t = "
             f"{grid.nodes[j]:.6g} is below the threshold {mean_threshold:g}"
         )
-    if phi is not None:
-        E = TimeSeries(grid, E.values - _initial_flux_energy(phi, op, grid, flux_modes))
+    if phi_cs is not None:
+        E = TimeSeries(grid, E.values - _initial_flux_energy(phi_cs, op, grid))
     deriv = caputo_multiterm(E, op).values
     if startup_correction:
         deriv = deriv + _startup_correction(E, op)
@@ -296,10 +306,9 @@ def solve_inverse(
     """Recover a(t) from the energy datum, then run the forward solver with
     it; the sup-norm mismatch between the reproduced energy and the datum is
     reported as a self-consistency residual."""
-    phi_mean = field_mean(problem.phi)
     amplitude = recover_source(
-        problem.source, datum, problem.op, problem.grid, phi_mean=phi_mean,
-        phi=problem.phi, flux_modes=problem.n_max,
+        problem.source, datum, problem.op, problem.grid, phi=problem.phi,
+        flux_modes=problem.n_max,
     )
     bundle = solve_forward(problem.with_amplitude(amplitude.a))
     residual = float(np.max(np.abs(bundle.energy.values - datum.E.values)))
@@ -314,6 +323,7 @@ class StabilityReport:
     a_diffs: list[float]
     slope: float
     u_diffs: list[float] = field(default_factory=list)
+    base: TimeSeries | None = None  # the amplitude from the unperturbed data
 
 
 def stability_probe(
@@ -326,7 +336,11 @@ def stability_probe(
     """Perturb the data by a family of scales and report how the recovered
     amplitude moves; the log-log slope quantifies the (linear) stability."""
     grid = problem.grid
-    base = recover_source(problem.source, datum, problem.op, grid)
+    recover = partial(
+        recover_source, op=problem.op, grid=grid, phi=problem.phi,
+        flux_modes=problem.n_max,
+    )
+    base = recover(problem.source, datum)
     if solve_fields:
         b0 = solve_forward(problem.with_amplitude(base.a))
     a_diffs = []
@@ -347,7 +361,7 @@ def stability_probe(
             tilde, src = datum, scaled
         else:
             raise ValueError(f"unknown perturbation target {perturb!r}")
-        pert = recover_source(src, tilde, problem.op, grid)
+        pert = recover(src, tilde)
         a_diffs.append(float(np.max(np.abs(pert.a.values - base.a.values))))
         if solve_fields:
             b1 = solve_forward(
@@ -365,5 +379,6 @@ def stability_probe(
         np.polyfit(np.log(np.asarray(deltas)), np.log(np.asarray(a_diffs)), 1)[0]
     )
     return StabilityReport(
-        deltas=list(deltas), a_diffs=a_diffs, slope=slope, u_diffs=u_diffs
+        deltas=list(deltas), a_diffs=a_diffs, slope=slope, u_diffs=u_diffs,
+        base=base.a,
     )

@@ -30,6 +30,9 @@ class StepRejected(RuntimeError):
 
 
 _GROWTH_LIMIT = 1e6
+# Steps per block of the L1 history sum in fdm_forward.  On a 64 x 64 grid
+# with 1024 steps, blocks of 32, 64 and 128 time within 10 % of each other.
+_HISTORY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -156,8 +159,11 @@ def _amplitude_on(grid: FDGrid, problem: ProblemData) -> np.ndarray:
 def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     """March the implicit L1 / central-difference scheme.
 
-    One sparse factorization is reused across all steps; the L1 history is
-    kept in full and contracted against the convolution weights each step.
+    One sparse factorization is reused across all steps.  The L1 history at
+    step p is the Toeplitz sum sum_{j<p} c_{p-j} (u_j - u_{j-1}); it is taken
+    in blocks of ``_HISTORY_BLOCK`` steps: at the start of a block one matrix
+    product gives every step in it the contribution of all earlier blocks,
+    and each step adds the at most ``_HISTORY_BLOCK - 1`` terms of its own.
     """
     op = problem.op
     xs = grid.xs[:-1]
@@ -175,6 +181,7 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     weights = np.stack(
         [(q + 1.0) ** (1.0 - beta) - q ** (1.0 - beta) for _, beta in terms]
     )  # (nterms, N+1); weights[:, 0] = 1
+    c = gammas @ weights  # history coefficient of the difference m steps back
     c0 = float(gammas.sum())
 
     system = (c0 * sp.identity(dof, format="csc") + L.tocsc())
@@ -194,24 +201,27 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
         out[p, -1, :] = plane[0, :]  # value coupling at the nonlocal edge
 
     store(0, u)
-    for p in range(1, grid.N + 1):
-        t = p * tau
-        F = a_vals[p] * np.asarray(
-            problem.source(X, Y, t), dtype=float
-        ).reshape(dof)
-        rhs = F + c0 * u
-        if p > 1:
-            # history sum: per-term weights against stored differences
-            w = weights[:, 1:p][:, ::-1]  # (nterms, p-1), aligned to diffs 1..p-1
-            rhs -= (gammas @ w) @ diffs[1:p]
-        new = solver.solve(rhs)
-        if not np.all(np.isfinite(new)):
-            raise StepRejected(f"non-finite solution at step {p}")
-        if np.linalg.norm(new) > _GROWTH_LIMIT * max(1.0, np.linalg.norm(u)):
-            raise StepRejected(f"norm growth beyond {_GROWTH_LIMIT:g} at step {p}")
-        diffs[p] = new - u
-        u = new
-        store(p, u)
+    for start in range(1, grid.N + 1, _HISTORY_BLOCK):
+        stop = min(start + _HISTORY_BLOCK, grid.N + 1)
+        # far[i]: history of step start + i over the differences 1..start-1
+        lags = np.arange(start, stop)[:, None] - np.arange(1, start)[None, :]
+        far = c[lags] @ diffs[1:start]
+        for p in range(start, stop):
+            t = p * tau
+            F = a_vals[p] * np.asarray(
+                problem.source(X, Y, t), dtype=float
+            ).reshape(dof)
+            rhs = F + c0 * u - far[p - start]
+            if p > start:
+                rhs -= c[p - start:0:-1] @ diffs[start:p]
+            new = solver.solve(rhs)
+            if not np.all(np.isfinite(new)):
+                raise StepRejected(f"non-finite solution at step {p}")
+            if np.linalg.norm(new) > _GROWTH_LIMIT * max(1.0, np.linalg.norm(u)):
+                raise StepRejected(f"norm growth beyond {_GROWTH_LIMIT:g} at step {p}")
+            diffs[p] = new - u
+            u = new
+            store(p, u)
 
     return FieldHistory(
         grid=grid,

@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -89,16 +89,18 @@ def eval_Z(index: ModeIndex, x, y) -> np.ndarray:
     return xf * _y_factor(index.k, y)
 
 
+def _w_x_factor(family: Family, n: int, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if family is Family.Zero:
+        return 2.0 * (1.0 - x)
+    if family is Family.Odd:
+        return 4.0 * (1.0 - x) * np.cos(2 * n * math.pi * x)
+    return 4.0 * np.sin(2 * n * math.pi * x)
+
+
 def eval_W(index: ModeIndex, x, y) -> np.ndarray:
     """Evaluate the conjugate function W paired with Z at the same index."""
-    x = np.asarray(x, dtype=float)
-    if index.family is Family.Zero:
-        xf = 2.0 * (1.0 - x)
-    elif index.family is Family.Odd:
-        xf = 4.0 * (1.0 - x) * np.cos(2 * index.n * math.pi * x)
-    else:
-        xf = 4.0 * np.sin(2 * index.n * math.pi * x)
-    return xf * _y_factor(index.k, y)
+    return _w_x_factor(index.family, index.n, x) * _y_factor(index.k, y)
 
 
 def mode_mean(index: ModeIndex) -> float:
@@ -217,30 +219,60 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _project_once(field: Field2D, index: ModeIndex, q: int) -> float:
-    gx, wx = _gauss01(q)
-    gy, wy = _gauss01(q)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    vals = field(X, Y) * eval_W(index, X, Y)
-    return float(wx @ vals @ wy)
+def _gauss_moments(field: Field2D, q: int, x_factors, y_factors) -> np.ndarray:
+    """Integrals of field(x, y) * X_i(x) * Y_j(y) over the unit square for
+    every pair of factors, by q-point tensor Gauss-Legendre: one field
+    evaluation and two matrix products."""
+    g, w = _gauss01(q)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    xw = np.stack([fn(g) for fn in x_factors]) * w
+    yw = np.stack([fn(g) for fn in y_factors]) * w
+    return xw @ field(X, Y) @ yw.T
+
+
+def project_modes(
+    field: Field2D, modes: list[ModeIndex], tol: float = 1e-9
+) -> np.ndarray:
+    """Coefficients <field, W_i> for every mode in ``modes``, in order.
+
+    Each mode is integrated with q = max(32, 4 max(2n, k)) Gauss-Legendre
+    nodes per axis, enough to resolve its oscillatory factors.  Modes that
+    share q share one field evaluation at q and one at 2q nodes: W is the
+    product X_n(x) Y_k(y), so each coefficient is an entry of
+    (X w) F (Y w)^T.  Every coefficient must agree between q and 2q nodes to
+    ``tol`` absolutely; otherwise QuadratureFailure names the first mode
+    that does not.
+    """
+    groups: dict[int, list[int]] = {}
+    for pos, index in enumerate(modes):
+        groups.setdefault(max(32, 4 * max(2 * index.n, index.k)), []).append(pos)
+    coarse = np.empty(len(modes))
+    fine = np.empty(len(modes))
+    for q, positions in groups.items():
+        group = [modes[p] for p in positions]
+        xkeys = list(dict.fromkeys((i.family, i.n) for i in group))
+        ks = list(dict.fromkeys(i.k for i in group))
+        rows = [xkeys.index((i.family, i.n)) for i in group]
+        cols = [ks.index(i.k) for i in group]
+        x_factors = [partial(_w_x_factor, family, n) for family, n in xkeys]
+        y_factors = [partial(_y_factor, k) for k in ks]
+        for nodes, out in ((q, coarse), (2 * q, fine)):
+            moments = _gauss_moments(field, nodes, x_factors, y_factors)
+            out[positions] = moments[rows, cols]
+    bad = np.flatnonzero(~(np.abs(coarse - fine) <= tol))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureFailure(
+            f"projection onto {modes[i]} unstable under node doubling: "
+            f"{coarse[i]:.12g} vs {fine[i]:.12g} ({bad.size} of {len(modes)} "
+            "modes fail)"
+        )
+    return fine
 
 
 def project(field: Field2D, index: ModeIndex, tol: float = 1e-9) -> float:
-    """Coefficient <field, W_index> by tensor Gauss-Legendre quadrature.
-
-    The per-axis node count grows with the mode frequency so the oscillatory
-    factors stay resolved; the count is doubled once and the two results must
-    agree to ``tol`` absolutely.
-    """
-    q = max(32, 4 * max(2 * index.n, index.k))
-    v1 = _project_once(field, index, q)
-    v2 = _project_once(field, index, 2 * q)
-    if abs(v1 - v2) > tol:
-        raise QuadratureFailure(
-            f"projection onto {index} unstable under node doubling: "
-            f"{v1:.12g} vs {v2:.12g}"
-        )
-    return v2
+    """Coefficient <field, W_index>; see ``project_modes``."""
+    return float(project_modes(field, [index], tol)[0])
 
 
 def snap_tiny(coeff_map: dict, rel: float = 1e-12) -> None:
@@ -259,19 +291,12 @@ def snap_tiny(coeff_map: dict, rel: float = 1e-12) -> None:
             coeff_map[key] = 0.0
 
 
-def _mean_once(field: Field2D, q: int) -> float:
-    gx, wx = _gauss01(q)
-    gy, wy = _gauss01(q)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    return float(wx @ field(X, Y) @ wy)
-
-
 def field_mean(field: Field2D, tol: float = 1e-9) -> float:
     """Integral of the field over the unit square (tensor Gauss-Legendre
     with one node-doubling validation)."""
-    v1 = _mean_once(field, 32)
-    v2 = _mean_once(field, 64)
-    if abs(v1 - v2) > tol:
+    v1 = float(_gauss_moments(field, 32, [np.ones_like], [np.ones_like])[0, 0])
+    v2 = float(_gauss_moments(field, 64, [np.ones_like], [np.ones_like])[0, 0])
+    if not abs(v1 - v2) <= tol:
         raise QuadratureFailure(
             f"field mean unstable under node doubling: {v1:.12g} vs {v2:.12g}"
         )
@@ -312,8 +337,9 @@ class SpectralCoefficients:
         cls, field2d: Field2D, n_max: int, k_max: int
     ) -> "SpectralCoefficients":
         out = cls(n_max, k_max)
-        for index in enumerate_modes(n_max, k_max):
-            out[index] = project(field2d, index)
+        modes = enumerate_modes(n_max, k_max)
+        for index, value in zip(modes, project_modes(field2d, modes).tolist()):
+            out[index] = value
         snap_tiny(out.data)
         return out
 

@@ -191,7 +191,36 @@ class TestRoundTrip:
         assert amp_plain.metadata["flux_modes_excited"] == 0
 
 
+def _poly_phi_problem():
+    """phi = f = 1 + xy/2 under 0.8 + 0.5 D^0.4 with n_max = 4: phi seeds the
+    mean-bearing associated modes, so the forward energy carries phi's mean
+    truncated at n_max (1.11939), not its integral (1.125)."""
+    poly = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
+    grid = TimeGrid(1.0, 128)
+    return ProblemData(
+        op=FractionalOperatorSpec(0.8, ((0.5, 0.4),)), phi=poly,
+        source=SpaceTimeField.static(poly), grid=grid, n_max=4, k_max=0,
+    )
+
+
 class TestSolveInverse:
+    def test_accepts_forward_energy_with_truncated_phi_mean(self):
+        prob = _poly_phi_problem()
+        grid = prob.grid
+        a_true = TimeSeries.from_function(grid, lambda t: 1.0 + t)
+        energy = solve_forward(prob.with_amplitude(a_true)).energy
+        assert abs(energy.values[0] - 1.125) > 1e-3  # the exact integral
+        amp, _ = solve_inverse(prob, EnergyDatum(energy))
+        late = grid.nodes > 0.1
+        err = np.max(np.abs(amp.a.values[late] - a_true.values[late]))
+        assert err <= 1e-3
+
+    def test_energy_off_the_truncated_mean_rejected(self):
+        prob = _poly_phi_problem()
+        datum = EnergyDatum(TimeSeries.from_function(prob.grid, lambda t: 1.125 + t))
+        with pytest.raises(CompatibilityViolation):
+            solve_inverse(prob, datum)
+
     def test_self_consistency_residual_small(self):
         op = FractionalOperatorSpec(0.8)
         grid = TimeGrid(1.0, 256)
@@ -249,6 +278,22 @@ class TestStability:
         np.testing.assert_allclose(
             np.asarray(rep.u_diffs[:-1]) / np.asarray(rep.u_diffs[1:]), 10.0, rtol=0.05
         )
+
+    def test_base_amplitude_matches_solve_inverse(self):
+        # the probe recovers with phi's flux closure and flux_modes = n_max,
+        # as solve_inverse does; without them it was off by 4.6e-2
+        prob = _poly_phi_problem()
+        gen_grid = TimeGrid(1.0, 256)
+        gen = ProblemData(
+            op=prob.op, phi=prob.phi, source=prob.source, grid=gen_grid,
+            amplitude=TimeSeries.from_function(gen_grid, lambda t: 1.0 + t),
+            n_max=4, k_max=0,
+        )
+        energy = solve_forward(gen).energy.values[::2]
+        datum = EnergyDatum(TimeSeries(prob.grid, energy))
+        amp, _ = solve_inverse(prob, datum)
+        rep = stability_probe(prob, datum, deltas=(1e-1, 1e-2))
+        np.testing.assert_allclose(rep.base.values, amp.a.values, rtol=0.0, atol=1e-12)
 
     def test_unknown_perturbation_rejected(self, setup):
         prob, datum = setup

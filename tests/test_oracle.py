@@ -9,12 +9,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from fracsource.catalog import SpaceTimeField, make_field, manufactured_quadratic
 from fracsource.forward import ProblemData, solve_forward
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
 from fracsource.mlf import RelaxationKernelSpec, eval_kernel_grid
-from fracsource.oracle import FDGrid, compare, fdm_forward
+from fracsource.oracle import (
+    _HISTORY_BLOCK,
+    FDGrid,
+    _spatial_operator,
+    compare,
+    fdm_forward,
+)
 from fracsource.spectral import Field2D
 
 
@@ -153,6 +161,43 @@ class TestFDMForward:
             errs.append(np.max(np.abs(hist.values[-1] - want)))
         # subtract the common spatial bias before measuring the time order
         assert errs[1] < errs[0]
+
+
+def _unblocked_march(problem, grid):
+    """Reference L1 march: at every step the history is summed over all
+    earlier differences, term by term, with no blocking."""
+    X, Y = np.meshgrid(grid.xs[:-1], grid.ys, indexing="ij")
+    terms = problem.op.all_terms()
+    scales = [psi * grid.tau ** (-beta) / math.gamma(2.0 - beta) for psi, beta in terms]
+    c0 = sum(scales)
+    solver = splu((c0 * sp.identity(X.size) + _spatial_operator(grid)).tocsc())
+    us = [np.asarray(problem.phi(X, Y), dtype=float).ravel()]
+    for p in range(1, grid.N + 1):
+        rhs = np.asarray(problem.source(X, Y, p * grid.tau), dtype=float).ravel()
+        rhs = rhs + c0 * us[-1]
+        for j in range(1, p):
+            lag = p - j
+            for scale, (_, beta) in zip(scales, terms):
+                b = (lag + 1.0) ** (1.0 - beta) - lag ** (1.0 - beta)
+                rhs -= scale * b * (us[j] - us[j - 1])
+        us.append(solver.solve(rhs))
+    return np.array(us).reshape(grid.N + 1, grid.Mx, grid.My + 1)
+
+
+class TestBlockedHistory:
+    @pytest.mark.parametrize("N", [200, 40])
+    def test_matches_unblocked_march(self, N):
+        # N = 200 crosses three block boundaries and stops partway into the
+        # fourth block; N = 40 never leaves the first block
+        assert 3 * _HISTORY_BLOCK < 200 < 4 * _HISTORY_BLOCK
+        assert 40 < _HISTORY_BLOCK
+        op = FractionalOperatorSpec(0.8, ((0.5, 0.4), (0.3, 0.1)))
+        phi, source, _ = manufactured_quadratic(op)
+        prob = _problem(op, phi, source, TimeGrid(0.5, N))
+        grid = FDGrid(16, 16, N, T=0.5)
+        got = fdm_forward(prob, grid).values[:, :-1, :]
+        want = _unblocked_march(prob, grid)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCompare:

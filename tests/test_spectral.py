@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsource.catalog import SpaceTimeField, make_field
+from fracsource.fractional import QuadratureFailure, TimeGrid
 from fracsource.spectral import (
     DatumKind,
     Family,
@@ -28,6 +30,7 @@ from fracsource.spectral import (
     field_mean,
     mode_mean,
     project,
+    project_modes,
     synthesize,
 )
 
@@ -197,6 +200,72 @@ class TestSpectralCoefficients:
         assert project(scaled, idx) == pytest.approx(
             c * project(base, idx), rel=1e-10, abs=1e-12
         )
+
+
+def _per_mode_projections(field, modes):
+    """Reference: one tensor Gauss-Legendre sum per mode at the node count
+    the projection settles on, 2 max(32, 4 max(2n, k)) per axis, snapped at
+    1e-12 of the largest magnitude."""
+    out = []
+    for index in modes:
+        q = 2 * max(32, 4 * max(2 * index.n, index.k))
+        g, w = np.polynomial.legendre.leggauss(q)
+        g, w = (g + 1.0) / 2.0, w / 2.0
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        out.append(w @ (field(X, Y) * eval_W(index, X, Y)) @ w)
+    out = np.array(out)
+    out[np.abs(out) <= 1e-12 * np.max(np.abs(out))] = 0.0
+    return out
+
+
+class TestProjectModes:
+    FIELDS = {
+        "cos_exp": make_field("cos_exp"),
+        "1+xy/2": make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_batched_matches_per_mode_loop(self, name):
+        field = self.FIELDS[name]
+        modes = enumerate_modes(16, 16)
+        want = _per_mode_projections(field, modes)
+        phi = SpectralCoefficients.project_field(field, 16, 16)
+        f = SpaceTimeField.static(field).coeff_series(TimeGrid(1.0, 1), 16, 16)
+        for got in (
+            np.array([phi[i] for i in modes]),
+            np.array([f[i].values[0] for i in modes]),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+    def test_order_and_duplicates_kept(self):
+        field = self.FIELDS["1+xy/2"]
+        modes = [ModeIndex(Family.Even, 3, 0), ModeIndex(Family.Zero, 0, 0),
+                 ModeIndex(Family.Even, 3, 0), ModeIndex(Family.Odd, 1, 9)]
+        got = project_modes(field, modes)
+        assert got.shape == (4,)
+        assert got[0] == got[2]
+        for index, value in zip(modes, got):
+            assert value == pytest.approx(project(field, index), abs=1e-15)
+
+    def test_unresolved_field_refused_naming_the_mode(self):
+        # 40 periods in x: 32 and 64 nodes disagree on the low-frequency
+        # modes, whose node count starts at 32
+        fast = Field2D.analytic(
+            lambda x, y: np.cos(80 * math.pi * np.asarray(x))
+            * np.ones_like(np.asarray(y)),
+            "cos(2 pi 40 x)",
+        )
+        first = str(ModeIndex(Family.Zero, 0, 0))
+        with pytest.raises(QuadratureFailure, match="node doubling") as exc:
+            project(fast, ModeIndex(Family.Odd, 1, 0))
+        assert str(ModeIndex(Family.Odd, 1, 0)) in str(exc.value)
+        with pytest.raises(QuadratureFailure) as exc:
+            SpectralCoefficients.project_field(fast, 2, 2)
+        assert first in str(exc.value)
+        with pytest.raises(QuadratureFailure) as exc:
+            SpaceTimeField.static(fast).coeff_series(TimeGrid(1.0, 1), 2, 2)
+        assert first in str(exc.value)
 
 
 class TestDecayReport:

@@ -259,7 +259,8 @@ def cmd_mlf_eval(cfg: dict, out: Path) -> int:
     values[~pos] = 0.0 if spec.eta > 1.0 else (
         1.0 / math.gamma(spec.eta) if spec.eta == 1.0 else math.inf
     )
-    anti = np.array([kernel_antiderivative(spec, t) if t > 0 else 0.0 for t in ts])
+    anti = np.zeros_like(ts)
+    anti[pos] = eval_kernel_grid(spec.with_eta(spec.eta + 1.0), ts[pos])
     _write_csv(out / "mlf_eval.csv", "t,kernel,antiderivative", (ts, values, anti))
     print(f"wrote {out / 'mlf_eval.csv'} ({ts.size} rows)")
     return EXIT_OK
@@ -432,7 +433,7 @@ def suite_reduction_permutation(draws: int = 50, seed: int = 1, tol: float = 1e-
 
 
 def suite_series_contour(draws: int = 25, seed: int = 2, tol: float = 1e-6) -> dict:
-    from .mlf import _series_kernel, ml_contour
+    from .mlf import ml_contour
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -451,7 +452,8 @@ def suite_series_contour(draws: int = 25, seed: int = 2, tol: float = 1e-6) -> d
         # place t so the largest single-term argument lands on the target
         t = min((target / m) ** (1.0 / xi) for m, xi in terms)
         try:
-            a = _series_kernel(spec, t)
+            args = tuple(-m * t**xi for m, xi in terms)
+            a = t ** (spec.eta - 1.0) * ml_series(MLParameters(spec.eta, spec.orders), args)
         except NonConvergence:
             # the series refuses when it cannot certify the sum in doubles
             # (heavy cancellation); cross-validate on certifiable draws only

@@ -38,6 +38,7 @@ from .fractional import (
     caputo_multiterm,
     singular_convolve,
 )
+from .mlf import NonConvergence
 from .spectral import (
     Family,
     Field2D,
@@ -60,6 +61,7 @@ class CompatibilityViolation(ValueError):
 
 DEFAULT_MEAN_THRESHOLD = 1e-8
 COMPATIBILITY_TOL = 1e-6
+_MAX_FLUX_ITERATIONS = 20
 
 
 @dataclass
@@ -214,11 +216,8 @@ def recover_source(
     op: FractionalOperatorSpec,
     grid: TimeGrid | None = None,
     mean_threshold: float = DEFAULT_MEAN_THRESHOLD,
-    phi_mean: float | None = None,
     phi: Field2D | None = None,
-    startup_correction: bool = True,
     flux_modes: int = 8,
-    max_flux_iterations: int = 20,
 ) -> SourceAmplitude:
     """Per-node amplitude a(t_j) = (multi-term Caputo of E)(t_j) / f-mean(t_j),
     plus the boundary-flux closure when f excites mean-bearing associated
@@ -232,14 +231,14 @@ def recover_source(
     kernel.  The resulting second-kind Volterra equation is solved by
     fixed-point iteration (the flux-to-mean ratio makes it a strong
     contraction); when f excites none of these modes the iteration is skipped
-    and the amplitude is the explicit ratio.
+    and the amplitude is the explicit ratio.  Raises :class:`NonConvergence`
+    when the iteration has not settled within ``_MAX_FLUX_ITERATIONS``.
 
     When ``phi`` is supplied, E(0) must equal the mean of phi truncated
     as the forward energy carries it, phi_00 + sum_{n <= flux_modes}
     mean(Z_n) phi_n, and the flux phi's mean-bearing associated modes drive
     is closed too, by taking their homogeneous energy out of E before
-    differentiating.  When ``phi_mean`` is supplied, E(0) = phi_mean is
-    enforced as well.
+    differentiating.
     """
     if grid is None:
         grid = datum.E.grid
@@ -255,11 +254,6 @@ def recover_source(
                 f"E(0) = {E.values[0]:.9g} but the initial datum's mean over "
                 f"the modes n <= {flux_modes} is {truncated:.9g}"
             )
-    if phi_mean is not None and abs(E.values[0] - phi_mean) > COMPATIBILITY_TOL:
-        raise CompatibilityViolation(
-            f"E(0) = {E.values[0]:.9g} but the initial datum integrates to "
-            f"{phi_mean:.9g}"
-        )
     fmean, comps = _flux_components(f, grid, op, flux_modes)
     bad = np.abs(fmean) < mean_threshold
     if np.any(bad):
@@ -270,15 +264,13 @@ def recover_source(
         )
     if phi_cs is not None:
         E = TimeSeries(grid, E.values - _initial_flux_energy(phi_cs, op, grid))
-    deriv = caputo_multiterm(E, op).values
-    if startup_correction:
-        deriv = deriv + _startup_correction(E, op)
+    deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)
     a[1:] = deriv[1:] / fmean[1:]
     _extrapolate_origin(a, grid.N)
     iterations = 0
     if comps:
-        for iterations in range(1, max_flux_iterations + 1):
+        for iterations in range(1, _MAX_FLUX_ITERATIONS + 1):
             flux = np.zeros(grid.N + 1)
             for c_n, F, table in comps:
                 conv = singular_convolve(TimeSeries(grid, a * F), table, grid)
@@ -288,12 +280,17 @@ def recover_source(
             _extrapolate_origin(new, grid.N)
             change = float(np.max(np.abs(new - a)))
             a = new
-            if change <= 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+            if change <= tol:
                 break
+        else:
+            raise NonConvergence(
+                f"flux closure not settled after {_MAX_FLUX_ITERATIONS} "
+                f"iterations: last change {change:.3g}, tolerance {tol:.3g}"
+            )
     return SourceAmplitude(
         a=TimeSeries(grid, a),
         metadata={
-            "startup_correction": startup_correction,
             "flux_modes_excited": len(comps),
             "flux_iterations": iterations,
         },

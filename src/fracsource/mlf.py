@@ -1,10 +1,12 @@
 """Multinomial Mittag-Leffler function and the derived relaxation kernel.
 
 Two evaluation routes are provided: direct summation of the defining double
-series (reliable for moderate arguments) and numerical inversion of the
-closed-form Laplace transform on a deformed Bromwich contour (uniformly valid,
-used for large arguments).  ``eval_kernel`` dispatches between them and the
-two regimes are cross-checked in an overlap band by the test suite.
+series, one shell march for a whole grid of points (reliable for moderate
+arguments), and numerical inversion of the closed-form Laplace transform on a
+deformed Bromwich contour (uniformly valid, used for large arguments).
+``eval_kernel_grid`` dispatches between them; ``eval_kernel`` and
+``ml_series`` are its and the shell sum's one-point forms.  The two regimes
+are cross-checked in an overlap band by the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ class InvalidParameters(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Series truncation rule not met within the term budget."""
+    """A series or an iteration did not meet its stopping rule within its
+    budget."""
 
 
 class ContourFailure(RuntimeError):
@@ -116,103 +119,49 @@ def _composition_matrix(k: int, n: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def ml_series(params: MLParameters, args: tuple[float, ...] | list[float]) -> float:
-    """Sum the defining double series of the multinomial Mittag-Leffler
-    function, shell by shell in the total degree k.
-
-    Multinomial coefficients and gamma factors are combined in log space so
-    individual terms cannot overflow.  Raises :class:`NonConvergence` when the
-    shell contributions have not dropped below the stopping tolerance within
-    the shell budget (the caller should fall back to ``ml_contour``).
-    """
-    args = np.asarray([float(z) for z in args])
-    if args.size != params.n:
-        raise InvalidParameters(f"expected {params.n} arguments, got {args.size}")
-    eta = params.eta
-    orders = np.asarray(params.orders)
-
-    nonzero = args != 0.0
-    z = args[nonzero]
-    xi = orders[nonzero]
-    if z.size == 0:
-        return 1.0 / math.gamma(eta)
-    log_abs_z = np.log(np.abs(z))
-    neg = z < 0.0
-
-    # Shell magnitude is bounded by (sum |z_j|)^k / Gamma(eta + k xi_min);
-    # if that bound never drops below tolerance within the budget, give up
-    # before doing any expensive work.
-    ks = np.arange(1, _MAX_SHELLS + 1)
-    log_bound = ks * math.log(np.sum(np.abs(z))) - gammaln(eta + ks * np.min(xi))
-    if np.min(log_bound) > math.log(_SERIES_RTOL):
-        raise NonConvergence("series cannot meet the stopping rule in budget")
-
-    total = 1.0 / math.gamma(eta)  # k = 0 shell
-    absacc = abs(total)
-    for k in range(1, _MAX_SHELLS + 1):
-        ls = _composition_matrix(k, z.size)
-        log_term = (
-            gammaln(k + 1)
-            - gammaln(ls + 1).sum(axis=1)
-            + ls @ log_abs_z
-            - gammaln(eta + ls @ xi)
-        )
-        if np.max(log_term) > 700.0:
-            raise NonConvergence("series terms overflow double precision")
-        sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
-        terms = sign * np.exp(log_term)
-        shell = float(np.sum(terms))
-        absacc += float(np.sum(np.abs(terms)))
-        total += shell
-        if k >= _MIN_SHELLS and abs(shell) <= _SERIES_RTOL * max(abs(total), 1e-300):
-            # Cancellation across shells erodes the result; refuse to certify
-            # when the accumulated roundoff exceeds the target accuracy.
-            if absacc * 1e-16 > 1e-9 * max(abs(total), 1e-300):
-                raise NonConvergence("cancellation dominates the shell sum")
-            return total
-    raise NonConvergence(
-        f"series did not meet the stopping rule within {_MAX_SHELLS} shells"
-    )
-
-
-def _series_values_grid(
-    spec: RelaxationKernelSpec, ts: np.ndarray
+def _shell_sum(
+    eta: float, xis: np.ndarray, logz: np.ndarray, neg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shell-summed E(-m_1 t^xi_1, ...) for a whole grid of times at once.
+    """Sum the defining double series of E_((xi),eta)(z_1, ..., z_n), shell by
+    shell in the total degree k, at many points at once.
 
-    All kernel arguments are negative, so every shell-k term carries the sign
-    (-1)^k and the shells can be marched for all grid points together.
-    Returns (values, ok); points whose shells cannot be certified within the
-    budget are flagged not-ok (the caller falls back to the contour).
+    ``logz`` holds log |z_j|, one row per argument and one column per point;
+    ``neg`` marks the negative arguments, the same at every point.  A
+    composition (l_1, ..., l_n) carries the sign (-1)^(sum of l_j over the
+    negative arguments).  Multinomial coefficients and gamma factors are
+    combined in log space so individual terms cannot overflow.  Returns
+    (values, ok); points whose shells cannot be certified within the budget
+    are flagged not-ok.
     """
-    n = len(spec.terms)
-    eta = spec.eta
-    ms = np.asarray(spec.rates)
-    xis = np.asarray(spec.orders)
-    nt = ts.size
-    # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
-    logz = np.log(ms)[:, None] + xis[:, None] * np.log(ts)[None, :]
-    total = np.full(nt, 1.0 / math.gamma(eta))
-    absacc = np.abs(total.copy())
-    ok = np.ones(nt, dtype=bool)
-    done = np.zeros(nt, dtype=bool)
-    # convergence forecast per point, as in ml_series; the log bound is
-    # concave in k (gammaln is convex), so its minimum over the shell budget
-    # sits at one of the two ends
+    total = np.full(logz.shape[1], 1.0 / math.gamma(eta))  # k = 0 shell
+    absacc = np.abs(total)
+    done = np.zeros(total.size, dtype=bool)
+    # Convergence forecast: the shell magnitude is bounded by
+    # (sum |z_j|)^k / Gamma(eta + k xi_min).  That log bound is concave in k
+    # (gammaln is convex), so its minimum over the budget sits at one of the
+    # two ends; a point whose bound never drops below tolerance is refused
+    # before any expensive work.
     log_sumabs = np.log(np.exp(logz).sum(axis=0))
 
     def log_bound(k: int) -> np.ndarray:
         return k * log_sumabs - gammaln(eta + k * np.min(xis))
 
-    ok &= np.minimum(log_bound(1), log_bound(_MAX_SHELLS)) <= math.log(_SERIES_RTOL)
+    ok = np.minimum(log_bound(1), log_bound(_MAX_SHELLS)) <= math.log(_SERIES_RTOL)
+    # arguments of one sign give every term of a shell the same sign, as for
+    # the kernel (all negative); the per-composition signs are then not needed
+    uniform = bool(neg.all() or not neg.any())
     for k in range(1, _MAX_SHELLS + 1):
-        ls = _composition_matrix(k, n)
+        ls = _composition_matrix(k, xis.size)
         base = gammaln(k + 1) - gammaln(ls + 1).sum(axis=1) - gammaln(eta + ls @ xis)
-        log_term = base[:, None] + ls @ logz  # (ncomp, nt)
-        over = np.max(log_term, axis=0) > 700.0
-        ok &= ~over
-        shell_abs = np.exp(log_term).sum(axis=0)
-        shell = (-1.0) ** k * shell_abs
+        log_term = base[:, None] + ls @ logz  # (ncomp, npoints)
+        ok &= ~(np.max(log_term, axis=0) > 700.0)  # terms overflow doubles
+        terms = np.exp(log_term, out=log_term)  # in place: the largest array
+        shell_abs = terms.sum(axis=0)
+        if uniform:
+            shell = (-1.0 if neg[0] and k % 2 else 1.0) * shell_abs
+        else:
+            sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
+            shell = (sign[:, None] * terms).sum(axis=0)
         active = ok & ~done
         total[active] += shell[active]
         absacc[active] += shell_abs[active]
@@ -223,8 +172,31 @@ def _series_values_grid(
         if np.all(done | ~ok):
             break
     ok &= done
+    # Cancellation across shells erodes the result; refuse to certify when
+    # the accumulated roundoff exceeds the target accuracy.
     ok &= absacc * 1e-16 <= 1e-9 * np.maximum(np.abs(total), 1e-300)
     return total, ok
+
+
+def ml_series(params: MLParameters, args: tuple[float, ...] | list[float]) -> float:
+    """E_((xi),eta)(z_1, ..., z_n) by the shell sum, for arguments of any
+    sign.  Raises :class:`NonConvergence` when the sum cannot be certified
+    within the shell budget (the caller should fall back to the contour)."""
+    args = np.asarray([float(z) for z in args])
+    if args.size != params.n:
+        raise InvalidParameters(f"expected {params.n} arguments, got {args.size}")
+    nonzero = args != 0.0
+    z = args[nonzero]
+    if z.size == 0:
+        return 1.0 / math.gamma(params.eta)
+    xis = np.asarray(params.orders)[nonzero]
+    total, ok = _shell_sum(params.eta, xis, np.log(np.abs(z))[:, None], z < 0.0)
+    if not ok[0]:
+        raise NonConvergence(
+            f"series sum not certified within {_MAX_SHELLS} shells "
+            "(overflow, cancellation or slow decay)"
+        )
+    return float(total[0])
 
 
 # contour (Talbot) evaluation -----------------------------------------------
@@ -314,37 +286,14 @@ def ml_contour_grid(
 _REGIME_THRESHOLD = 2.0
 
 
-def _effective_argument(spec: RelaxationKernelSpec, t: float) -> float:
-    return max((m * t**xi for m, xi in spec.terms), default=0.0)
-
-
-def _series_kernel(spec: RelaxationKernelSpec, t: float) -> float:
-    args = tuple(-m * t**xi for m, xi in spec.terms)
-    value = ml_series(MLParameters(spec.eta, spec.orders), args)
-    return t ** (spec.eta - 1.0) * value
-
-
-def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:
-    """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta at ``t > 0``.
-
-    Small effective arguments go through the series, large ones through the
-    contour; the switch point sits inside the band where both converge.
-    """
-    if t <= 0.0:
-        raise InvalidParameters(f"kernel evaluation requires t > 0, got {t}")
-    spec = spec.reduced()
-    if not spec.terms:
-        return t ** (spec.eta - 1.0) / math.gamma(spec.eta)
-    if _effective_argument(spec, t) <= _REGIME_THRESHOLD:
-        try:
-            return _series_kernel(spec, t)
-        except NonConvergence:
-            pass
-    return ml_contour(spec, t)
-
-
 def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
-    """Vectorized ``eval_kernel`` over an array of positive times."""
+    """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of times t > 0.
+
+    Points whose largest argument m_j t^xi_j is small go through the shell
+    sum, the others through the contour; the switch point sits inside the
+    band where both converge.  Points the series cannot certify fall back to
+    the contour.
+    """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0.0):
         raise InvalidParameters("kernel evaluation requires t > 0")
@@ -357,7 +306,12 @@ def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
         np.maximum(eff, m * ts**xi, out=eff)
     small = eff <= _REGIME_THRESHOLD
     if np.any(small):
-        values, series_ok = _series_values_grid(spec, ts[small])
+        xis = np.asarray(spec.orders)
+        # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
+        logz = np.log(spec.rates)[:, None] + xis[:, None] * np.log(ts[small])[None, :]
+        values, series_ok = _shell_sum(
+            spec.eta, xis, logz, np.ones(xis.size, dtype=bool)
+        )
         idx = np.nonzero(small)[0]
         out[idx[series_ok]] = (
             ts[idx[series_ok]] ** (spec.eta - 1.0) * values[series_ok]
@@ -366,6 +320,13 @@ def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     if np.any(~small):
         out[~small] = ml_contour_grid(spec, ts[~small])
     return out
+
+
+def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:
+    """``eval_kernel_grid`` at the single time ``t > 0``."""
+    if t <= 0.0:
+        raise InvalidParameters(f"kernel evaluation requires t > 0, got {t}")
+    return float(eval_kernel_grid(spec, np.array([float(t)]))[0])
 
 
 def kernel_antiderivative(spec: RelaxationKernelSpec, t: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 from fracsource.catalog import SpaceTimeField, make_field
 from fracsource.forward import ProblemData, solve_forward
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
+from fracsource import inverse
 from fracsource.inverse import (
     CompatibilityViolation,
     EnergyDatum,
@@ -21,6 +22,7 @@ from fracsource.inverse import (
     solve_inverse,
     stability_probe,
 )
+from fracsource.mlf import NonConvergence
 from fracsource.spectral import Field2D
 
 
@@ -74,7 +76,7 @@ class TestValidation:
                 datum,
                 FractionalOperatorSpec(0.5),
                 grid,
-                phi_mean=1.0,
+                phi=Field2D.constant(1.0),
             )
 
     def test_grid_mismatch_rejected(self):
@@ -201,6 +203,18 @@ def _poly_phi_problem():
         op=FractionalOperatorSpec(0.8, ((0.5, 0.4),)), phi=poly,
         source=SpaceTimeField.static(poly), grid=grid, n_max=4, k_max=0,
     )
+
+
+class TestFluxClosureBudget:
+    def test_unsettled_closure_refuses(self, monkeypatch):
+        # one fixed-point sweep cannot settle the flux the associated modes
+        # of 1 + xy/2 carry; returning that amplitude would be unbacked
+        prob = _poly_phi_problem()
+        a_true = TimeSeries.from_function(prob.grid, lambda t: 1.0 + t)
+        datum = EnergyDatum(solve_forward(prob.with_amplitude(a_true)).energy)
+        monkeypatch.setattr(inverse, "_MAX_FLUX_ITERATIONS", 1)
+        with pytest.raises(NonConvergence, match="flux closure"):
+            solve_inverse(prob, datum)
 
 
 class TestSolveInverse:

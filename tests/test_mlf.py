@@ -147,6 +147,18 @@ class TestSeries:
             got = ml_series(MLParameters(1.0, (1.0,)), (z,))
             assert got == pytest.approx(math.exp(z), rel=1e-13)
 
+    def test_exponential_identity_positive_arguments(self):
+        # every term of E_{1,1}(z) = e^z is positive for z > 0
+        for z in (0.5, 1.0, 2.0):
+            got = ml_series(MLParameters(1.0, (1.0,)), (z,))
+            assert got == pytest.approx(math.exp(z), rel=1e-13)
+
+    def test_mixed_signs_against_mpmath(self):
+        eta, orders, args = 0.9, (0.6, 0.8), (0.7, -0.4)
+        got = ml_series(MLParameters(eta, orders), args)
+        want = mpmath_multinomial_ml(eta, orders, args)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_two_parameter_closed_form(self):
         # E_{2,1}(-z^2) = cos(z)
         for z in (0.5, 1.0, 2.0):
@@ -277,6 +289,27 @@ class TestKernelEvaluation:
         grid_vals = eval_kernel_grid(spec, ts)
         scalar_vals = np.array([eval_kernel(spec, t) for t in ts])
         np.testing.assert_allclose(grid_vals, scalar_vals, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, t",
+        [
+            # series point: largest argument 0.27
+            (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), 0.05),
+            # contour point: largest argument 5.2
+            (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), 2.0),
+            # fallback point: argument 1.5, but the series refuses
+            (RelaxationKernelSpec(0.5, ((1.5, 0.05),)), 1.0),
+        ],
+        ids=["series", "contour", "fallback"],
+    )
+    def test_scalar_is_one_point_grid(self, spec, t):
+        assert eval_kernel(spec, t) == eval_kernel_grid(spec, np.array([t]))[0]
+
+    def test_fallback_point_refused_by_series(self):
+        with pytest.raises(NonConvergence):
+            ml_series(MLParameters(0.5, (0.05,)), (-1.5,))
+        spec = RelaxationKernelSpec(0.5, ((1.5, 0.05),))
+        assert eval_kernel(spec, 1.0) == ml_contour(spec, 1.0)
 
     def test_regime_handoff_against_mpmath(self):
         spec = RelaxationKernelSpec(0.9, ((4.0, 0.7),))

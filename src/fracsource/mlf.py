@@ -147,9 +147,6 @@ def _shell_sum(
         return k * log_sumabs - gammaln(eta + k * np.min(xis))
 
     ok = np.minimum(log_bound(1), log_bound(_MAX_SHELLS)) <= math.log(_SERIES_RTOL)
-    # arguments of one sign give every term of a shell the same sign, as for
-    # the kernel (all negative); the per-composition signs are then not needed
-    uniform = bool(neg.all() or not neg.any())
     for k in range(1, _MAX_SHELLS + 1):
         ls = _composition_matrix(k, xis.size)
         base = gammaln(k + 1) - gammaln(ls + 1).sum(axis=1) - gammaln(eta + ls @ xis)
@@ -157,11 +154,8 @@ def _shell_sum(
         ok &= ~(np.max(log_term, axis=0) > 700.0)  # terms overflow doubles
         terms = np.exp(log_term, out=log_term)  # in place: the largest array
         shell_abs = terms.sum(axis=0)
-        if uniform:
-            shell = (-1.0 if neg[0] and k % 2 else 1.0) * shell_abs
-        else:
-            sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
-            shell = (sign[:, None] * terms).sum(axis=0)
+        sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
+        shell = (sign[:, None] * terms).sum(axis=0)
         active = ok & ~done
         total[active] += shell[active]
         absacc[active] += shell_abs[active]

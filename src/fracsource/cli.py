@@ -12,6 +12,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,7 @@ from .mlf import (
     kernel_antiderivative,
     ml_series,
 )
-from .oracle import FDGrid, SingularSystem, StepRejected, compare, fdm_forward
+from .oracle import FDGrid, SingularSystem, StepRejected, compare, fdm_forward, step_indices
 from .spectral import (
     DatumKind,
     Field2D,
@@ -94,6 +96,17 @@ _NUMERICAL_ERRORS = (
 # config parsing ----------------------------------------------------------------
 
 
+@contextmanager
+def _parsing():
+    """Report a malformed config value met inside the block (a non-numeric
+    order, a grid TimeGrid refuses, a section that is not an object) as a
+    ConfigError, exit 2."""
+    try:
+        yield
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -125,10 +138,7 @@ def _parse_operator(cfg: dict) -> FractionalOperatorSpec:
 
 def _parse_grid(cfg: dict) -> TimeGrid:
     section = _require(cfg, "grid")
-    T = float(section.get("T", 1.0))
-    if T <= 0.0:
-        raise ConfigError(f"horizon T must be positive, got {T}")
-    return TimeGrid(T, int(_require(section, "N", "grid")))
+    return TimeGrid(float(section.get("T", 1.0)), int(_require(section, "N", "grid")))
 
 
 def _parse_field(section, where: str) -> Field2D:
@@ -249,8 +259,9 @@ def _write_field_slice(path: Path, bundle, time_index: int, m: int = 64) -> None
 
 
 def cmd_mlf_eval(cfg: dict, out: Path) -> int:
-    spec = _parse_kernel(cfg)
-    ts = _parse_times(cfg)
+    with _parsing():
+        spec = _parse_kernel(cfg)
+        ts = _parse_times(cfg)
     if np.any(ts < 0.0):
         raise ConfigError("evaluation times must be nonnegative")
     pos = ts > 0.0
@@ -266,6 +277,7 @@ def cmd_mlf_eval(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+@_parsing()
 def _build_problem(cfg: dict) -> ProblemData:
     op = _parse_operator(cfg)
     grid = _parse_grid(cfg)
@@ -308,35 +320,33 @@ def cmd_forward(cfg: dict, out: Path) -> int:
 def cmd_inverse(cfg: dict, out: Path) -> int:
     problem = _build_problem(cfg)
     grid = problem.grid
-    esec = _require(cfg, "energy")
-    if "csv" in esec:
-        datum = EnergyDatum(TimeSeries(grid, _read_series_csv(esec["csv"], grid)))
-    elif "synthesize" in esec:
-        syn = esec["synthesize"]
-        gen_grid = TimeGrid(grid.T, int(syn.get("N", 2 * grid.N)))
-        amp = _parse_amplitude(syn, gen_grid, key="amplitude")
-        if amp is None:
-            raise ConfigError("energy.synthesize needs an amplitude")
-        gen = ProblemData(
-            op=problem.op, phi=problem.phi, source=problem.source,
-            grid=gen_grid, amplitude=amp,
-            n_max=problem.n_max, k_max=problem.k_max,
-        )
-        gen_bundle = solve_forward(gen)
-        stride = gen_grid.N // grid.N
-        if stride * grid.N != gen_grid.N:
-            raise ConfigError("synthesis N must be a multiple of the recovery N")
-        datum = EnergyDatum(TimeSeries(grid, gen_bundle.energy.values[::stride]))
-    else:
-        raise ConfigError("energy section needs either 'csv' or 'synthesize'")
+    with _parsing():
+        esec = _require(cfg, "energy")
+        gen = None
+        if "csv" in esec:
+            energy = _read_series_csv(esec["csv"], grid)
+        elif "synthesize" in esec:
+            syn = esec["synthesize"]
+            gen_grid = TimeGrid(grid.T, int(syn.get("N", 2 * grid.N)))
+            stride = gen_grid.N // grid.N
+            if stride * grid.N != gen_grid.N:
+                raise ConfigError("synthesis N must be a multiple of the recovery N")
+            amp = _parse_amplitude(syn, gen_grid, key="amplitude")
+            if amp is None:
+                raise ConfigError("energy.synthesize needs an amplitude")
+            gen = replace(problem, grid=gen_grid, amplitude=amp)
+        else:
+            raise ConfigError("energy section needs either 'csv' or 'synthesize'")
+        true_amp = _parse_amplitude(cfg, grid, key="amplitude_true")
+    if gen is not None:
+        energy = solve_forward(gen).energy.values[::stride]
 
-    amplitude, bundle = solve_inverse(problem, datum)
+    amplitude, bundle = solve_inverse(problem, EnergyDatum(TimeSeries(grid, energy)))
     _write_csv(out / "amplitude.csv", "t,a", (grid.nodes, amplitude.a.values))
     meta = {
         "energy_residual": amplitude.metadata["energy_residual"],
         "flux_iterations": amplitude.metadata.get("flux_iterations", 0),
     }
-    true_amp = _parse_amplitude(cfg, grid, key="amplitude_true")
     if true_amp is not None:
         scale = float(np.max(np.abs(true_amp.values)))
         meta["round_trip_error"] = float(
@@ -524,18 +534,20 @@ def cmd_oracle_compare(cfg: dict, out: Path, tol: float | None) -> int:
         problem = problem.with_amplitude(
             TimeSeries.from_function(problem.grid, lambda t: np.ones_like(t))
         )
-    fd = cfg.get("fd", {})
-    fd_grid = FDGrid(
-        Mx=int(fd.get("Mx", 32)),
-        My=int(fd.get("My", 32)),
-        N=int(fd.get("N", problem.grid.N)),
-        T=problem.grid.T,
-    )
-    times = cfg.get("times", [problem.grid.T / 2.0, problem.grid.T])
+    with _parsing():
+        fd = cfg.get("fd", {})
+        fd_grid = FDGrid(
+            Mx=int(fd.get("Mx", 32)),
+            My=int(fd.get("My", 32)),
+            N=int(fd.get("N", problem.grid.N)),
+            T=problem.grid.T,
+        )
+        times = cfg.get("times", [problem.grid.T / 2.0, problem.grid.T])
+        step_indices(times, fd_grid, problem.grid)
+        threshold = tol if tol is not None else float(cfg.get("tol", 0.02))
     bundle = solve_forward(problem)
     history = fdm_forward(problem, fd_grid)
     report = compare(bundle, history, times)
-    threshold = tol if tol is not None else float(cfg.get("tol", 0.02))
     payload = {
         "times": report.times,
         "relative_l2": report.l2,

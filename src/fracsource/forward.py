@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,15 +56,7 @@ class ProblemData:
     k_max: int = 16
 
     def with_amplitude(self, amplitude: TimeSeries) -> "ProblemData":
-        return ProblemData(
-            op=self.op,
-            phi=self.phi,
-            source=self.source,
-            grid=self.grid,
-            amplitude=amplitude,
-            n_max=self.n_max,
-            k_max=self.k_max,
-        )
+        return replace(self, amplitude=amplitude)
 
 
 @dataclass

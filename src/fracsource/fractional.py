@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -172,12 +173,17 @@ def rl_integral(signal: TimeSeries, xi: float) -> TimeSeries:
 
 # singular convolution -------------------------------------------------------
 
+
+@lru_cache(maxsize=64)
+def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on (0, 1).  Cached: treat as read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
 # Gauss-Legendre rules on (0, 1) for the smooth intervals: the larger one
 # gives the moments, the smaller one the refusal check.
-_RULES = tuple(
-    ((x + 1.0) / 2.0, w / 2.0)
-    for x, w in map(np.polynomial.legendre.leggauss, (16, 8))
-)
+_RULES = (_gauss01(16), _gauss01(8))
 
 
 class KernelMoments:

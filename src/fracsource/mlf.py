@@ -105,10 +105,21 @@ _MIN_SHELLS = 10
 _MAX_SHELLS = 500
 
 
-@lru_cache(maxsize=4096)
+# Composition tables up to this many rows are cached: the shells the workloads
+# reach fit (three arguments, shell 35: 666 rows); deeper shells are rebuilt.
+_CACHED_COMPOSITION_ROWS = 4096
+
+
 def _composition_matrix(k: int, n: int) -> np.ndarray:
     """All (l_1, ..., l_n) with nonnegative entries summing to k, as rows.
-    Cached; callers must treat the returned array as read-only."""
+    Small tables are cached; callers must treat them as read-only."""
+    if math.comb(k + n - 1, n - 1) > _CACHED_COMPOSITION_ROWS:
+        return _compositions.__wrapped__(k, n)
+    return _compositions(k, n)
+
+
+@lru_cache(maxsize=4096)
+def _compositions(k: int, n: int) -> np.ndarray:
     if n == 1:
         return np.array([[k]], dtype=np.int64)
     blocks = []

@@ -1,7 +1,7 @@
 """Brute-force finite-difference reference solver for the forward problem.
 
-A fully discrete cross-check for the spectral construction: second-order
-central differences for the fourth-order spatial operator with ghost nodes
+A fully discrete cross-check for the spectral construction: the fourth-order
+spatial operator as squared second-order central differences, with ghost nodes
 eliminated through the boundary conditions, and an implicit L1 discretization
 of the multi-term Caputo derivative in time.  The scheme shares no code path
 with the spectral solver, so agreement between the two is meaningful
@@ -76,53 +76,27 @@ class FDGrid:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
-def _fourth_diff_x(Mx: int) -> sp.csr_matrix:
-    """Fourth x-difference on the unknowns u_0..u_{Mx-1}.
-
-    Ghosts: u_{-1} = u_1 and u_{-2} = u_2 (even reflection from the
-    homogeneous first and third derivative conditions at x = 0);
-    u_{Mx} = u_0 (value coupling) and u_{Mx+1} = 2 u_1 - u_{Mx-1}
-    (second-difference coupling between the two nonlocal edges).
-    """
-    A = sp.lil_matrix((Mx, Mx))
-    stencil = (1.0, -4.0, 6.0, -4.0, 1.0)
-    for i in range(Mx):
-        for off, c in zip(range(-2, 3), stencil):
-            j = i + off
-            if j == -1:
-                A[i, 1] += c
-            elif j == -2:
-                A[i, 2] += c
-            elif j == Mx:
-                A[i, 0] += c
-            elif j == Mx + 1:
-                A[i, 1] += 2.0 * c
-                A[i, Mx - 1] -= c
-            else:
-                A[i, j] += c
-    return A.tocsr()
-
-
-def _fourth_diff_y(My: int) -> sp.csr_matrix:
-    """Fourth y-difference on u_0..u_{My} with even reflection at both faces
-    (homogeneous first and third derivative conditions)."""
-    M = My + 1
-    A = sp.lil_matrix((M, M))
-    stencil = (1.0, -4.0, 6.0, -4.0, 1.0)
-    for j in range(M):
-        for off, c in zip(range(-2, 3), stencil):
-            i = j + off
-            if i < 0:
-                i = -i
-            elif i > My:
-                i = 2 * My - i
-            A[j, i] += c
-    return A.tocsr()
+def _second_difference(m: int, coupled: bool) -> sp.csr_matrix:
+    """Three-point second difference on u_0..u_{m-1}, reflected evenly at the
+    first node (u_{-1} = u_1).  Past the last node it either couples to the
+    first (u_m = u_0, the nonlocal x-edges) or reflects again (the y-faces)."""
+    D = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m), format="lil")
+    D[0, 1] = 2.0
+    if coupled:
+        D[m - 1, 0] = 1.0
+    else:
+        D[m - 1, m - 2] = 2.0
+    return D.tocsr()
 
 
 def _spatial_operator(grid: FDGrid) -> sp.csr_matrix:
-    Ax = _fourth_diff_x(grid.Mx) / grid.hx**4
-    Ay = _fourth_diff_y(grid.My) / grid.hy**4
+    """Fourth differences on the unknowns u(x_i, y_j), i < Mx.  Every boundary
+    condition holds for u and for u_xx (u_yy) alike, so each fourth difference
+    is the square of one second difference."""
+    Dx = _second_difference(grid.Mx, coupled=True)
+    Dy = _second_difference(grid.My + 1, coupled=False)
+    Ax = (Dx @ Dx) / grid.hx**4
+    Ay = (Dy @ Dy) / grid.hy**4
     Iy = sp.identity(grid.My + 1, format="csr")
     Ix = sp.identity(grid.Mx, format="csr")
     return (sp.kron(Ax, Iy) + sp.kron(Ix, Ay)).tocsr()
@@ -247,6 +221,18 @@ class ErrorReport:
         return max(self.sup)
 
 
+def step_indices(times, *grids) -> list[tuple[int, ...]]:
+    """Step index of each time on every grid (a TimeGrid or an FDGrid);
+    ValueError unless each time is a node of all of them."""
+    out = []
+    for t in np.atleast_1d(np.asarray(times, dtype=float)):
+        steps = tuple(int(round(t / g.tau)) for g in grids)
+        if not all(abs(p * g.tau - t) < 1e-9 * g.T for p, g in zip(steps, grids)):
+            raise ValueError(f"t = {t:g} is not a node of every time grid")
+        out.append(steps)
+    return out
+
+
 def compare(bundle: SolutionBundle, history: FieldHistory, times) -> ErrorReport:
     """Sample the spectral expansion at the FD nodes at the requested times
     and report relative L2 and sup discrepancies (normalized by the FD
@@ -262,14 +248,8 @@ def compare(bundle: SolutionBundle, history: FieldHistory, times) -> ErrorReport
     wgt = np.outer(wx, wy)
 
     out_t, out_l2, out_sup = [], [], []
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        p = int(round(t / grid.tau))
-        j = int(round(t / tgrid.tau))
-        if not (
-            abs(p * grid.tau - t) < 1e-9 * grid.T
-            and abs(j * tgrid.tau - t) < 1e-9 * tgrid.T
-        ):
-            raise ValueError(f"t = {t:g} is not a node of both time grids")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    for t, (p, j) in zip(times, step_indices(times, grid, tgrid)):
         ref = history.values[p]
         spec = bundle.sample(pts, time_index=j).values
         diff = spec - ref

@@ -15,12 +15,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .fractional import QuadratureFailure, TimeSeries
+from .fractional import QuadratureFailure, TimeSeries, _gauss01
 
 
 class MissingCoefficient(KeyError):
@@ -77,16 +77,13 @@ def _y_factor(k: int, y) -> np.ndarray:
     return math.sqrt(2.0) * np.cos(k * math.pi * np.asarray(y, dtype=float))
 
 
-def eval_Z(index: ModeIndex, x, y) -> np.ndarray:
-    """Evaluate the root function Z at points of the closed unit square."""
+def _z_x_factor(family: Family, n: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if index.family is Family.Zero:
-        xf = np.ones_like(x)
-    elif index.family is Family.Odd:
-        xf = np.cos(2 * index.n * math.pi * x)
-    else:
-        xf = x * np.sin(2 * index.n * math.pi * x)
-    return xf * _y_factor(index.k, y)
+    if family is Family.Zero:
+        return np.ones_like(x)
+    if family is Family.Odd:
+        return np.cos(2 * n * math.pi * x)
+    return x * np.sin(2 * n * math.pi * x)
 
 
 def _w_x_factor(family: Family, n: int, x) -> np.ndarray:
@@ -96,6 +93,11 @@ def _w_x_factor(family: Family, n: int, x) -> np.ndarray:
     if family is Family.Odd:
         return 4.0 * (1.0 - x) * np.cos(2 * n * math.pi * x)
     return 4.0 * np.sin(2 * n * math.pi * x)
+
+
+def eval_Z(index: ModeIndex, x, y) -> np.ndarray:
+    """Evaluate the root function Z at points of the closed unit square."""
+    return _z_x_factor(index.family, index.n, x) * _y_factor(index.k, y)
 
 
 def eval_W(index: ModeIndex, x, y) -> np.ndarray:
@@ -211,12 +213,6 @@ class Field2D:
 
 
 # projection and synthesis ----------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _gauss_moments(field: Field2D, q: int, x_factors, y_factors) -> np.ndarray:
@@ -389,22 +385,23 @@ def synthesize(
 
 
 def _gram_once(modes: list[ModeIndex], q: int) -> np.ndarray:
-    gx, wx = _gauss01(q)
-    gy, wy = _gauss01(q)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    wgt = np.outer(wx, wy).ravel()
-    Z = np.stack([eval_Z(i, X, Y).ravel() for i in modes])
-    W = np.stack([eval_W(i, X, Y).ravel() for i in modes])
-    return (Z * wgt) @ W.T
+    # Z and W are both X(x) Y(y), so <Z_i, W_j> is the product of an x Gram
+    # and a y Gram, each a q-point Gauss-Legendre sum.
+    g, w = _gauss01(q)
+    zx = np.stack([_z_x_factor(i.family, i.n, g) for i in modes])
+    wx = np.stack([_w_x_factor(i.family, i.n, g) for i in modes])
+    y = np.stack([_y_factor(i.k, g) for i in modes])
+    return ((zx * w) @ wx.T) * ((y * w) @ y.T)
 
 
 def biorthogonality_matrix(N: int, K: int, tol: float = 1e-9) -> np.ndarray:
     """Gram matrix <Z_i, W_j> over the truncation box; identity when the
     families are bi-orthonormal.  Row/column order follows enumerate_modes.
 
-    All modes share one quadrature grid sized for the highest frequency, so
-    the matrix is two dense products; the node count is doubled once and the
-    two results must agree entrywise to ``tol``.
+    All modes share one Gauss rule sized for the highest frequency, and the
+    matrix is the entrywise product of a 1-D x Gram and a 1-D y Gram; the
+    node count is doubled once and the two results must agree entrywise to
+    ``tol``.
     """
     modes = enumerate_modes(N, K)
     q = max(32, 4 * max(2 * N, K))

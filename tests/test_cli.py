@@ -200,6 +200,43 @@ class TestInverse:
         assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command, edit", [
+        ("forward", {"grid": {"T": 1.0, "N": 0}}),
+        ("forward", {"grid": {"T": 1.0, "N": None}}),
+        ("forward", {"grid": {"T": -1.0, "N": 64}}),
+        ("forward", {"operator": {"alpha": "abc"}}),
+        ("forward", {"grid": 5}),
+        ("forward", {"modes": [1]}),
+        ("oracle-compare", {"fd": {"Mx": 4}}),
+        ("oracle-compare", {"fd": {"Mx": 16, "My": 16, "N": 64}, "times": [0.3]}),
+    ])
+    def test_exits_validation_without_traceback(self, tmp_path, capsys, command, edit):
+        cfg = _write_cfg(tmp_path, "c.json", {**_forward_cfg(), **edit})
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, edit", [
+        ("oracle-compare", {"fd": {"Mx": 16, "My": 16, "N": 64}, "times": [0.3]}),
+        ("inverse", {"energy": {"synthesize": {
+            "N": 96, "amplitude": {"name": "poly_t", "params": {"coeffs": [1.0]}},
+        }}}),
+    ])
+    def test_refused_before_any_solve(self, tmp_path, monkeypatch, command, edit):
+        # an off-grid compare time and a synthesis N that is not a multiple
+        # of the recovery N are config errors, found before the solves run
+        import fracsource.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_forward called on a refused config")
+
+        monkeypatch.setattr(cli, "solve_forward", no_solve)
+        cfg = _write_cfg(tmp_path, "c.json", {**_forward_cfg(), **edit})
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
 class TestVerify:
     def test_single_suite_passes(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", {"suites": ["biorthonormality"]})

@@ -55,6 +55,54 @@ class TestFDGrid:
         assert g.xs.size == 17 and g.ys.size == 33
 
 
+def _ghost_node_operator(grid):
+    """Reference operator: the five-point fourth difference per axis, with
+    each ghost node eliminated by hand.  x: u_{-1} = u_1, u_{-2} = u_2,
+    u_{Mx} = u_0 and u_{Mx+1} = 2 u_1 - u_{Mx-1}; y: even reflection at both
+    faces."""
+    Mx, M = grid.Mx, grid.My + 1
+    stencil = (1.0, -4.0, 6.0, -4.0, 1.0)
+    Ax = sp.lil_matrix((Mx, Mx))
+    for i in range(Mx):
+        for off, c in zip(range(-2, 3), stencil):
+            j = i + off
+            if j == -1:
+                Ax[i, 1] += c
+            elif j == -2:
+                Ax[i, 2] += c
+            elif j == Mx:
+                Ax[i, 0] += c
+            elif j == Mx + 1:
+                Ax[i, 1] += 2.0 * c
+                Ax[i, Mx - 1] -= c
+            else:
+                Ax[i, j] += c
+    Ay = sp.lil_matrix((M, M))
+    for j in range(M):
+        for off, c in zip(range(-2, 3), stencil):
+            i = abs(j + off)
+            if i > grid.My:
+                i = 2 * grid.My - i
+            Ay[j, i] += c
+    Ax = Ax.tocsr() / grid.hx**4
+    Ay = Ay.tocsr() / grid.hy**4
+    return (sp.kron(Ax, sp.identity(M)) + sp.kron(sp.identity(Mx), Ay)).tocsr()
+
+
+class TestSpatialOperator:
+    @pytest.mark.parametrize("Mx, My", [(8, 8), (9, 8), (8, 9), (16, 33), (33, 16), (64, 64)])
+    def test_squared_second_differences_match_ghost_nodes(self, Mx, My):
+        grid = FDGrid(Mx, My, 1)
+        got = _spatial_operator(grid)
+        want = _ghost_node_operator(grid)
+        got.sort_indices()
+        want.sort_indices()
+        assert got.shape == want.shape == (Mx * (My + 1),) * 2
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
 class TestFDMForward:
     def test_zero_data_is_zero(self):
         prob = _problem(

@@ -107,10 +107,29 @@ class TestBasisFunctions:
         assert mode_mean(ModeIndex(Family.Even, 1, 2)) == 0.0
 
 
+def _tensor_grid_gram(N, K):
+    """Reference Gram matrix: Z and W evaluated per mode on the full q x q
+    tensor Gauss grid, at the 2q nodes biorthogonality_matrix returns."""
+    q = 2 * max(32, 4 * max(2 * N, K))
+    g, w = np.polynomial.legendre.leggauss(q)
+    g, w = (g + 1.0) / 2.0, w / 2.0
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    wgt = np.outer(w, w).ravel()
+    modes = enumerate_modes(N, K)
+    Z = np.stack([eval_Z(i, X, Y).ravel() for i in modes])
+    W = np.stack([eval_W(i, X, Y).ravel() for i in modes])
+    return (Z * wgt) @ W.T
+
+
 class TestBiorthogonality:
     def test_gram_identity_small_box(self):
         G = biorthogonality_matrix(3, 3)
         np.testing.assert_allclose(G, np.eye(G.shape[0]), atol=1e-11)
+
+    @pytest.mark.parametrize("box", [(3, 3), (6, 6)])
+    def test_separable_gram_matches_tensor_grid(self, box):
+        G = biorthogonality_matrix(*box)
+        assert np.max(np.abs(G - _tensor_grid_gram(*box))) <= 1e-14
 
     def test_projection_recovers_synthesis_coefficients(self):
         # build a field from known coefficients, project it back

@@ -39,7 +39,6 @@ from .inverse import (
     CompatibilityViolation,
     EnergyDatum,
     MeanTooSmall,
-    recover_source,
     solve_inverse,
 )
 from .mlf import (
@@ -61,7 +60,6 @@ from .spectral import (
     SpectralCoefficients,
     biorthogonality_matrix,
     decay_report,
-    field_mean,
 )
 
 EXIT_OK = 0
@@ -245,14 +243,9 @@ def _write_coeffs(path: Path, coeffs: SpectralCoefficients, grid: TimeGrid) -> N
 
 def _write_field_slice(path: Path, bundle, time_index: int, m: int = 64) -> None:
     xs = np.linspace(0.0, 1.0, m + 1)
-    ys = np.linspace(0.0, 1.0, m + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     vals = bundle.sample(np.stack([X, Y], axis=-1), time_index).values
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i in range(m + 1):
-            for j in range(m + 1):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{vals[i, j]:.17g}\n")
+    _write_csv(path, "x,y,value", [X.ravel(), Y.ravel(), vals.ravel()])
 
 
 # commands ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .spectral import (
     eigen,
     enumerate_modes,
     mode_mean,
-    project,
     synthesize,
 )
 
@@ -176,9 +175,10 @@ def energy_of_coeffs(coeffs: SpectralCoefficients, grid: TimeGrid) -> TimeSeries
 
 
 def solve_forward(problem: ProblemData) -> SolutionBundle:
-    """Project the data, solve every mode ODE in closed form (Even before
-    Odd at equal index), and assemble coefficients and energy.  Kernel
-    moment tables are built once per eigenvalue and dropped on return."""
+    """Project the data, solve every mode ODE in closed form (the Zero and
+    Even modes before the Odd ones), and assemble coefficients and energy.
+    Kernel moment tables are built once per eigenvalue and dropped on
+    return."""
     t0 = time.perf_counter()
     grid = problem.grid
     phi_coeffs = SpectralCoefficients.project_field(
@@ -189,38 +189,29 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
     forcing_coeffs = SpectralCoefficients(problem.n_max, problem.k_max)
     tables: dict = {}
 
-    for index in enumerate_modes(problem.n_max, problem.k_max):
+    # Odd modes couple to the Even trajectory of the same index, so they go last
+    modes = enumerate_modes(problem.n_max, problem.k_max)
+    for index in sorted(modes, key=lambda i: i.family is Family.Odd):
         f_nk = f_coeffs[index]
         forcing = _forcing(problem, f_nk)
         forcing_coeffs[index] = (
             forcing if forcing is not None else TimeSeries.zeros(grid)
         )
-        if index in coeffs:
-            continue  # an Even mode already solved for its Odd partner
+        phi_c = phi_coeffs[index]
         if index.family is Family.Zero:
-            coeffs[index] = mode_zero(
-                index.k, problem, phi_coeffs[index], f_nk, tables
-            )
+            coeffs[index] = mode_zero(index.k, problem, phi_c, f_nk, tables)
         elif index.family is Family.Even:
-            coeffs[index] = mode_even(
-                index.n, index.k, problem, phi_coeffs[index], f_nk, tables
-            )
+            coeffs[index] = mode_even(index.n, index.k, problem, phi_c, f_nk, tables)
         else:
-            even_idx = ModeIndex(Family.Even, index.n, index.k)
-            if even_idx not in coeffs:
-                coeffs[even_idx] = mode_even(
-                    index.n, index.k, problem, phi_coeffs[even_idx],
-                    f_coeffs[even_idx], tables,
-                )
+            even = coeffs[ModeIndex(Family.Even, index.n, index.k)]
             coeffs[index] = mode_odd(
-                index.n, index.k, problem, phi_coeffs[index], f_nk,
-                coeffs[even_idx], tables,
+                index.n, index.k, problem, phi_c, f_nk, even, tables
             )
 
     e = energy_of_coeffs(coeffs, grid)
     tail = max(
         (abs(float(np.max(np.abs(coeffs[i].values))))
-         for i in enumerate_modes(problem.n_max, problem.k_max)
+         for i in modes
          if max(i.n, i.k) == max(problem.n_max, problem.k_max)),
         default=0.0,
     )

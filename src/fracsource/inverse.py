@@ -17,7 +17,7 @@ subtracted in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -27,28 +27,17 @@ from .forward import (
     ProblemData,
     SolutionBundle,
     _mode_trajectory,
-    mode_kernel_spec,
+    energy_of_coeffs,
     solve_forward,
 )
 from .fractional import (
     FractionalOperatorSpec,
-    KernelMoments,
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
-    singular_convolve,
 )
 from .mlf import NonConvergence
-from .spectral import (
-    Family,
-    Field2D,
-    ModeIndex,
-    eigen,
-    field_mean,
-    mode_mean,
-    project_modes,
-    snap_tiny,
-)
+from .spectral import Family, Field2D, SpectralCoefficients, eigen, mode_mean
 
 
 class MeanTooSmall(ValueError):
@@ -137,70 +126,6 @@ def _startup_correction(
     return correction
 
 
-def _mean_bearing_projections(g: Field2D, flux_modes: int) -> dict:
-    """Projections of g onto the modes that carry a spatial mean: the Zero
-    (0, 0) mode and the associated Even (n, 0), n <= flux_modes.  They are
-    snapped against the field's own scale and not just the largest of these
-    projections: a field with no associated content at all must yield exact
-    zeros, not quadrature dust."""
-    indices = [ModeIndex(Family.Zero, 0, 0)]
-    indices += [ModeIndex(Family.Even, n, 0) for n in range(1, flux_modes + 1)]
-    cs = dict(zip(indices, project_modes(g, indices).tolist()))
-    cs["__scale__"] = field_mean(g)
-    snap_tiny(cs)
-    del cs["__scale__"]
-    return cs
-
-
-def _initial_flux_energy(
-    phi_cs: dict, op: FractionalOperatorSpec, grid: TimeGrid
-) -> np.ndarray:
-    """sum_n mean(Z_n) phi_n (h_n(t) - 1) over the mean-bearing associated
-    modes in ``phi_cs``, h_n the unforced mode trajectory with h_n(0) = 1.
-    Its exact Caputo derivative is sum_n c_n phi_n h_n, the boundary flux
-    the initial datum drives; subtracting it from the energy before
-    differentiating closes that flux without asking the L1 scheme to resolve
-    the stiff h_n."""
-    out = np.zeros(grid.N + 1)
-    for index, c in phi_cs.items():
-        if index.family is Family.Even and c != 0.0:
-            h = _mode_trajectory(eigen(index).sigma_nk, 1.0, None, op, grid, {})
-            out += mode_mean(index) * c * (h.values - 1.0)
-    return out
-
-
-def _flux_components(
-    f: SpaceTimeField, grid: TimeGrid, op: FractionalOperatorSpec, flux_modes: int
-):
-    """Mean-bearing associated modes of f that feed the boundary flux.
-
-    The associated (Even-family, k = 0) eigenfunctions have nonzero spatial
-    mean but do not diagonalize the fourth-order operator: their trajectories
-    feed the spatially integrated equation through the boundary flux at the
-    nonlocal edge.  Returns the spatial mean of f truncated consistently with
-    the flux sum, f_00(t) + sum_{n <= flux_modes} mean(Z_n) f_n(t), and, per
-    mode f excites, the weight c_n = sigma_n * mean(Z_n), the forcing factor
-    F_n(t) = f_n(t), and the moment table of the mode ODE's kernel.
-    """
-    comps = []
-    hvals = [np.asarray(h(grid.nodes), dtype=float) for _, h in f.terms]
-    projections = [_mean_bearing_projections(g, flux_modes) for g, _ in f.terms]
-    fmean = np.zeros(grid.N + 1)
-    for index in projections[0]:
-        F = np.zeros(grid.N + 1)
-        for cs, hv in zip(projections, hvals):
-            if cs[index] != 0.0:
-                F += cs[index] * hv
-        fmean += mode_mean(index) * F
-        if index.family is Family.Zero or not np.any(F):
-            continue
-        sigma = eigen(index).sigma_nk
-        c_n = sigma * mode_mean(index)
-        table = KernelMoments(mode_kernel_spec(op, sigma).with_eta(op.alpha), grid)
-        comps.append((c_n, F, table))
-    return fmean, comps
-
-
 def _extrapolate_origin(a: np.ndarray, N: int) -> None:
     """One-sided quadratic extrapolation of a(0) from the first three
     interior nodes (the discrete Caputo operator carries no value there)."""
@@ -226,35 +151,42 @@ def recover_source(
     bias of order 1/flux_modes.
 
     The spatially integrated equation reads (multi-term Caputo of E) =
-    a * f-mean - sum_n c_n T_n with T_n the trajectory of the n-th associated
-    mean-bearing mode, itself the convolution of a * F_n against a relaxation
-    kernel.  The resulting second-kind Volterra equation is solved by
-    fixed-point iteration (the flux-to-mean ratio makes it a strong
-    contraction); when f excites none of these modes the iteration is skipped
-    and the amplitude is the explicit ratio.  Raises :class:`NonConvergence`
-    when the iteration has not settled within ``_MAX_FLUX_ITERATIONS``.
+    a * f-mean - sum_n c_n T_n[a F_n], c_n = sigma_n mean(Z_n), with T_n the
+    forward trajectory of the n-th associated mean-bearing mode (Even, k = 0)
+    forced by a times f's coefficient F_n.  The resulting second-kind
+    Volterra equation is solved by fixed-point iteration (the flux-to-mean
+    ratio makes it a strong contraction); when f excites none of these modes
+    the iteration is skipped and the amplitude is the explicit ratio.  Raises
+    :class:`NonConvergence` when the iteration has not settled within
+    ``_MAX_FLUX_ITERATIONS``.
 
     When ``phi`` is supplied, E(0) must equal the mean of phi truncated
     as the forward energy carries it, phi_00 + sum_{n <= flux_modes}
     mean(Z_n) phi_n, and the flux phi's mean-bearing associated modes drive
-    is closed too, by taking their homogeneous energy out of E before
-    differentiating.
+    is closed too, by taking their homogeneous energy
+    sum_n mean(Z_n) (T_n - phi_n) out of E before differentiating: its exact
+    Caputo derivative is that flux, so the L1 scheme never has to resolve
+    the stiff T_n.
+
+    Projections and trajectories are the forward solver's own, over the
+    k = 0 box n <= ``flux_modes``.
     """
     if grid is None:
         grid = datum.E.grid
     E = datum.E
     if E.grid.N != grid.N or E.grid.T != grid.T:
         raise ValueError("energy datum grid does not match the requested grid")
-    phi_cs = None
+    phi_coeffs = None
     if phi is not None:
-        phi_cs = _mean_bearing_projections(phi, flux_modes)
-        truncated = sum(mode_mean(index) * c for index, c in phi_cs.items())
+        phi_coeffs = SpectralCoefficients.project_field(phi, flux_modes, 0)
+        truncated = sum(mode_mean(i) * c for i, c in phi_coeffs.data.items())
         if not abs(E.values[0] - truncated) <= COMPATIBILITY_TOL:
             raise CompatibilityViolation(
                 f"E(0) = {E.values[0]:.9g} but the initial datum's mean over "
                 f"the modes n <= {flux_modes} is {truncated:.9g}"
             )
-    fmean, comps = _flux_components(f, grid, op, flux_modes)
+    f_coeffs = f.coeff_series(grid, flux_modes, 0)
+    fmean = energy_of_coeffs(f_coeffs, grid).values
     bad = np.abs(fmean) < mean_threshold
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -262,19 +194,33 @@ def recover_source(
             f"|truncated mean of f| = {abs(fmean[j]):.3g} at t = "
             f"{grid.nodes[j]:.6g} is below the threshold {mean_threshold:g}"
         )
-    if phi_cs is not None:
-        E = TimeSeries(grid, E.values - _initial_flux_energy(phi_cs, op, grid))
+    associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
+    tables: dict = {}
+
+    def trajectory(index, phi_c, forcing=None) -> np.ndarray:
+        sigma = eigen(index).sigma_nk
+        return _mode_trajectory(sigma, phi_c, forcing, op, grid, tables).values
+
+    if phi_coeffs is not None:
+        homog = np.zeros(grid.N + 1)
+        for index in associated:
+            c = phi_coeffs[index]
+            if c != 0.0:
+                homog += mode_mean(index) * (trajectory(index, c) - c)
+        E = TimeSeries(grid, E.values - homog)
     deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)
     a[1:] = deriv[1:] / fmean[1:]
     _extrapolate_origin(a, grid.N)
+    excited = [i for i in associated if np.any(f_coeffs[i].values)]
     iterations = 0
-    if comps:
+    if excited:
         for iterations in range(1, _MAX_FLUX_ITERATIONS + 1):
             flux = np.zeros(grid.N + 1)
-            for c_n, F, table in comps:
-                conv = singular_convolve(TimeSeries(grid, a * F), table, grid)
-                flux += c_n * conv.values
+            for index in excited:
+                forcing = TimeSeries(grid, a * f_coeffs[index].values)
+                c_n = eigen(index).sigma_nk * mode_mean(index)
+                flux += c_n * trajectory(index, 0.0, forcing)
             new = np.empty(grid.N + 1)
             new[1:] = (deriv[1:] + flux[1:]) / fmean[1:]
             _extrapolate_origin(new, grid.N)
@@ -291,7 +237,7 @@ def recover_source(
     return SourceAmplitude(
         a=TimeSeries(grid, a),
         metadata={
-            "flux_modes_excited": len(comps),
+            "flux_modes_excited": len(excited),
             "flux_iterations": iterations,
         },
     )
@@ -361,15 +307,10 @@ def stability_probe(
         pert = recover(src, tilde)
         a_diffs.append(float(np.max(np.abs(pert.a.values - base.a.values))))
         if solve_fields:
-            b1 = solve_forward(
-                ProblemData(
-                    op=problem.op, phi=problem.phi, source=src, grid=grid,
-                    amplitude=pert.a, n_max=problem.n_max, k_max=problem.k_max,
-                )
-            )
+            b1 = solve_forward(replace(problem, source=src, amplitude=pert.a))
             diffs = [
                 float(np.max(np.abs(b0.coeffs[i].values - b1.coeffs[i].values)))
-                for i in b0.coeffs.data
+                for i in b0.coeffs.indices()
             ]
             u_diffs.append(max(diffs))
     slope = float(

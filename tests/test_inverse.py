@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.catalog import SpaceTimeField, make_field
+from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
 from fracsource.forward import ProblemData, solve_forward
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
 from fracsource import inverse
@@ -177,6 +177,40 @@ class TestRoundTrip:
         want = 1.0 + grid.nodes[late]
         err = np.max(np.abs(amp.a.values[late] - want) / want)
         assert err <= 1e-3
+
+    @pytest.mark.parametrize("second, bound", [
+        # cos(2 pi x) is the Odd (1, 0) root function: mean-free, no
+        # associated content, so the recovery must leave it out entirely
+        (make_field("cos_mode", {"n": 1, "k": 0}), 1e-3),
+        # x sin(2 pi x) is the Even (1, 0) root function: dropping its term
+        # from the recovery moves the error from 6.3e-5 to 3.8e-4
+        (Field2D.analytic(lambda x, y: x * np.sin(2 * math.pi * x)), 2e-4),
+    ], ids=["odd", "even"])
+    def test_two_term_separable_source(self, second, bound):
+        # f = (1 + xy/2) * 1 + g(x) * t: the truncated mean and the flux
+        # closure must recombine both terms' projections mode by mode
+        poly = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
+        f = SpaceTimeField(terms=(
+            (poly, make_time_fn("constant")),
+            (second, make_time_fn("poly_t", {"coeffs": (0.0, 1.0)})),
+        ))
+        op = FractionalOperatorSpec(0.6, ((0.3, 0.3),))
+        gen_grid = TimeGrid(1.0, 256)
+        gen = ProblemData(
+            op=op, phi=poly, source=f, grid=gen_grid,
+            amplitude=TimeSeries.from_function(gen_grid, lambda t: 1.0 + t),
+            n_max=6, k_max=0,
+        )
+        energy = solve_forward(gen).energy.values[::2]
+        grid = TimeGrid(1.0, 128)
+        amp = recover_source(
+            f, EnergyDatum(TimeSeries(grid, energy)), op, grid, phi=poly,
+            flux_modes=6,
+        )
+        assert amp.metadata["flux_modes_excited"] == 6
+        late = grid.nodes > 0.1
+        err = np.max(np.abs(amp.a.values[late] - (1.0 + grid.nodes[late])))
+        assert err <= bound
 
     def test_flux_closure_reported_in_metadata(self):
         grid = TimeGrid(1.0, 64)

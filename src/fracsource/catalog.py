@@ -156,20 +156,20 @@ class SpaceTimeField:
     def coeff_series(
         self, grid: TimeGrid, n_max: int, k_max: int
     ) -> SpectralCoefficients:
-        """Projections f_nk(t) onto the conjugate family as TimeSeries."""
+        """Projections f_nk(t) onto the conjugate family as TimeSeries; every
+        term is snapped against the whole source's scale (see ``snap_tiny``)."""
         out = SpectralCoefficients(n_max, k_max)
         hvals = [np.asarray(h(grid.nodes), dtype=float) for _, h in self.terms]
         modes = enumerate_modes(n_max, k_max)
-        spatial = []
-        for g, _ in self.terms:
-            cs = dict(zip(modes, project_modes(g, modes).tolist()))
-            snap_tiny(cs)
-            spatial.append(cs)
-        for index in modes:
+        spatial = snap_tiny(
+            np.reshape([project_modes(g, modes) for g, _ in self.terms], (-1, len(modes))),
+            np.reshape([np.max(np.abs(hv)) for hv in hvals], (-1, 1)),
+        )
+        for index, cs in zip(modes, spatial.T):
             vals = np.zeros(grid.N + 1)
-            for cs, hv in zip(spatial, hvals):
-                if cs[index] != 0.0:
-                    vals += cs[index] * hv
+            for c, hv in zip(cs, hvals):
+                if c != 0.0:
+                    vals += c * hv
             out[index] = TimeSeries(grid, vals)
         return out
 

@@ -241,8 +241,8 @@ def _write_coeffs(path: Path, coeffs: SpectralCoefficients, grid: TimeGrid) -> N
                 fh.write(f"{index.family.name},{index.n},{index.k},{t:.17g},{v:.17g}\n")
 
 
-def _write_field_slice(path: Path, bundle, time_index: int, m: int = 64) -> None:
-    xs = np.linspace(0.0, 1.0, m + 1)
+def _write_field_slice(path: Path, bundle, time_index: int) -> None:
+    xs = np.linspace(0.0, 1.0, 65)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vals = bundle.sample(np.stack([X, Y], axis=-1), time_index).values
     _write_csv(path, "x,y,value", [X.ravel(), Y.ravel(), vals.ravel()])
@@ -282,7 +282,7 @@ def _build_problem(cfg: dict) -> ProblemData:
         phi=phi,
         source=source,
         grid=grid,
-        amplitude=_parse_amplitude(cfg, grid),
+        amplitude=_parse_amplitude(cfg, grid) or TimeSeries(grid, np.ones(grid.N + 1)),
         n_max=int(modes.get("n_max", 16)),
         k_max=int(modes.get("k_max", 16)),
     )
@@ -290,10 +290,6 @@ def _build_problem(cfg: dict) -> ProblemData:
 
 def cmd_forward(cfg: dict, out: Path) -> int:
     problem = _build_problem(cfg)
-    if problem.amplitude is None:
-        problem = problem.with_amplitude(
-            TimeSeries.from_function(problem.grid, lambda t: np.ones_like(t))
-        )
     bundle = solve_forward(problem)
     grid = problem.grid
     _write_csv(out / "energy.csv", "t,E", (grid.nodes, bundle.energy.values))
@@ -523,10 +519,6 @@ def cmd_verify(cfg: dict, out: Path) -> int:
 
 def cmd_oracle_compare(cfg: dict, out: Path, tol: float | None) -> int:
     problem = _build_problem(cfg)
-    if problem.amplitude is None:
-        problem = problem.with_amplitude(
-            TimeSeries.from_function(problem.grid, lambda t: np.ones_like(t))
-        )
     with _parsing():
         fd = cfg.get("fd", {})
         fd_grid = FDGrid(

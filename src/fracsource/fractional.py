@@ -116,35 +116,30 @@ class FractionalOperatorSpec:
         return ((1.0, self.alpha),) + self.terms
 
 
-def _l1_single(values: np.ndarray, tau: float, alpha: float) -> np.ndarray:
-    """L1 approximation of a single Caputo derivative of order alpha <= 1;
-    reduces to the first-order backward difference at alpha = 1."""
-    du = np.diff(values)
-    if alpha == 1.0:
-        out = np.empty_like(values)
-        out[0] = 0.0
-        out[1:] = du / tau
-        return out
-    n = values.size - 1
-    p = np.arange(n)
-    b = (p + 1.0) ** (1.0 - alpha) - p ** (1.0 - alpha)
-    conv = np.convolve(du, b)[:n]
-    out = np.empty_like(values)
-    out[0] = 0.0
-    out[1:] = conv * tau ** (-alpha) / math.gamma(2.0 - alpha)
-    return out
+def l1_weights(op: FractionalOperatorSpec, tau: float, n: int) -> np.ndarray:
+    """History weights c_0..c_n of the L1 scheme for the multi-term operator
+    on n steps: (D^alpha + sum psi_i D^alpha_i) u(t_p) ~ sum_{j<=p} c_{p-j}
+    (u_j - u_{j-1}).  Order beta contributes psi tau^(-beta) / Gamma(2 - beta)
+    times b_q = (q+1)^(1-beta) - q^(1-beta), with b_0 = 1 also at beta = 1
+    (the backward difference)."""
+    terms = op.all_terms()
+    gammas = np.array(
+        [psi * tau ** (-beta) / math.gamma(2.0 - beta) for psi, beta in terms]
+    )
+    q = np.arange(n + 1, dtype=float)
+    weights = np.stack([(q + 1.0) ** (1.0 - beta) - q ** (1.0 - beta) for _, beta in terms])
+    weights[:, 0] = 1.0
+    return gammas @ weights
 
 
 def caputo_multiterm(signal: TimeSeries, op: FractionalOperatorSpec) -> TimeSeries:
     """Apply the multi-term Caputo operator to a sampled signal via the L1
     scheme.  The value at t_0 is reported as 0 by convention."""
-    if signal.grid.N < 2:
+    n = signal.grid.N
+    if n < 2:
         raise GridTooCoarse("the L1 scheme needs at least 2 intervals")
-    tau = signal.grid.tau
-    out = np.zeros(signal.grid.N + 1)
-    for psi, alpha in op.all_terms():
-        if psi:
-            out += psi * _l1_single(signal.values, tau, alpha)
+    out = np.zeros(n + 1)
+    out[1:] = np.convolve(np.diff(signal.values), l1_weights(op, signal.grid.tau, n))[:n]
     return TimeSeries(signal.grid, out)
 
 

@@ -81,20 +81,18 @@ def _exact_caputo_power(op: FractionalOperatorSpec, p: float, ts: np.ndarray) ->
     return out
 
 
-def _startup_exponents(op: FractionalOperatorSpec, count: int = 3) -> list[float]:
-    """Leading exponents of the local expansion of a solution of the mode /
-    energy ODE near t = 0: alpha, then alpha plus the operator's gaps."""
+def _startup_exponents(op: FractionalOperatorSpec) -> list[float]:
+    """Three leading exponents of the local expansion of a solution of the
+    mode / energy ODE near t = 0: alpha, then alpha plus the operator's gaps."""
     gaps = sorted({op.alpha} | {op.alpha - a_i for _, a_i in op.terms} | {1.0})
     exps = sorted({op.alpha + g for g in [0.0] + gaps})
-    return [p for p in exps if p < 2.0][:count]
+    return [p for p in exps if p < 2.0][:3]
 
 
-def _startup_correction(
-    signal: TimeSeries, op: FractionalOperatorSpec, fit_nodes: int = 8
-) -> np.ndarray:
+def _startup_correction(signal: TimeSeries, op: FractionalOperatorSpec) -> np.ndarray:
     """Closed-form correction for the L1 defect on the singular startup part.
 
-    Fits E(t) - E(0) on the first few nodes against the basis {t^p} of
+    Fits E(t) - E(0) on the first eight nodes against the basis {t^p} of
     leading local exponents, then subtracts, for each fitted power, the
     difference between the L1 approximation and the exact Caputo derivative
     of t^p.  Exact for signals in the span of the basis; inert for alpha = 1
@@ -109,7 +107,7 @@ def _startup_correction(
     # include t itself in the fit basis so smooth data does not leak into
     # the singular coefficients, but never "correct" it (L1 is exact on it)
     fit_exps = sorted(set(exps) | {1.0})
-    j = np.arange(1, min(fit_nodes, grid.N) + 1)
+    j = np.arange(1, min(8, grid.N) + 1)
     ts = grid.nodes[j]
     A = np.stack([ts**p for p in fit_exps], axis=1)
     rhs = signal.values[j] - signal.values[0]
@@ -140,7 +138,6 @@ def recover_source(
     datum: EnergyDatum,
     op: FractionalOperatorSpec,
     grid: TimeGrid | None = None,
-    mean_threshold: float = DEFAULT_MEAN_THRESHOLD,
     phi: Field2D | None = None,
     flux_modes: int = 8,
 ) -> SourceAmplitude:
@@ -187,12 +184,12 @@ def recover_source(
             )
     f_coeffs = f.coeff_series(grid, flux_modes, 0)
     fmean = energy_of_coeffs(f_coeffs, grid).values
-    bad = np.abs(fmean) < mean_threshold
+    bad = np.abs(fmean) < DEFAULT_MEAN_THRESHOLD
     if np.any(bad):
         j = int(np.argmax(bad))
         raise MeanTooSmall(
             f"|truncated mean of f| = {abs(fmean[j]):.3g} at t = "
-            f"{grid.nodes[j]:.6g} is below the threshold {mean_threshold:g}"
+            f"{grid.nodes[j]:.6g} is below the threshold {DEFAULT_MEAN_THRESHOLD:g}"
         )
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     tables: dict = {}

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .forward import ProblemData, SolutionBundle
-from .fractional import TimeSeries
+from .fractional import TimeGrid, TimeSeries, l1_weights
 
 
 class SingularSystem(RuntimeError):
@@ -102,6 +102,13 @@ def _spatial_operator(grid: FDGrid) -> sp.csr_matrix:
     return (sp.kron(Ax, Iy) + sp.kron(Ix, Ay)).tocsr()
 
 
+def _trapezoid(m: int, h: float) -> np.ndarray:
+    """Trapezoid weights on the m + 1 nodes of a closed grid of step h."""
+    w = np.full(m + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
 @dataclass
 class FieldHistory:
     """FD solution snapshots on the full node set including x = 1."""
@@ -112,10 +119,7 @@ class FieldHistory:
 
     def energy(self) -> TimeSeries:
         """Spatial mean at every step (trapezoid on both axes)."""
-        from .fractional import TimeGrid
-
-        wy = np.full(self.grid.My + 1, self.grid.hy)
-        wy[0] = wy[-1] = 0.5 * self.grid.hy
+        wy = _trapezoid(self.grid.My, self.grid.hy)
         # x is value-coupled at the edges, so interior-style weights apply
         vals = np.einsum("tij,j->t", self.values[:, :-1, :], wy) * self.grid.hx
         return TimeSeries(TimeGrid(self.grid.T, self.grid.N), vals)
@@ -147,16 +151,8 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
 
     L = _spatial_operator(grid)
     tau = grid.tau
-    terms = op.all_terms()  # includes the leading (1, alpha)
-    gammas = np.array(
-        [psi * tau ** (-beta) / math.gamma(2.0 - beta) for psi, beta in terms]
-    )
-    q = np.arange(grid.N + 1, dtype=float)
-    weights = np.stack(
-        [(q + 1.0) ** (1.0 - beta) - q ** (1.0 - beta) for _, beta in terms]
-    )  # (nterms, N+1); weights[:, 0] = 1
-    c = gammas @ weights  # history coefficient of the difference m steps back
-    c0 = float(gammas.sum())
+    c = l1_weights(op, tau, grid.N)  # coefficient of the difference m steps back
+    c0 = float(c[0])
 
     system = (c0 * sp.identity(dof, format="csc") + L.tocsc())
     try:
@@ -200,7 +196,7 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     return FieldHistory(
         grid=grid,
         values=out,
-        metadata={"dof": dof, "steps": grid.N, "terms": len(terms)},
+        metadata={"dof": dof, "steps": grid.N, "terms": len(op.all_terms())},
     )
 
 
@@ -241,11 +237,7 @@ def compare(bundle: SolutionBundle, history: FieldHistory, times) -> ErrorReport
     tgrid = bundle.energy.grid
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     pts = np.stack([X, Y], axis=-1)
-    wx = np.full(grid.Mx + 1, grid.hx)
-    wx[0] = wx[-1] = 0.5 * grid.hx
-    wy = np.full(grid.My + 1, grid.hy)
-    wy[0] = wy[-1] = 0.5 * grid.hy
-    wgt = np.outer(wx, wy)
+    wgt = np.outer(_trapezoid(grid.Mx, grid.hx), _trapezoid(grid.My, grid.hy))
 
     out_t, out_l2, out_sup = [], [], []
     times = np.atleast_1d(np.asarray(times, dtype=float))

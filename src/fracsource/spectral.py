@@ -226,22 +226,28 @@ def _gauss_moments(field: Field2D, q: int, x_factors, y_factors) -> np.ndarray:
     return xw @ field(X, Y) @ yw.T
 
 
-def project_modes(
-    field: Field2D, modes: list[ModeIndex], tol: float = 1e-9
-) -> np.ndarray:
+_DOUBLING_TOL = 1e-9  # absolute agreement of every quadrature with its doubled rule
+
+
+def _nodes_for(n: int, k: int) -> int:
+    """Gauss-Legendre nodes per axis that resolve the factors of mode (n, k)."""
+    return max(32, 4 * max(2 * n, k))
+
+
+def project_modes(field: Field2D, modes: list[ModeIndex]) -> np.ndarray:
     """Coefficients <field, W_i> for every mode in ``modes``, in order.
 
-    Each mode is integrated with q = max(32, 4 max(2n, k)) Gauss-Legendre
+    Each mode is integrated with q = ``_nodes_for(n, k)`` Gauss-Legendre
     nodes per axis, enough to resolve its oscillatory factors.  Modes that
     share q share one field evaluation at q and one at 2q nodes: W is the
     product X_n(x) Y_k(y), so each coefficient is an entry of
     (X w) F (Y w)^T.  Every coefficient must agree between q and 2q nodes to
-    ``tol`` absolutely; otherwise QuadratureFailure names the first mode
-    that does not.
+    1e-9 absolutely; otherwise QuadratureFailure names the first mode that
+    does not.
     """
     groups: dict[int, list[int]] = {}
     for pos, index in enumerate(modes):
-        groups.setdefault(max(32, 4 * max(2 * index.n, index.k)), []).append(pos)
+        groups.setdefault(_nodes_for(index.n, index.k), []).append(pos)
     coarse = np.empty(len(modes))
     fine = np.empty(len(modes))
     for q, positions in groups.items():
@@ -255,7 +261,7 @@ def project_modes(
         for nodes, out in ((q, coarse), (2 * q, fine)):
             moments = _gauss_moments(field, nodes, x_factors, y_factors)
             out[positions] = moments[rows, cols]
-    bad = np.flatnonzero(~(np.abs(coarse - fine) <= tol))
+    bad = np.flatnonzero(~(np.abs(coarse - fine) <= _DOUBLING_TOL))
     if bad.size:
         i = bad[0]
         raise QuadratureFailure(
@@ -266,33 +272,27 @@ def project_modes(
     return fine
 
 
-def project(field: Field2D, index: ModeIndex, tol: float = 1e-9) -> float:
+def project(field: Field2D, index: ModeIndex) -> float:
     """Coefficient <field, W_index>; see ``project_modes``."""
-    return float(project_modes(field, [index], tol)[0])
+    return float(project_modes(field, [index])[0])
 
 
-def snap_tiny(coeff_map: dict, rel: float = 1e-12) -> None:
-    """Zero out scalar coefficients below ``rel`` of the largest magnitude.
-
-    Projection values that far down are quadrature roundoff, not data, and
-    letting them seed mode trajectories produces cancellation-dominated
-    convolutions that cannot be validated.
-    """
-    mags = [abs(v) for v in coeff_map.values() if isinstance(v, (int, float))]
-    if not mags:
-        return
-    floor = rel * max(mags)
-    for key, value in coeff_map.items():
-        if isinstance(value, (int, float)) and abs(value) <= floor:
-            coeff_map[key] = 0.0
+def snap_tiny(coeffs: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
+    """Copy of ``coeffs`` with each entry whose contribution |c| * scale is at
+    most 1e-12 of the largest one set to zero: quadrature roundoff, not data,
+    that would seed cancellation-dominated convolutions.  ``scale`` broadcasts
+    against ``coeffs``; a separable source scales each term's row of spatial
+    coefficients by that term's max |h(t)|."""
+    contrib = np.abs(coeffs) * scale
+    return np.where(contrib <= 1e-12 * np.max(contrib, initial=0.0), 0.0, coeffs)
 
 
-def field_mean(field: Field2D, tol: float = 1e-9) -> float:
+def field_mean(field: Field2D) -> float:
     """Integral of the field over the unit square (tensor Gauss-Legendre
     with one node-doubling validation)."""
     v1 = float(_gauss_moments(field, 32, [np.ones_like], [np.ones_like])[0, 0])
     v2 = float(_gauss_moments(field, 64, [np.ones_like], [np.ones_like])[0, 0])
-    if not abs(v1 - v2) <= tol:
+    if not abs(v1 - v2) <= _DOUBLING_TOL:
         raise QuadratureFailure(
             f"field mean unstable under node doubling: {v1:.12g} vs {v2:.12g}"
         )
@@ -334,16 +334,15 @@ class SpectralCoefficients:
     ) -> "SpectralCoefficients":
         out = cls(n_max, k_max)
         modes = enumerate_modes(n_max, k_max)
-        for index, value in zip(modes, project_modes(field2d, modes).tolist()):
+        values = snap_tiny(project_modes(field2d, modes))
+        for index, value in zip(modes, values.tolist()):
             out[index] = value
-        snap_tiny(out.data)
         return out
 
 
 @dataclass
 class SynthesisResult:
     values: np.ndarray
-    tail_indicator: float
 
 
 def _coefficient_at(value, time_index) -> float:
@@ -359,29 +358,16 @@ def synthesize(
     points,
     time_index: int | None = None,
 ) -> SynthesisResult:
-    """Evaluate the truncated expansion sum_i c_i Z_i at the given points.
-
-    The tail indicator is the coefficient magnitude on the outermost diagonal
-    shell max(n, k) = max(N_max, K_max populated), a cheap proxy for the
-    truncation error of the box.
-    """
+    """Evaluate the truncated expansion sum_i c_i Z_i at the given points."""
     pts = np.asarray(points, dtype=float)
     x = pts[..., 0]
     y = pts[..., 1]
     values = np.zeros(x.shape)
-    shell_mag = 0.0
-    last_shell = -1
     for index in enumerate_modes(coeffs.N_max, coeffs.K_max):
         c = _coefficient_at(coeffs[index], time_index)
         if c != 0.0:
             values = values + c * eval_Z(index, x, y)
-        shell = max(index.n, index.k)
-        if shell > last_shell:
-            last_shell = shell
-            shell_mag = 0.0
-        if shell == last_shell:
-            shell_mag = max(shell_mag, abs(c))
-    return SynthesisResult(values=values, tail_indicator=shell_mag)
+    return SynthesisResult(values=values)
 
 
 def _gram_once(modes: list[ModeIndex], q: int) -> np.ndarray:
@@ -394,20 +380,20 @@ def _gram_once(modes: list[ModeIndex], q: int) -> np.ndarray:
     return ((zx * w) @ wx.T) * ((y * w) @ y.T)
 
 
-def biorthogonality_matrix(N: int, K: int, tol: float = 1e-9) -> np.ndarray:
+def biorthogonality_matrix(N: int, K: int) -> np.ndarray:
     """Gram matrix <Z_i, W_j> over the truncation box; identity when the
     families are bi-orthonormal.  Row/column order follows enumerate_modes.
 
     All modes share one Gauss rule sized for the highest frequency, and the
     matrix is the entrywise product of a 1-D x Gram and a 1-D y Gram; the
     node count is doubled once and the two results must agree entrywise to
-    ``tol``.
+    1e-9.
     """
     modes = enumerate_modes(N, K)
-    q = max(32, 4 * max(2 * N, K))
+    q = _nodes_for(N, K)
     g1 = _gram_once(modes, q)
     g2 = _gram_once(modes, 2 * q)
-    if np.max(np.abs(g1 - g2)) > tol:
+    if np.max(np.abs(g1 - g2)) > _DOUBLING_TOL:
         raise QuadratureFailure("Gram matrix unstable under node doubling")
     return g2
 

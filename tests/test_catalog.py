@@ -88,6 +88,23 @@ class TestSpaceTimeField:
         want = project(g, idx) * grid.nodes
         np.testing.assert_allclose(coeffs[idx].values, want, rtol=1e-11)
 
+    def test_coeff_series_snaps_every_term_against_the_whole_source(self):
+        # cos(pi y) has no content in the k = 0 box: its projections there
+        # are quadrature roundoff, zeroed against the constant term's scale
+        grid = TimeGrid(1.0, 8)
+        const = SpaceTimeField.static(make_field("constant"))
+        cos_y = make_field("cos_mode", {"n": 0, "k": 1})
+        f = SpaceTimeField(
+            terms=const.terms + ((cos_y, make_time_fn("poly_t", {"coeffs": (0.0, 1.0)})),)
+        )
+        got = f.coeff_series(grid, 4, 0)
+        want = const.coeff_series(grid, 4, 0)
+        for index in want.indices():
+            np.testing.assert_array_equal(got[index].values, want[index].values)
+        assert [i for i in got.indices() if np.any(got[i].values)] == [
+            ModeIndex(Family.Zero, 0, 0)
+        ]
+
 
 class TestManufactured:
     def test_exact_solution_satisfies_data(self):

@@ -226,6 +226,33 @@ class TestRoundTrip:
         )
         assert amp_plain.metadata["flux_modes_excited"] == 0
 
+    def test_term_without_mean_bearing_content_runs_no_flux_sweep(self):
+        # cos(pi y) projects to quadrature roundoff on the k = 0 box; those
+        # coefficients are not data and must not start a flux closure
+        op = FractionalOperatorSpec(0.8, ((0.5, 0.4),))
+        phi = Field2D.constant(1.0)
+        f = SpaceTimeField(
+            terms=(
+                (Field2D.constant(1.0), make_time_fn("constant")),
+                (make_field("cos_mode", {"n": 0, "k": 1}),
+                 make_time_fn("poly_t", {"coeffs": (0.0, 1.0)})),
+            )
+        )
+        gen_grid = TimeGrid(1.0, 256)
+        gen = ProblemData(
+            op=op, phi=phi, source=f, grid=gen_grid,
+            amplitude=TimeSeries.from_function(gen_grid, lambda t: 1.0 + t),
+            n_max=4, k_max=0,
+        )
+        energy = solve_forward(gen).energy.values[::2]
+        grid = TimeGrid(1.0, 128)
+        amp = recover_source(
+            f, EnergyDatum(TimeSeries(grid, energy)), op, grid, phi=phi,
+            flux_modes=4,
+        )
+        assert amp.metadata["flux_modes_excited"] == 0
+        assert amp.metadata["flux_iterations"] == 0
+
 
 def _poly_phi_problem():
     """phi = f = 1 + xy/2 under 0.8 + 0.5 D^0.4 with n_max = 4: phi seeds the

@@ -53,7 +53,8 @@ def mpmath_multinomial_ml(eta, orders, args, dps=40, shells=300):
 
     Working precision and shell count are sized to cover the largest
     intermediate shell so the alternating sum stays certified even for
-    large arguments.
+    large arguments.  The sum stops once a shell falls below 1e-20 of the
+    running total, far below what a double resolves.
     """
     budget = _series_budget(eta, orders, args, dps)
     if budget is None:
@@ -75,7 +76,7 @@ def mpmath_multinomial_ml(eta, orders, args, dps=40, shells=300):
                     term *= mpmath.mpf(z) ** l
                 shell += term
             total += shell
-            if k > 10 and abs(shell) < mpmath.mpf(10) ** (-dps) * max(abs(total), 1):
+            if k > 10 and abs(shell) < mpmath.mpf("1e-20") * max(abs(total), 1):
                 break
         return float(total)
 

@@ -79,7 +79,6 @@ from .spectral import (
     enumerate_modes,
     eval_W,
     eval_Z,
-    field_mean,
     mode_mean,
     project,
     project_modes,

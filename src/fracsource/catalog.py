@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
+from .fractional import FractionalOperatorSpec, TimeGrid
 from .spectral import (
     Field2D,
     SpectralCoefficients,
     enumerate_modes,
-    field_mean,
     project_modes,
     snap_tiny,
 )
@@ -146,32 +145,22 @@ class SpaceTimeField:
             out = v if out is None else out + v
         return out
 
-    def mean_series(self, grid: TimeGrid) -> TimeSeries:
-        """Spatial mean of f at every grid node."""
-        vals = np.zeros(grid.N + 1)
-        for g, h in self.terms:
-            vals += field_mean(g) * np.asarray(h(grid.nodes), dtype=float)
-        return TimeSeries(grid, vals)
-
     def coeff_series(
         self, grid: TimeGrid, n_max: int, k_max: int
     ) -> SpectralCoefficients:
-        """Projections f_nk(t) onto the conjugate family as TimeSeries; every
-        term is snapped against the whole source's scale (see ``snap_tiny``)."""
-        out = SpectralCoefficients(n_max, k_max)
-        hvals = [np.asarray(h(grid.nodes), dtype=float) for _, h in self.terms]
+        """Projections f_nk(t) onto the conjugate family, one row per mode:
+        the spatial coefficients of every term times its time factor, each
+        term snapped against the whole source's scale (see ``snap_tiny``)."""
+        hvals = np.array(
+            [np.broadcast_to(h(grid.nodes), grid.nodes.shape) for _, h in self.terms],
+            dtype=float,
+        )
         modes = enumerate_modes(n_max, k_max)
         spatial = snap_tiny(
-            np.reshape([project_modes(g, modes) for g, _ in self.terms], (-1, len(modes))),
-            np.reshape([np.max(np.abs(hv)) for hv in hvals], (-1, 1)),
+            np.array([project_modes(g, modes) for g, _ in self.terms]),
+            np.max(np.abs(hvals), axis=1, keepdims=True),
         )
-        for index, cs in zip(modes, spatial.T):
-            vals = np.zeros(grid.N + 1)
-            for c, hv in zip(cs, hvals):
-                if c != 0.0:
-                    vals += c * hv
-            out[index] = TimeSeries(grid, vals)
-        return out
+        return SpectralCoefficients(n_max, k_max, spatial.T @ hvals, grid)
 
 
 # manufactured solutions --------------------------------------------------------

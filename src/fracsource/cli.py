@@ -197,17 +197,17 @@ def _parse_times(cfg: dict) -> np.ndarray:
 
 def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
     """Values of a (t, value) CSV at the grid nodes by linear interpolation.
-    The t column must increase strictly and cover [0, T]: the series is
-    never extrapolated."""
+    A header row is optional.  The t column must increase strictly and cover
+    [0, T]: the series is never extrapolated."""
     if not Path(path).exists():
         raise ConfigError(f"series file not found: {path}")
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names and len(data.dtype.names) >= 2:
-        names = data.dtype.names
-        t, v = np.asarray(data[names[0]], float), np.asarray(data[names[1]], float)
-    else:
-        raw = np.loadtxt(path, delimiter=",")
-        t, v = raw[:, 0], raw[:, 1]
+    try:
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError:  # a first row that is not numeric is a header
+        raw = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    if raw.shape[1] < 2:
+        raise ConfigError(f"{path}: expected two columns, t and the value")
+    t, v = raw[:, 0], raw[:, 1]
     if np.any(np.diff(t) <= 0.0):
         raise ConfigError(f"{path}: the t column is not strictly increasing")
     if t[0] > 0.0 or t[-1] < grid.T:

@@ -32,8 +32,6 @@ from .spectral import (
     SpectralCoefficients,
     SynthesisResult,
     eigen,
-    enumerate_modes,
-    mode_mean,
     synthesize,
 )
 
@@ -112,32 +110,27 @@ def _mode_trajectory(
     return TimeSeries(grid, vals)
 
 
-def _forcing(problem: ProblemData, f_nk: TimeSeries) -> TimeSeries | None:
-    if problem.amplitude is None:
-        raise ValueError("forward solve needs a known amplitude a(t)")
-    vals = problem.amplitude.values * f_nk.values
-    return TimeSeries(problem.grid, vals) if np.any(vals) else None
+def _odd_coupling(n: int) -> float:
+    """Weight 4 lambda_n^(3/4) = 4 (2 n pi)^3 of the Even trajectory in the
+    forcing of the Odd mode with the same index."""
+    return 4.0 * (2 * n * math.pi) ** 3
 
 
 def mode_zero(
-    k: int, problem: ProblemData, phi_c: float, f_0k: TimeSeries, tables: dict
+    k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries, tables: dict
 ) -> TimeSeries:
     """Trajectory of the Zero-family mode (eigenvalue mu_k)."""
     sigma = eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk
-    return _mode_trajectory(
-        sigma, phi_c, _forcing(problem, f_0k), problem.op, problem.grid, tables
-    )
+    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, tables)
 
 
 def mode_even(
-    n: int, k: int, problem: ProblemData, phi_c: float, f_nk: TimeSeries,
+    n: int, k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries,
     tables: dict,
 ) -> TimeSeries:
     """Trajectory of the Even-family mode (eigenvalue sigma_nk)."""
     sigma = eigen(ModeIndex(Family.Even, n, k)).sigma_nk
-    return _mode_trajectory(
-        sigma, phi_c, _forcing(problem, f_nk), problem.op, problem.grid, tables
-    )
+    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, tables)
 
 
 def mode_odd(
@@ -145,87 +138,65 @@ def mode_odd(
     k: int,
     problem: ProblemData,
     phi_c: float,
-    f_nk: TimeSeries,
+    forcing: TimeSeries,
     even_traj: TimeSeries,
     tables: dict,
 ) -> TimeSeries:
     """Trajectory of the Odd-family mode; couples to the Even trajectory of
     the same index through the forcing term 4 lambda_n^(3/4) T_even."""
-    idx = ModeIndex(Family.Odd, n, k)
-    sigma = eigen(idx).sigma_nk
-    lam34 = (2 * n * math.pi) ** 3  # lambda_n^(3/4)
-    forcing = _forcing(problem, f_nk)
-    vals = np.zeros(problem.grid.N + 1) if forcing is None else forcing.values.copy()
-    vals += 4.0 * lam34 * even_traj.values
-    coupled = TimeSeries(problem.grid, vals)
-    if not np.any(coupled.values):
-        coupled = None
-    return _mode_trajectory(sigma, phi_c, coupled, problem.op, problem.grid, tables)
-
-
-def energy_of_coeffs(coeffs: SpectralCoefficients, grid: TimeGrid) -> TimeSeries:
-    """Spatial mean E(t) = sum_nk T_nk(t) * integral of Z_nk (closed form;
-    only k = 0 modes contribute)."""
-    vals = np.zeros(grid.N + 1)
-    for index, traj in coeffs.data.items():
-        w = mode_mean(index)
-        if w != 0.0:
-            vals += w * traj.values
-    return TimeSeries(grid, vals)
+    sigma = eigen(ModeIndex(Family.Odd, n, k)).sigma_nk
+    coupled = forcing.values + _odd_coupling(n) * even_traj.values
+    return _mode_trajectory(
+        sigma, phi_c, TimeSeries(problem.grid, coupled), problem.op, problem.grid,
+        tables,
+    )
 
 
 def solve_forward(problem: ProblemData) -> SolutionBundle:
-    """Project the data, solve every mode ODE in closed form (the Zero and
-    Even modes before the Odd ones), and assemble coefficients and energy.
-    Kernel moment tables are built once per eigenvalue and dropped on
-    return."""
+    """Project the data, form the forcing a(t) f_nk(t) of every mode, solve
+    every mode ODE in closed form (the Zero and Even modes before the Odd
+    ones), and assemble coefficients and energy.  Kernel moment tables are
+    built once per eigenvalue and dropped on return."""
     t0 = time.perf_counter()
     grid = problem.grid
-    phi_coeffs = SpectralCoefficients.project_field(
-        problem.phi, problem.n_max, problem.k_max
+    n_max, k_max = problem.n_max, problem.k_max
+    phi_coeffs = SpectralCoefficients.project_field(problem.phi, n_max, k_max)
+    f_coeffs = problem.source.coeff_series(grid, n_max, k_max)
+    if problem.amplitude is None:
+        raise ValueError("forward solve needs a known amplitude a(t)")
+    forcing_coeffs = SpectralCoefficients(
+        n_max, k_max, problem.amplitude.values * f_coeffs.values, grid
     )
-    f_coeffs = problem.source.coeff_series(grid, problem.n_max, problem.k_max)
-    coeffs = SpectralCoefficients(problem.n_max, problem.k_max)
-    forcing_coeffs = SpectralCoefficients(problem.n_max, problem.k_max)
+    coeffs = SpectralCoefficients(n_max, k_max, np.empty_like(f_coeffs.values), grid)
     tables: dict = {}
 
     # Odd modes couple to the Even trajectory of the same index, so they go last
-    modes = enumerate_modes(problem.n_max, problem.k_max)
-    for index in sorted(modes, key=lambda i: i.family is Family.Odd):
-        f_nk = f_coeffs[index]
-        forcing = _forcing(problem, f_nk)
-        forcing_coeffs[index] = (
-            forcing if forcing is not None else TimeSeries.zeros(grid)
-        )
-        phi_c = phi_coeffs[index]
+    modes = coeffs.modes
+    for r in sorted(range(len(modes)), key=lambda r: modes[r].family is Family.Odd):
+        index = modes[r]
+        phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
         if index.family is Family.Zero:
-            coeffs[index] = mode_zero(index.k, problem, phi_c, f_nk, tables)
+            traj = mode_zero(index.k, problem, phi_c, forcing, tables)
         elif index.family is Family.Even:
-            coeffs[index] = mode_even(index.n, index.k, problem, phi_c, f_nk, tables)
+            traj = mode_even(index.n, index.k, problem, phi_c, forcing, tables)
         else:
             even = coeffs[ModeIndex(Family.Even, index.n, index.k)]
-            coeffs[index] = mode_odd(
-                index.n, index.k, problem, phi_c, f_nk, even, tables
-            )
+            traj = mode_odd(index.n, index.k, problem, phi_c, forcing, even, tables)
+        coeffs.values[r] = traj.values
 
-    e = energy_of_coeffs(coeffs, grid)
-    tail = max(
-        (abs(float(np.max(np.abs(coeffs[i].values))))
-         for i in modes
-         if max(i.n, i.k) == max(problem.n_max, problem.k_max)),
-        default=0.0,
-    )
+    energy = coeffs.mean()
+    shell = [r for r, i in enumerate(modes) if max(i.n, i.k) == max(n_max, k_max)]
     meta = {
-        "truncation_tail": tail,
+        "truncation_tail": float(np.max(np.abs(coeffs.values[shell]))),
         "elapsed_seconds": time.perf_counter() - t0,
-        "n_max": problem.n_max,
-        "k_max": problem.k_max,
+        "n_max": n_max,
+        "k_max": k_max,
     }
     return SolutionBundle(
         coeffs=coeffs,
         phi_coeffs=phi_coeffs,
         forcing_coeffs=forcing_coeffs,
-        energy=e,
+        energy=energy,
         metadata=meta,
     )
 
@@ -242,6 +213,6 @@ def ode_residual(
     res -= bundle.forcing_coeffs[index].values
     if index.family is Family.Odd:
         even = bundle.coeffs[ModeIndex(Family.Even, index.n, index.k)]
-        res -= 4.0 * (2 * index.n * math.pi) ** 3 * even.values
+        res -= _odd_coupling(index.n) * even.values
     res[0] = 0.0  # the discrete operator carries no value at t = 0
     return TimeSeries(problem.grid, res)

@@ -27,7 +27,6 @@ from .forward import (
     ProblemData,
     SolutionBundle,
     _mode_trajectory,
-    energy_of_coeffs,
     solve_forward,
 )
 from .fractional import (
@@ -176,14 +175,14 @@ def recover_source(
     phi_coeffs = None
     if phi is not None:
         phi_coeffs = SpectralCoefficients.project_field(phi, flux_modes, 0)
-        truncated = sum(mode_mean(i) * c for i, c in phi_coeffs.data.items())
+        truncated = phi_coeffs.mean()
         if not abs(E.values[0] - truncated) <= COMPATIBILITY_TOL:
             raise CompatibilityViolation(
                 f"E(0) = {E.values[0]:.9g} but the initial datum's mean over "
                 f"the modes n <= {flux_modes} is {truncated:.9g}"
             )
     f_coeffs = f.coeff_series(grid, flux_modes, 0)
-    fmean = energy_of_coeffs(f_coeffs, grid).values
+    fmean = f_coeffs.mean().values
     bad = np.abs(fmean) < DEFAULT_MEAN_THRESHOLD
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -305,11 +304,7 @@ def stability_probe(
         a_diffs.append(float(np.max(np.abs(pert.a.values - base.a.values))))
         if solve_fields:
             b1 = solve_forward(replace(problem, source=src, amplitude=pert.a))
-            diffs = [
-                float(np.max(np.abs(b0.coeffs[i].values - b1.coeffs[i].values)))
-                for i in b0.coeffs.indices()
-            ]
-            u_diffs.append(max(diffs))
+            u_diffs.append(float(np.max(np.abs(b0.coeffs.values - b1.coeffs.values))))
     slope = float(
         np.polyfit(np.log(np.asarray(deltas)), np.log(np.asarray(a_diffs)), 1)[0]
     )

@@ -212,10 +212,6 @@ class ErrorReport:
     def max_l2(self) -> float:
         return max(self.l2)
 
-    @property
-    def max_sup(self) -> float:
-        return max(self.sup)
-
 
 def step_indices(times, *grids) -> list[tuple[int, ...]]:
     """Step index of each time on every grid (a TimeGrid or an FDGrid);

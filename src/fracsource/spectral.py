@@ -13,18 +13,17 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .fractional import QuadratureFailure, TimeSeries, _gauss01
+from .fractional import QuadratureFailure, TimeGrid, TimeSeries, _gauss01
 
 
 class MissingCoefficient(KeyError):
-    """A mode index inside the truncation box has no stored coefficient."""
+    """A mode index lies outside the truncation box of the coefficients."""
 
 
 class InsufficientData(ValueError):
@@ -287,70 +286,63 @@ def snap_tiny(coeffs: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray
     return np.where(contrib <= 1e-12 * np.max(contrib, initial=0.0), 0.0, coeffs)
 
 
-def field_mean(field: Field2D) -> float:
-    """Integral of the field over the unit square (tensor Gauss-Legendre
-    with one node-doubling validation)."""
-    v1 = float(_gauss_moments(field, 32, [np.ones_like], [np.ones_like])[0, 0])
-    v2 = float(_gauss_moments(field, 64, [np.ones_like], [np.ones_like])[0, 0])
-    if not abs(v1 - v2) <= _DOUBLING_TOL:
-        raise QuadratureFailure(
-            f"field mean unstable under node doubling: {v1:.12g} vs {v2:.12g}"
-        )
-    return v2
-
-
-@dataclass
 class SpectralCoefficients:
-    """Dense coefficient storage over a truncation box.
+    """Coefficients over a truncation box as one array.
 
-    Values are floats for static data (projections of phi) or TimeSeries for
-    time-dependent data (source coefficients, mode trajectories).
+    ``values`` holds one row per mode of ``enumerate_modes(N_max, K_max)``:
+    shape (modes,) for static data (projections of phi) or (modes, N+1) on
+    ``grid`` for time-dependent data (source coefficients, mode trajectories).
     """
 
-    N_max: int
-    K_max: int
-    data: dict = field(default_factory=dict)
-
-    def __setitem__(self, index: ModeIndex, value) -> None:
-        if index.n > self.N_max or index.k > self.K_max:
-            raise ValueError(f"{index} outside truncation box")
-        self.data[index] = value
+    def __init__(self, N_max: int, K_max: int, values, grid: TimeGrid | None = None):
+        self.N_max, self.K_max, self.grid = N_max, K_max, grid
+        self.modes = enumerate_modes(N_max, K_max)
+        self.values = np.asarray(values, dtype=float)
+        shape = (len(self.modes),) + (() if grid is None else (grid.N + 1,))
+        if self.values.shape != shape:
+            raise ValueError(
+                f"expected coefficients of shape {shape} for the box "
+                f"({N_max}, {K_max}), got {self.values.shape}"
+            )
+        self._rows = {index: r for r, index in enumerate(self.modes)}
 
     def __getitem__(self, index: ModeIndex):
+        """The coefficient of ``index``: a float, or a TimeSeries viewing its row."""
         try:
-            return self.data[index]
+            row = self.values[self._rows[index]]
         except KeyError:
-            raise MissingCoefficient(str(index)) from None
+            raise MissingCoefficient(f"{index} outside the truncation box") from None
+        return float(row) if self.grid is None else TimeSeries(self.grid, row)
 
-    def __contains__(self, index: ModeIndex) -> bool:
-        return index in self.data
+    @property
+    def data(self) -> dict:
+        """Read-only ``{index: self[index]}`` view; series share the array."""
+        return {index: self[index] for index in self.modes}
 
     def indices(self) -> list[ModeIndex]:
-        return sorted(self.data, key=lambda i: (i.family.value, i.n, i.k))
+        return sorted(self.modes, key=lambda i: (i.family.value, i.n, i.k))
+
+    def mean(self):
+        """Integral of the truncated expansion over the unit square,
+        sum_i mode_mean(i) * row i: a float, or a TimeSeries on ``grid``."""
+        w = np.array([mode_mean(i) for i in self.modes])
+        rows = np.flatnonzero(w)
+        w = w[rows].reshape((-1,) + (1,) * (self.values.ndim - 1))
+        # a series sum along axis 0 adds the rows one after another, in mode order
+        total = (w * self.values[rows]).sum(axis=0)
+        return float(total) if self.grid is None else TimeSeries(self.grid, total)
 
     @classmethod
     def project_field(
         cls, field2d: Field2D, n_max: int, k_max: int
     ) -> "SpectralCoefficients":
-        out = cls(n_max, k_max)
         modes = enumerate_modes(n_max, k_max)
-        values = snap_tiny(project_modes(field2d, modes))
-        for index, value in zip(modes, values.tolist()):
-            out[index] = value
-        return out
+        return cls(n_max, k_max, snap_tiny(project_modes(field2d, modes)))
 
 
 @dataclass
 class SynthesisResult:
     values: np.ndarray
-
-
-def _coefficient_at(value, time_index) -> float:
-    if isinstance(value, TimeSeries):
-        if time_index is None:
-            raise ValueError("time-dependent coefficients need a time index")
-        return float(value.values[time_index])
-    return float(value)
 
 
 def synthesize(
@@ -362,11 +354,14 @@ def synthesize(
     pts = np.asarray(points, dtype=float)
     x = pts[..., 0]
     y = pts[..., 1]
+    column = coeffs.values
+    if coeffs.grid is not None:
+        if time_index is None:
+            raise ValueError("time-dependent coefficients need a time index")
+        column = column[:, time_index]
     values = np.zeros(x.shape)
-    for index in enumerate_modes(coeffs.N_max, coeffs.K_max):
-        c = _coefficient_at(coeffs[index], time_index)
-        if c != 0.0:
-            values = values + c * eval_Z(index, x, y)
+    for r in np.flatnonzero(column):
+        values = values + column[r] * eval_Z(coeffs.modes[r], x, y)
     return SynthesisResult(values=values)
 
 
@@ -423,23 +418,17 @@ class DecayReport:
         return self.joint_exponent <= self.predicted_joint_exponent
 
 
-def _static_magnitude(value) -> float:
-    if isinstance(value, TimeSeries):
-        return float(np.max(np.abs(value.values)))
-    return abs(float(value))
-
-
 def decay_report(coeffs: SpectralCoefficients, datum_kind: DatumKind) -> DecayReport:
     """Fit decay exponents of the coefficient magnitudes.
 
     The k-exponent comes from log|h_0k| against log k over the Zero family;
     the joint exponent from log|h_(2n-1)k| against log(nk) over the Odd
-    family with n, k >= 1.  Magnitudes below a floor relative to the largest
+    family with n, k >= 1.  A time-dependent coefficient's magnitude is its
+    largest absolute value.  Magnitudes below a floor relative to the largest
     coefficient are treated as exact zeros and excluded.
     """
-    mags = {i: _static_magnitude(v) for i, v in coeffs.data.items()}
-    if not mags:
-        raise InsufficientData("no coefficients stored")
+    peaks = np.abs(coeffs.values).reshape(len(coeffs.modes), -1).max(axis=1)
+    mags = dict(zip(coeffs.modes, peaks.tolist()))
     floor = 1e-13 * max(mags.values())
 
     zero_pts = [

@@ -13,7 +13,7 @@ from fracsource.catalog import (
     manufactured_quadratic,
 )
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid
-from fracsource.spectral import Family, ModeIndex, field_mean, project
+from fracsource.spectral import Family, ModeIndex, project
 
 
 class TestFieldCatalog:
@@ -30,7 +30,6 @@ class TestFieldCatalog:
     def test_poly(self):
         f = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
         assert f(0.4, 0.5) == pytest.approx(1.0 + 0.5 * 0.4 * 0.5)
-        assert field_mean(f) == pytest.approx(1.0 + 0.5 * 0.25, rel=1e-12)
 
     def test_cos_mode(self):
         f = make_field("cos_mode", {"n": 1, "k": 2})
@@ -61,14 +60,6 @@ class TestTimeCatalog:
 
 
 class TestSpaceTimeField:
-    def test_mean_series_separable(self):
-        grid = TimeGrid(1.0, 4)
-        f = SpaceTimeField.separable(
-            make_field("constant", {"value": 2.0}),
-            make_time_fn("poly_t", {"coeffs": (0.0, 1.0)}),
-        )
-        np.testing.assert_allclose(f.mean_series(grid).values, 2.0 * grid.nodes)
-
     def test_sum_of_terms(self):
         f = SpaceTimeField(
             terms=(

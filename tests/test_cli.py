@@ -150,6 +150,24 @@ class TestInverse:
         half = rows["t"] >= 0.5
         np.testing.assert_allclose(rows["a"][half], 1.0, rtol=2e-2)
 
+    def test_energy_from_headerless_csv(self, tmp_path):
+        # a first row of numbers is data: without the header the datum and
+        # the recovered amplitude are the same
+        ts = np.linspace(0.0, 1.0, 65)
+        rows = [f"{t:.17g},{t**0.8 / math.gamma(1.8):.17g}" for t in ts]
+        amplitudes = []
+        for name, lines in (("headed", ["t,E"] + rows), ("bare", rows)):
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            payload = _forward_cfg(N=64)
+            del payload["amplitude"]
+            payload["phi"] = {"name": "constant", "params": {"value": 0.0}}
+            payload["energy"] = {"csv": str(tmp_path / f"{name}.csv")}
+            cfg = _write_cfg(tmp_path, f"{name}.json", payload)
+            out = tmp_path / name
+            assert main(["inverse", cfg, "--out", str(out)]) == EXIT_OK
+            amplitudes.append((out / "amplitude.csv").read_text())
+        assert amplitudes[0] == amplitudes[1]
+
     @pytest.mark.parametrize("ts", [
         np.linspace(0.0, 0.5, 33),  # ends at T/2
         np.linspace(0.0, 1.0, 65)[::-1],  # unsorted
@@ -160,6 +178,16 @@ class TestInverse:
         payload = _forward_cfg(N=64)
         del payload["amplitude"]
         payload["phi"] = {"name": "constant", "params": {"value": 0.0}}
+        payload["energy"] = {"csv": str(tmp_path / "energy.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("header", [["t"], []])
+    def test_energy_csv_needs_two_columns(self, tmp_path, header):
+        lines = header + [f"{t:.17g}" for t in np.linspace(0.0, 1.0, 65)]
+        (tmp_path / "energy.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg(N=64)
+        del payload["amplitude"]
         payload["energy"] = {"csv": str(tmp_path / "energy.csv")}
         cfg = _write_cfg(tmp_path, "c.json", payload)
         assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION

@@ -230,8 +230,7 @@ class TestResidualAndEnergy:
 
 
 def test_each_even_mode_solved_once(monkeypatch):
-    # the Odd branch solves its Even partner first; the Even index itself
-    # must then be skipped, so n = k = 4 takes 4 * 5 Even solves
+    # each Even mode is solved once, so n = k = 4 takes 4 * 5 Even solves
     calls = []
     original = forward.mode_even
 
@@ -253,4 +252,4 @@ def test_each_even_mode_solved_once(monkeypatch):
     bundle = solve_forward(prob)
     assert len(calls) == 20
     assert len(set(calls)) == 20
-    assert len(bundle.coeffs.data) == 45
+    assert len(bundle.coeffs.indices()) == 45

@@ -27,7 +27,6 @@ from fracsource.spectral import (
     enumerate_modes,
     eval_W,
     eval_Z,
-    field_mean,
     mode_mean,
     project,
     project_modes,
@@ -155,10 +154,6 @@ class TestBiorthogonality:
 
 
 class TestField2D:
-    def test_constant_and_mean(self):
-        f = Field2D.constant(2.5)
-        assert field_mean(f) == pytest.approx(2.5, rel=1e-12)
-
     def test_tabulated_matches_analytic(self):
         xs = np.linspace(0.0, 1.0, 201)
         ys = np.linspace(0.0, 1.0, 201)
@@ -184,14 +179,16 @@ class TestField2D:
 
 class TestSpectralCoefficients:
     def test_missing_coefficient_raises(self):
-        coeffs = SpectralCoefficients(2, 2)
+        coeffs = SpectralCoefficients(2, 2, np.zeros(len(enumerate_modes(2, 2))))
         with pytest.raises(MissingCoefficient):
-            coeffs[ModeIndex(Family.Zero, 0, 1)]
+            coeffs[ModeIndex(Family.Odd, 3, 0)]
 
     def test_out_of_box_rejected(self):
-        coeffs = SpectralCoefficients(2, 2)
+        modes = len(enumerate_modes(2, 2))
         with pytest.raises(ValueError):
-            coeffs[ModeIndex(Family.Odd, 3, 0)] = 1.0
+            SpectralCoefficients(2, 2, np.zeros(modes + 1))
+        with pytest.raises(ValueError):
+            SpectralCoefficients(2, 2, np.zeros((modes, 4)), TimeGrid(1.0, 4))
 
     def test_project_field_round_trips_through_synthesize(self):
         field = Field2D.analytic(

@@ -52,7 +52,6 @@ from .mlf import (
     eval_kernel,
     eval_kernel_grid,
     kernel_antiderivative,
-    ml_contour,
     ml_series,
 )
 from .oracle import (

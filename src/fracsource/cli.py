@@ -50,6 +50,7 @@ from .mlf import (
     eval_kernel,
     eval_kernel_grid,
     kernel_antiderivative,
+    ml_contour_grid,
     ml_series,
 )
 from .oracle import FDGrid, SingularSystem, StepRejected, compare, fdm_forward, step_indices
@@ -60,6 +61,7 @@ from .spectral import (
     SpectralCoefficients,
     biorthogonality_matrix,
     decay_report,
+    synthesize,
 )
 
 EXIT_OK = 0
@@ -190,9 +192,11 @@ def _parse_times(cfg: dict) -> np.ndarray:
     start = float(_require(section, "start", "times"))
     stop = float(_require(section, "stop", "times"))
     count = int(section.get("count", 50))
-    if section.get("spacing", "linear") == "log":
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+    spacing = section.get("spacing", "linear")
+    if spacing not in ("linear", "log"):
+        raise ConfigError(f"times.spacing must be 'linear' or 'log', got {spacing!r}")
+    space = np.geomspace if spacing == "log" else np.linspace
+    return space(start, stop, count)
 
 
 def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
@@ -241,10 +245,10 @@ def _write_coeffs(path: Path, coeffs: SpectralCoefficients, grid: TimeGrid) -> N
                 fh.write(f"{index.family.name},{index.n},{index.k},{t:.17g},{v:.17g}\n")
 
 
-def _write_field_slice(path: Path, bundle, time_index: int) -> None:
+def _write_field_slice(path: Path, coeffs: SpectralCoefficients, time_index: int) -> None:
     xs = np.linspace(0.0, 1.0, 65)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    vals = bundle.sample(np.stack([X, Y], axis=-1), time_index).values
+    vals = synthesize(coeffs, np.stack([X, Y], axis=-1), time_index)
     _write_csv(path, "x,y,value", [X.ravel(), Y.ravel(), vals.ravel()])
 
 
@@ -294,7 +298,7 @@ def cmd_forward(cfg: dict, out: Path) -> int:
     grid = problem.grid
     _write_csv(out / "energy.csv", "t,E", (grid.nodes, bundle.energy.values))
     _write_coeffs(out / "coefficients.csv", bundle.coeffs, grid)
-    _write_field_slice(out / "field_final.csv", bundle, grid.N)
+    _write_field_slice(out / "field_final.csv", bundle.coeffs, grid.N)
     _write_json(out / "forward_metadata.json", {
         "truncation_tail": bundle.metadata["truncation_tail"],
         "elapsed_seconds": bundle.metadata["elapsed_seconds"],
@@ -432,8 +436,6 @@ def suite_reduction_permutation(draws: int = 50, seed: int = 1, tol: float = 1e-
 
 
 def suite_series_contour(draws: int = 25, seed: int = 2, tol: float = 1e-6) -> dict:
-    from .mlf import ml_contour
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
@@ -458,7 +460,7 @@ def suite_series_contour(draws: int = 25, seed: int = 2, tol: float = 1e-6) -> d
             # (heavy cancellation); cross-validate on certifiable draws only
             refused += 1
             continue
-        b = ml_contour(spec, t)
+        b = float(ml_contour_grid(spec, np.array([t]))[0])
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
         done += 1
     return {

@@ -30,9 +30,7 @@ from .spectral import (
     Field2D,
     ModeIndex,
     SpectralCoefficients,
-    SynthesisResult,
     eigen,
-    synthesize,
 )
 
 
@@ -52,6 +50,13 @@ class ProblemData:
     n_max: int = 16
     k_max: int = 16
 
+    def __post_init__(self) -> None:
+        if self.n_max < 0 or self.k_max < 0:
+            raise ValueError(
+                f"truncation must be nonnegative, got n_max={self.n_max}, "
+                f"k_max={self.k_max}"
+            )
+
     def with_amplitude(self, amplitude: TimeSeries) -> "ProblemData":
         return replace(self, amplitude=amplitude)
 
@@ -63,9 +68,6 @@ class SolutionBundle:
     forcing_coeffs: SpectralCoefficients  # a(t) * f_nk(t)
     energy: TimeSeries
     metadata: dict = field(default_factory=dict)
-
-    def sample(self, points, time_index: int) -> SynthesisResult:
-        return synthesize(self.coeffs, points, time_index)
 
 
 def mode_kernel_spec(op: FractionalOperatorSpec, sigma: float) -> RelaxationKernelSpec:
@@ -106,7 +108,7 @@ def _mode_trajectory(
     if forcing is not None and np.any(forcing.values):
         if sigma not in tables:
             tables[sigma] = KernelMoments(spec.with_eta(op.alpha), grid)
-        vals += singular_convolve(forcing, tables[sigma], grid).values
+        vals += singular_convolve(forcing, tables[sigma]).values
     return TimeSeries(grid, vals)
 
 

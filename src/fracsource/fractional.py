@@ -1,12 +1,12 @@
 """Discrete fractional calculus on uniformly sampled time signals.
 
-Provides the L1 approximation of the multi-term Caputo derivative, the
-piecewise-linear product-integration Riemann-Liouville integral, and the
-weakly singular Laplace convolution of a signal against a relaxation kernel.
-The convolution is product integration too: the signal's cubic spline is
-integrated exactly against the kernel through a table of kernel moments
-over one grid interval, exact on the singular first interval and by
-Gauss-Legendre quadrature on the smooth later ones.
+Provides the L1 approximation of the multi-term Caputo derivative and the
+weakly singular Laplace convolution of a signal against a relaxation kernel,
+with the Riemann-Liouville integral as its power-kernel case.  The
+convolution is product integration: the signal's cubic spline is integrated
+exactly against the kernel through a table of kernel moments over one grid
+interval, exact on the singular first interval and by Gauss-Legendre
+quadrature on the smooth later ones.
 """
 
 from __future__ import annotations
@@ -143,29 +143,6 @@ def caputo_multiterm(signal: TimeSeries, op: FractionalOperatorSpec) -> TimeSeri
     return TimeSeries(signal.grid, out)
 
 
-def rl_integral(signal: TimeSeries, xi: float) -> TimeSeries:
-    """Riemann-Liouville integral of order xi by product integration of the
-    piecewise-linear interpolant (exact for piecewise-linear signals)."""
-    if xi <= 0.0:
-        raise InvalidOrder(f"integration order must be positive, got {xi}")
-    tau = signal.grid.tau
-    n = signal.grid.N
-    u = signal.values
-    du = np.diff(u)
-    p = np.arange(n, dtype=float)
-    # Interval i contributes u_{i-1} * A_{j-i} + (du_i / tau) * B_{j-i} where
-    # A and B are moments of (t_j - s)^(xi - 1) over one interval.
-    a = tau**xi * ((p + 1.0) ** xi - p**xi) / xi
-    b = tau ** (xi + 1.0) * (
-        -(p**xi) / xi + ((p + 1.0) ** (xi + 1.0) - p ** (xi + 1.0)) / (xi * (xi + 1.0))
-    )
-    conv = np.convolve(u[:-1], a)[:n] + np.convolve(du / tau, b)[:n]
-    out = np.empty_like(u)
-    out[0] = 0.0
-    out[1:] = conv / math.gamma(xi)
-    return TimeSeries(signal.grid, out)
-
-
 # singular convolution -------------------------------------------------------
 
 
@@ -215,39 +192,28 @@ class KernelMoments:
 
 
 def _local_coefficients(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    """Power coefficients of the signal's interpolant on each interval,
-    shape (4, N): row k multiplies (t - t_i)^k.  A not-a-knot cubic spline
-    from 3 intervals on, piecewise linear below."""
-    if grid.N >= 3:
-        return CubicSpline(grid.nodes, values).c[::-1]
-    c = np.zeros((4, grid.N))
-    c[0] = values[:-1]
-    c[1] = np.diff(values) / grid.tau
-    return c
+    """Power coefficients of the signal's not-a-knot cubic spline on each
+    interval, shape (4, N): row k multiplies (t - t_i)^k.  On one or two
+    intervals the spline is the line or the parabola through the samples."""
+    return CubicSpline(grid.nodes, values).c[::-1]
 
 
-def singular_convolve(
-    g: TimeSeries,
-    kernel: RelaxationKernelSpec | KernelMoments,
-    grid: TimeGrid | None = None,
-) -> TimeSeries:
-    """Laplace convolution (g * e)(t_j) with the relaxation kernel ``e``.
+def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
+    """Laplace convolution (g * e)(t_j) with the relaxation kernel ``e`` whose
+    moment table on ``g.grid`` is ``table``.
 
     The signal's cubic spline is integrated exactly against the kernel
-    through its moment table (pass a :class:`KernelMoments` to reuse one
-    across calls): each power of the local spline coefficients is one
+    through the table: each power of the local spline coefficients is one
     discrete convolution with a row of the table.  The 8-point table is
     convolved too, and node values that move by more than 1e-7 relative
     raise :class:`QuadratureFailure`.
     """
-    if grid is None:
-        grid = g.grid
+    grid = g.grid
+    if table.grid != grid:
+        raise ValueError("moment table was built for a different grid")
     out = np.zeros(grid.N + 1)
     if not np.any(g.values):
         return TimeSeries(grid, out)
-    table = kernel if isinstance(kernel, KernelMoments) else KernelMoments(kernel, grid)
-    if table.grid != grid:
-        raise ValueError("moment table was built for a different grid")
     c = _local_coefficients(grid, g.values)
     fine, coarse = (
         sum(np.convolve(c[k], m[k])[: grid.N] for k in range(4))
@@ -266,3 +232,12 @@ def singular_convolve(
         )
     out[1:] = fine
     return TimeSeries(grid, out)
+
+
+def rl_integral(signal: TimeSeries, xi: float) -> TimeSeries:
+    """Riemann-Liouville integral of order xi: the convolution with the power
+    kernel t^(xi-1) / Gamma(xi)."""
+    if xi <= 0.0:
+        raise InvalidOrder(f"integration order must be positive, got {xi}")
+    table = KernelMoments(RelaxationKernelSpec(xi, ()), signal.grid)
+    return singular_convolve(signal, table)

@@ -58,10 +58,6 @@ class EnergyDatum:
 
     E: TimeSeries
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "EnergyDatum":
-        return cls(TimeSeries.from_function(grid, fn))
-
 
 @dataclass
 class SourceAmplitude:
@@ -167,6 +163,8 @@ def recover_source(
     Projections and trajectories are the forward solver's own, over the
     k = 0 box n <= ``flux_modes``.
     """
+    if flux_modes < 0:
+        raise ValueError(f"flux_modes must be nonnegative, got {flux_modes}")
     if grid is None:
         grid = datum.E.grid
     E = datum.E

@@ -136,7 +136,8 @@ class Field2D:
     """Scalar field on the closed unit square.
 
     Either wraps an analytic callable of vectorized (x, y) or a tabulated
-    rectangular grid of values with bilinear interpolation.
+    rectangular grid of values with bilinear interpolation; a tabulated grid
+    must cover the square, as it is never extrapolated.
     """
 
     def __init__(self, fn, description: str = "analytic"):
@@ -164,9 +165,13 @@ class Field2D:
                 f"value grid shape {values.shape} does not match axes "
                 f"({xs.size}, {ys.size})"
             )
-        interp = RegularGridInterpolator(
-            (xs, ys), values, method="linear", bounds_error=False, fill_value=None
-        )
+        for name, axis in (("x", xs), ("y", ys)):
+            if axis.min() > 0.0 or axis.max() < 1.0:
+                raise ValueError(
+                    f"tabulated {name} axis spans [{axis.min():g}, {axis.max():g}], "
+                    "which does not cover [0, 1]"
+                )
+        interp = RegularGridInterpolator((xs, ys), values, method="linear")
 
         def fn(x, y):
             x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
@@ -340,16 +345,11 @@ class SpectralCoefficients:
         return cls(n_max, k_max, snap_tiny(project_modes(field2d, modes)))
 
 
-@dataclass
-class SynthesisResult:
-    values: np.ndarray
-
-
 def synthesize(
     coeffs: SpectralCoefficients,
     points,
     time_index: int | None = None,
-) -> SynthesisResult:
+) -> np.ndarray:
     """Evaluate the truncated expansion sum_i c_i Z_i at the given points."""
     pts = np.asarray(points, dtype=float)
     x = pts[..., 0]
@@ -362,7 +362,7 @@ def synthesize(
     values = np.zeros(x.shape)
     for r in np.flatnonzero(column):
         values = values + column[r] * eval_Z(coeffs.modes[r], x, y)
-    return SynthesisResult(values=values)
+    return values
 
 
 def _gram_once(modes: list[ModeIndex], q: int) -> np.ndarray:

@@ -61,6 +61,16 @@ class TestMlfEval:
         })
         assert main(["mlf-eval", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("spacing, code", [
+        ("linear", EXIT_OK), ("log", EXIT_OK), ("logarithmic", EXIT_VALIDATION),
+    ])
+    def test_spacing_is_linear_or_log(self, tmp_path, spacing, code):
+        cfg = _write_cfg(tmp_path, "c.json", {
+            "kernel": {"eta": 1.0, "terms": [[1.0, 0.5]]},
+            "times": {"start": 0.1, "stop": 1.0, "count": 4, "spacing": spacing},
+        })
+        assert main(["mlf-eval", cfg, "--out", str(tmp_path / "o")]) == code
+
 
 class TestForward:
     def test_artifacts_and_exit_code(self, tmp_path):
@@ -92,6 +102,17 @@ class TestForward:
         payload["operator"] = {"alpha": 0.5, "terms": [[1.0, 0.9]]}
         cfg = _write_cfg(tmp_path, "c.json", payload)
         assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    def test_field_csv_short_of_the_square_refused(self, tmp_path, capsys):
+        # points on [0, 0.5]^2 only: the rest of the square would be extrapolated
+        xs = np.linspace(0.0, 0.5, 5)
+        lines = ["x,y,value"] + [f"{x},{y},{1.0 + x * y}" for x in xs for y in xs]
+        (tmp_path / "phi.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg()
+        payload["phi"] = {"csv": str(tmp_path / "phi.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "does not cover [0, 1]" in capsys.readouterr().err
 
     def test_missing_field_reported(self, tmp_path):
         payload = _forward_cfg()
@@ -238,6 +259,8 @@ class TestMalformedConfig:
         ("forward", {"modes": [1]}),
         ("oracle-compare", {"fd": {"Mx": 4}}),
         ("oracle-compare", {"fd": {"Mx": 16, "My": 16, "N": 64}, "times": [0.3]}),
+        ("forward", {"modes": {"n_max": 2, "k_max": -1}}),
+        ("forward", {"modes": {"n_max": -2, "k_max": 2}}),
     ])
     def test_exits_validation_without_traceback(self, tmp_path, capsys, command, edit):
         cfg = _write_cfg(tmp_path, "c.json", {**_forward_cfg(), **edit})

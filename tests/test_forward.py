@@ -59,6 +59,19 @@ class TestTrivialSolutions:
             np.testing.assert_array_equal(bundle.coeffs[index].values, 0.0)
         np.testing.assert_array_equal(bundle.energy.values, 0.0)
 
+    @pytest.mark.parametrize("n_max, k_max", [(2, -1), (-2, 2)])
+    def test_negative_truncation_refused(self, n_max, k_max):
+        grid = TimeGrid(1.0, 16)
+        with pytest.raises(ValueError):
+            ProblemData(
+                op=FractionalOperatorSpec(0.8),
+                phi=Field2D.constant(0.0),
+                source=_zero_source(),
+                grid=grid,
+                n_max=n_max,
+                k_max=k_max,
+            )
+
     def test_constant_mode_is_stationary_without_forcing(self):
         # the mean mode has eigenvalue zero: no forcing, no motion
         grid = TimeGrid(1.0, 16)

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+module-level name the package defines is read somewhere in the package.
 
-``__init__.py`` is exempt: it imports names to re-export them.
+``__init__.py`` is exempt from the import check: it imports names to
+re-export them.  Reads from test files do not count for private names.
 """
 
 import ast
@@ -25,6 +27,27 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _orphans(sources: list[str]) -> list[str]:
+    """Private module-level names (one leading underscore, not dunder) that
+    some source defines and no source reads, by name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    return sorted(private - read)
+
+
 def test_detector_flags_unused_names():
     source = "import os.path\nimport sys\nfrom math import pi as p, tau\nprint(sys, tau)\n"
     assert _unused_imports(source) == ["os", "p"]
@@ -33,3 +56,17 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_orphan_names():
+    defining = (
+        "__all__ = []\n_A, _b = 1, 2\n_used: int = 3\n_c = _A\n"
+        "def _helper():\n    return 0\nclass _Kind:\n    pass\ndef public():\n    return 1\n"
+    )
+    reading = "from . import a\nprint(a._used)\n"
+    assert _orphans([defining, reading]) == ["_Kind", "_b", "_c", "_helper"]
+
+
+def test_no_orphan_private_names():
+    sources = [p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]
+    assert _orphans(sources) == []

@@ -86,6 +86,13 @@ class TestValidation:
                 _unit_source(), datum, FractionalOperatorSpec(0.5), TimeGrid(1.0, 32)
             )
 
+    def test_negative_flux_modes_rejected(self):
+        datum = EnergyDatum(TimeSeries.from_function(TimeGrid(1.0, 64), lambda t: t))
+        with pytest.raises(ValueError):
+            recover_source(
+                _unit_source(), datum, FractionalOperatorSpec(0.5), flux_modes=-1
+            )
+
 
 class TestRoundTrip:
     def _round_trip(self, op, source, amp_fn, n_gen=512, n_rec=256, n_max=4):

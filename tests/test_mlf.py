@@ -24,10 +24,14 @@ from fracsource.mlf import (
     eval_kernel,
     eval_kernel_grid,
     kernel_antiderivative,
-    ml_contour,
     ml_contour_grid,
     ml_series,
 )
+
+
+def contour_at(spec, t):
+    """The contour route at one time."""
+    return float(ml_contour_grid(spec, np.array([t]))[0])
 
 
 def _series_budget(eta, orders, args, dps):
@@ -232,7 +236,7 @@ class TestContour:
         )
         spec = RelaxationKernelSpec(float(rng.uniform(0.5, 1.2)), terms)
         t = 2.0 * spec.decay_scale()
-        got = ml_contour(spec, t)
+        got = contour_at(spec, t)
         want = mpmath_kernel(spec, t)
         assert got == pytest.approx(want, rel=2e-8, abs=1e-13)
 
@@ -258,13 +262,6 @@ class TestContour:
         spec = RelaxationKernelSpec(4.996, ((0.0105, 0.994),))
         with pytest.raises(ContourFailure):
             ml_contour_grid(spec, np.array([1.17e-5]))
-        with pytest.raises(ContourFailure):
-            ml_contour(spec, 1.17e-5)
-
-    def test_rejects_odd_node_count(self):
-        spec = RelaxationKernelSpec(1.0, ((2.0, 0.5),))
-        with pytest.raises(InvalidParameters):
-            ml_contour(spec, 1.0, nodes=25)
 
     def test_series_contour_overlap_band(self):
         # both evaluation paths live on max_j m_j t^xi_j in [0.5, 5]
@@ -282,7 +279,7 @@ class TestContour:
                 ) * t ** (spec.eta - 1.0)
             except NonConvergence:
                 continue
-            b = ml_contour(spec, t)
+            b = contour_at(spec, t)
             assert a == pytest.approx(b, rel=1e-6)
             checked += 1
 
@@ -322,7 +319,7 @@ class TestKernelEvaluation:
         with pytest.raises(NonConvergence):
             ml_series(MLParameters(0.5, (0.05,)), (-1.5,))
         spec = RelaxationKernelSpec(0.5, ((1.5, 0.05),))
-        assert eval_kernel(spec, 1.0) == ml_contour(spec, 1.0)
+        assert eval_kernel(spec, 1.0) == contour_at(spec, 1.0)
 
     def test_regime_handoff_against_mpmath(self):
         spec = RelaxationKernelSpec(0.9, ((4.0, 0.7),))

@@ -23,7 +23,7 @@ from fracsource.oracle import (
     compare,
     fdm_forward,
 )
-from fracsource.spectral import Field2D
+from fracsource.spectral import Field2D, synthesize
 
 
 def _problem(op, phi, source, grid, amp_fn=None, n_max=4):
@@ -263,7 +263,7 @@ class TestCompare:
         X, Y = np.meshgrid(fd.xs, fd.ys, indexing="ij")
         pts = np.stack([X, Y], axis=-1)
         vals = np.stack(
-            [bundle.sample(pts, j).values for j in range(grid.N + 1)]
+            [synthesize(bundle.coeffs, pts, j) for j in range(grid.N + 1)]
         )
         from fracsource.oracle import FieldHistory
 

@@ -164,6 +164,15 @@ class TestField2D:
         want = np.cos(2 * math.pi * x) * np.cos(math.pi * y)
         np.testing.assert_allclose(tab(x, y), want, atol=5e-6)
 
+    @pytest.mark.parametrize("xs, ys", [
+        (np.linspace(0.0, 0.5, 9), np.linspace(0.0, 1.0, 9)),
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.1, 1.0, 9)),
+    ])
+    def test_tabulated_refuses_partial_cover(self, xs, ys):
+        # a grid short of the square would be extrapolated over the rest
+        with pytest.raises(ValueError, match="does not cover"):
+            Field2D.tabulated(xs, ys, np.zeros((xs.size, ys.size)))
+
     def test_csv_round_trip(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 33)
         ys = np.linspace(0.0, 1.0, 33)
@@ -200,7 +209,7 @@ class TestSpectralCoefficients:
         x = np.linspace(0.0, 1.0, 9)
         y = np.full_like(x, 0.4)
         pts = np.stack([x, y], axis=-1)
-        got = synthesize(coeffs, pts).values
+        got = synthesize(coeffs, pts)
         np.testing.assert_allclose(got, np.cos(2 * math.pi * x), atol=1e-10)
 
     @given(c=st.floats(-10.0, 10.0))

@@ -188,15 +188,19 @@ def _parse_kernel(cfg: dict) -> RelaxationKernelSpec:
 def _parse_times(cfg: dict) -> np.ndarray:
     section = _require(cfg, "times")
     if isinstance(section, list):
-        return np.asarray(section, dtype=float)
-    start = float(_require(section, "start", "times"))
-    stop = float(_require(section, "stop", "times"))
-    count = int(section.get("count", 50))
-    spacing = section.get("spacing", "linear")
-    if spacing not in ("linear", "log"):
-        raise ConfigError(f"times.spacing must be 'linear' or 'log', got {spacing!r}")
-    space = np.geomspace if spacing == "log" else np.linspace
-    return space(start, stop, count)
+        ts = np.asarray(section, dtype=float)
+    else:
+        start = float(_require(section, "start", "times"))
+        stop = float(_require(section, "stop", "times"))
+        count = int(section.get("count", 50))
+        spacing = section.get("spacing", "linear")
+        if spacing not in ("linear", "log"):
+            raise ConfigError(f"times.spacing must be 'linear' or 'log', got {spacing!r}")
+        space = np.geomspace if spacing == "log" else np.linspace
+        ts = space(start, stop, count)
+    if ts.size == 0:
+        raise ConfigError("times selects no evaluation times")
+    return ts
 
 
 def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:

@@ -71,6 +71,15 @@ class TestMlfEval:
         })
         assert main(["mlf-eval", cfg, "--out", str(tmp_path / "o")]) == code
 
+    @pytest.mark.parametrize("times", [[], {"start": 0.1, "stop": 1.0, "count": 0}])
+    def test_no_times_rejected(self, tmp_path, times):
+        cfg = _write_cfg(tmp_path, "c.json", {
+            "kernel": {"eta": 1.0, "terms": [[1.0, 0.5]]},
+            "times": times,
+        })
+        assert main(["mlf-eval", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o" / "mlf_eval.csv").exists()
+
 
 class TestForward:
     def test_artifacts_and_exit_code(self, tmp_path):

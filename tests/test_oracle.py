@@ -19,6 +19,7 @@ from fracsource.mlf import RelaxationKernelSpec, eval_kernel_grid
 from fracsource.oracle import (
     _HISTORY_BLOCK,
     FDGrid,
+    SingularSystem,
     _spatial_operator,
     compare,
     fdm_forward,
@@ -213,12 +214,15 @@ class TestFDMForward:
 
 def _unblocked_march(problem, grid):
     """Reference L1 march: at every step the history is summed over all
-    earlier differences, term by term, with no blocking."""
+    earlier differences, term by term, with no blocking.  Each step is a
+    sparse LU solve refined once against the assembled matrix, so the
+    reference does not carry one factorization's rounding."""
     X, Y = np.meshgrid(grid.xs[:-1], grid.ys, indexing="ij")
     terms = problem.op.all_terms()
     scales = [psi * grid.tau ** (-beta) / math.gamma(2.0 - beta) for psi, beta in terms]
     c0 = sum(scales)
-    solver = splu((c0 * sp.identity(X.size) + _spatial_operator(grid)).tocsc())
+    A = (c0 * sp.identity(X.size) + _spatial_operator(grid)).tocsc()
+    solver = splu(A)
     us = [np.asarray(problem.phi(X, Y), dtype=float).ravel()]
     for p in range(1, grid.N + 1):
         rhs = np.asarray(problem.source(X, Y, p * grid.tau), dtype=float).ravel()
@@ -228,7 +232,9 @@ def _unblocked_march(problem, grid):
             for scale, (_, beta) in zip(scales, terms):
                 b = (lag + 1.0) ** (1.0 - beta) - lag ** (1.0 - beta)
                 rhs -= scale * b * (us[j] - us[j - 1])
-        us.append(solver.solve(rhs))
+        u = solver.solve(rhs)
+        u += solver.solve(rhs - A @ u)
+        us.append(u)
     return np.array(us).reshape(grid.N + 1, grid.Mx, grid.My + 1)
 
 
@@ -246,6 +252,25 @@ class TestBlockedHistory:
         got = fdm_forward(prob, grid).values[:, :-1, :]
         want = _unblocked_march(prob, grid)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestSingularSystem:
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_failed_block_inverse_refuses(self, monkeypatch, failure):
+        def inv(a):
+            if failure == "raise":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(np.shape(a), np.nan)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        prob = _problem(
+            FractionalOperatorSpec(0.8),
+            make_field("cos_exp"),
+            SpaceTimeField.static(Field2D.constant(1.0)),
+            TimeGrid(0.5, 8),
+        )
+        with pytest.raises(SingularSystem):
+            fdm_forward(prob, FDGrid(8, 8, 8, T=0.5))
 
 
 class TestCompare:

@@ -200,6 +200,8 @@ def _parse_times(cfg: dict) -> np.ndarray:
         ts = space(start, stop, count)
     if ts.size == 0:
         raise ConfigError("times selects no evaluation times")
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError("evaluation times must be finite")
     return ts
 
 

@@ -3,10 +3,11 @@
 Provides the L1 approximation of the multi-term Caputo derivative and the
 weakly singular Laplace convolution of a signal against a relaxation kernel,
 with the Riemann-Liouville integral as its power-kernel case.  The
-convolution is product integration: the signal's cubic spline is integrated
-exactly against the kernel through a table of kernel moments over one grid
-interval, exact on the singular first interval and by Gauss-Legendre
-quadrature on the smooth later ones.
+convolution is product integration: the signal's not-a-knot cubic spline
+(one banded solve for its slopes) is integrated exactly against the kernel
+through a table of kernel moments over one grid interval, exact on the
+singular first interval and by the 15-point Gauss-Kronrod rule on the smooth
+later ones, whose embedded 7-point Gauss rule checks it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
-from .mlf import RelaxationKernelSpec, eval_kernel_grid
+from .mlf import RelaxationKernelSpec, _kernel_values, eval_kernel_grid
 
 
 class GridTooCoarse(ValueError):
@@ -34,7 +35,8 @@ class InvalidOrder(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Convolution quadrature disagrees between its two Gauss rules."""
+    """Convolution quadrature disagrees between the Kronrod rule and its
+    embedded Gauss rule."""
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,51 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-# Gauss-Legendre rules on (0, 1) for the smooth intervals: the larger one
-# gives the moments, the smaller one the refusal check.
-_RULES = (_gauss01(16), _gauss01(8))
+# The 15-point Gauss-Kronrod rule on (-1, 1) and its embedded 7-point Gauss
+# rule (Piessens et al., QUADPACK, 1983), nonnegative half: Kronrod nodes
+# from the end inward, the last one 0; the Gauss nodes are every second one,
+# starting from the second.
+_KRONROD_X = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_KRONROD_W = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_GAUSS7_W = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
+
+def _kronrod01() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the 15-point Kronrod rule on (0, 1) in increasing order, its
+    weights, and the embedded 7-point Gauss weights on the same nodes (zero
+    at the eight Kronrod-only nodes)."""
+    half = np.asarray(_KRONROD_X)
+    x = np.concatenate([-half, half[-2::-1]])
+    wk = np.concatenate([_KRONROD_W, _KRONROD_W[-2::-1]])
+    wg = np.zeros(15)
+    wg[1::2] = _GAUSS7_W + _GAUSS7_W[-2::-1]
+    return (x + 1.0) / 2.0, wk / 2.0, wg / 2.0
+
+
+_KRONROD01 = _kronrod01()
 
 
 class KernelMoments:
@@ -163,39 +207,80 @@ class KernelMoments:
     of one relaxation kernel ``e`` on one uniform grid.
 
     The first interval holds the weak singularity and is exact:
-    I_k(1) = k! e_{eta+k+1}(tau) by the kernel's antiderivative identity.
-    Every later interval is at least tau away from the singularity and takes
-    a 16-point Gauss-Legendre rule; an 8-point rule on the same intervals is
-    kept for the refusal check in :func:`singular_convolve`.
+    I_k(1) = k! e_{eta+k+1}(tau) by the kernel's antiderivative identity,
+    the four orders in one kernel call.  Every later interval is at least tau
+    away from the singularity and takes the 15-point Gauss-Kronrod rule;
+    the embedded 7-point Gauss rule on the same kernel values fills
+    ``moments[1]`` for the refusal check in :func:`singular_convolve`.
     """
 
     def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid):
         spec = spec.reduced()
         self.grid = grid
         tau, n = grid.tau, grid.N
-        first = [
-            math.factorial(k)
-            * eval_kernel_grid(spec.with_eta(spec.eta + k + 1.0), np.array([tau]))[0]
-            for k in range(4)
-        ]
-        u = np.concatenate([x for x, _ in _RULES]) * tau
+        k = np.arange(4)
+        etas = spec.eta + k + 1.0
+        first = _kernel_values(spec, np.full(4, tau), etas) * [1.0, 1.0, 2.0, 6.0]  # k!
+        x, wk, wg = _KRONROD01
+        u = x * tau
         p = np.arange(2, n + 1, dtype=float)
         e = eval_kernel_grid(spec, (p[:, None] * tau - u[None, :]).ravel())
         e = e.reshape(n - 1, u.size)
+        powers = u[:, None] ** k  # (node, k)
         # (rule, k, p - 1)
         self.moments = np.empty((2, 4, n))
         self.moments[:, :, 0] = first
-        blocks = np.split(e, [_RULES[0][0].size], axis=1)
-        for r, ((x, w), e_r) in enumerate(zip(_RULES, blocks)):
-            for k in range(4):
-                self.moments[r, k, 1:] = e_r @ (w * tau * (x * tau) ** k)
+        for r, w in enumerate((wk, wg)):
+            self.moments[r, :, 1:] = ((w * tau)[:, None] * powers).T @ e.T
+
+
+@lru_cache(maxsize=16)
+def _not_a_knot_band(n: int) -> np.ndarray:
+    """Banded (1, 1) matrix of the not-a-knot slope system on n >= 3 uniform
+    intervals, scaled by 1/h: rows 1 4 1 inside, and the ends eliminate
+    the third-derivative jump at the second and the last-but-one node.
+    Cached: treat as read-only."""
+    band = np.zeros((3, n + 1))
+    band[0, 2:] = 1.0
+    band[1, 1:-1] = 4.0
+    band[2, :-2] = 1.0
+    band[1, 0], band[0, 1] = 1.0, 2.0
+    band[1, -1], band[2, -2] = 1.0, 2.0
+    return band
 
 
 def _local_coefficients(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """Power coefficients of the signal's not-a-knot cubic spline on each
-    interval, shape (4, N): row k multiplies (t - t_i)^k.  On one or two
-    intervals the spline is the line or the parabola through the samples."""
-    return CubicSpline(grid.nodes, values).c[::-1]
+    interval, shape (4, N): row k multiplies (t - t_i)^k.
+
+    On N >= 3 intervals the node slopes come from one banded solve of the
+    not-a-knot system, and each interval's cubic is the Hermite one of its
+    end values and slopes.  On one or two intervals that system is singular
+    and the spline is the line or the parabola through the samples.  Refuses
+    non-finite samples with ``ValueError``."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("signal samples must be finite")
+    n, h = grid.N, grid.tau
+    slope = np.diff(values) / h
+    c = np.zeros((4, n))
+    c[0] = values[:-1]
+    if n == 1:
+        c[1] = slope
+        return c
+    if n == 2:
+        c[2] = (slope[1] - slope[0]) / (2.0 * h)
+        c[1] = slope - c[2] * h
+        return c
+    rhs = np.empty(n + 1)
+    rhs[1:-1] = 3.0 * (slope[:-1] + slope[1:])
+    rhs[0] = (5.0 * slope[0] + slope[1]) / 2.0
+    rhs[-1] = (slope[-2] + 5.0 * slope[-1]) / 2.0
+    s = solve_banded((1, 1), _not_a_knot_band(n), rhs, check_finite=False)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / h
+    c[1] = s[:-1]
+    c[2] = (slope - s[:-1]) / h - t
+    c[3] = t / h
+    return c
 
 
 def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
@@ -204,9 +289,10 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
 
     The signal's cubic spline is integrated exactly against the kernel
     through the table: each power of the local spline coefficients is one
-    discrete convolution with a row of the table.  The 8-point table is
-    convolved too, and node values that move by more than 1e-7 relative
-    raise :class:`QuadratureFailure`.
+    discrete convolution with a row of the table.  The table's embedded
+    7-point Gauss moments are convolved too, and node values that move by
+    more than 1e-7 relative from the 15-point Kronrod ones raise
+    :class:`QuadratureFailure`.  Non-finite samples raise ``ValueError``.
     """
     grid = g.grid
     if table.grid != grid:

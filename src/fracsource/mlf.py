@@ -5,8 +5,10 @@ series, one shell march for a whole grid of points (reliable for moderate
 arguments), and numerical inversion of the closed-form Laplace transform on a
 deformed Bromwich contour (uniformly valid, used for large arguments).
 ``eval_kernel_grid`` dispatches between them; ``eval_kernel`` and
-``ml_series`` are its and the shell sum's one-point forms.  The two regimes
-are cross-checked in an overlap band by the test suite.
+``ml_series`` are its and the shell sum's one-point forms.  Both routes
+accept the kernel index eta as one value per point, so kernels that differ
+only in eta are evaluated in one call.  The two regimes are cross-checked in
+an overlap band by the test suite.
 """
 
 from __future__ import annotations
@@ -105,6 +107,16 @@ _MIN_SHELLS = 10
 _MAX_SHELLS = 500
 
 
+# math.gamma elementwise: a scalar and the same value inside an array get the
+# same bits, so a one-point call agrees exactly with a many-point one.
+_gamma = np.vectorize(math.gamma, otypes=[float])
+
+
+def _at(eta, idx):
+    """``eta`` at the points ``idx`` when it holds one value per point."""
+    return eta if np.ndim(eta) == 0 else eta[idx]
+
+
 # Composition tables up to this many rows are cached: the shells the workloads
 # reach fit (three arguments, shell 35: 666 rows); deeper shells are rebuilt.
 _CACHED_COMPOSITION_ROWS = 4096
@@ -131,20 +143,23 @@ def _compositions(k: int, n: int) -> np.ndarray:
 
 
 def _shell_sum(
-    eta: float, xis: np.ndarray, logz: np.ndarray, neg: np.ndarray
+    eta: float | np.ndarray, xis: np.ndarray, logz: np.ndarray, neg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum the defining double series of E_((xi),eta)(z_1, ..., z_n), shell by
     shell in the total degree k, at many points at once.
 
-    ``logz`` holds log |z_j|, one row per argument and one column per point;
-    ``neg`` marks the negative arguments, the same at every point.  A
-    composition (l_1, ..., l_n) carries the sign (-1)^(sum of l_j over the
-    negative arguments).  Multinomial coefficients and gamma factors are
-    combined in log space so individual terms cannot overflow.  Returns
-    (values, ok); points whose shells cannot be certified within the budget
-    are flagged not-ok.
+    ``eta`` is one value or one per point.  ``logz`` holds log |z_j|, one row
+    per argument and one column per point; ``neg`` marks the negative
+    arguments, the same at every point.  A composition (l_1, ..., l_n)
+    carries the sign (-1)^(sum of l_j over the negative arguments).
+    Multinomial coefficients and gamma factors are combined in log space so
+    individual terms cannot overflow.  Each shell is computed only at the
+    live points, those neither converged nor refused.  Returns (values, ok);
+    points whose shells cannot be certified within the budget are flagged
+    not-ok.
     """
-    total = np.full(logz.shape[1], 1.0 / math.gamma(eta))  # k = 0 shell
+    eta = np.asarray(eta, dtype=float)
+    total = np.full(logz.shape[1], 1.0 / _gamma(eta))  # k = 0 shell
     absacc = np.abs(total)
     done = np.zeros(total.size, dtype=bool)
     # Convergence forecast: the shell magnitude is bounded by
@@ -158,24 +173,39 @@ def _shell_sum(
         return k * log_sumabs - gammaln(eta + k * np.min(xis))
 
     ok = np.minimum(log_bound(1), log_bound(_MAX_SHELLS)) <= math.log(_SERIES_RTOL)
+    # numpy sums the rows of a many-column array in order but one column
+    # pairwise; a point left alone from a many-point call keeps the row order,
+    # so its value does not depend on when the others stopped.
+    several = total.size > 1
+
+    def column_sum(a: np.ndarray) -> np.ndarray:
+        return np.cumsum(a, axis=0)[-1] if several and a.shape[1] == 1 else a.sum(axis=0)
+
     for k in range(1, _MAX_SHELLS + 1):
-        ls = _composition_matrix(k, xis.size)
-        base = gammaln(k + 1) - gammaln(ls + 1).sum(axis=1) - gammaln(eta + ls @ xis)
-        log_term = base[:, None] + ls @ logz  # (ncomp, npoints)
-        ok &= ~(np.max(log_term, axis=0) > 700.0)  # terms overflow doubles
-        terms = np.exp(log_term, out=log_term)  # in place: the largest array
-        shell_abs = terms.sum(axis=0)
-        sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
-        shell = (sign[:, None] * terms).sum(axis=0)
-        active = ok & ~done
-        total[active] += shell[active]
-        absacc[active] += shell_abs[active]
-        if k >= _MIN_SHELLS:
-            done |= np.abs(shell) <= _SERIES_RTOL * np.maximum(
-                np.abs(total), 1e-300
-            )
-        if np.all(done | ~ok):
+        live = np.flatnonzero(ok & ~done)
+        if live.size == 0:
             break
+        ls = _composition_matrix(k, xis.size)
+        base = (
+            gammaln(k + 1)
+            - gammaln(ls + 1).sum(axis=1)[:, None]
+            - gammaln(_at(eta, live) + (ls @ xis)[:, None])
+        )
+        log_term = base + ls @ logz[:, live]  # (ncomp, nlive)
+        over = np.max(log_term, axis=0) > 700.0  # terms overflow doubles
+        if np.any(over):
+            ok[live[over]] = False
+            live, log_term = live[~over], log_term[:, ~over]
+        terms = np.exp(log_term, out=log_term)  # in place: the largest array
+        shell_abs = column_sum(terms)
+        sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
+        shell = column_sum(sign[:, None] * terms)
+        total[live] += shell
+        absacc[live] += shell_abs
+        if k >= _MIN_SHELLS:
+            done[live] = np.abs(shell) <= _SERIES_RTOL * np.maximum(
+                np.abs(total[live]), 1e-300
+            )
     ok &= done
     # Cancellation across shells erodes the result; refuse to certify when
     # the accumulated roundoff exceeds the target accuracy.
@@ -234,8 +264,11 @@ def _talbot_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return z, dz
 
 
-def _talbot_invert(spec: RelaxationKernelSpec, ts: np.ndarray, m: int) -> np.ndarray:
-    """Invert s^(-eta) / (1 + sum_j m_j s^(-xi_j)) on the m-node contour.
+def _talbot_invert(
+    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray, m: int
+) -> np.ndarray:
+    """Invert s^(-eta) / (1 + sum_j m_j s^(-xi_j)) on the m-node contour;
+    ``eta`` is one value or one per time.
 
     With s = (m/t) z the exponent is s t = m z, and on the principal branch
     s^(-xi) = (t/m)^xi z^(-xi) because m/t is real and positive.  So every
@@ -249,23 +282,38 @@ def _talbot_invert(spec: RelaxationKernelSpec, ts: np.ndarray, m: int) -> np.nda
     denom = np.ones((ts.size, z.size), dtype=complex)
     for rate, xi in spec.terms:
         denom += np.multiply.outer(rate * x**xi, z ** (-xi))
-    weight = np.exp(m * z) * z ** (-spec.eta) * dz
-    return (2.0 / m) * x ** (spec.eta - 1.0) * (weight / denom).imag.sum(axis=1)
+    per_time = eta if np.ndim(eta) == 0 else eta[:, None]
+    weight = np.exp(m * z) * z ** (-per_time) * dz
+    return (2.0 / m) * x ** (eta - 1.0) * (weight / denom).imag.sum(axis=1)
 
 
-def ml_contour_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the relaxation kernel at times ``ts > 0`` by Talbot inversion
-    of its Laplace transform on 24 nodes, validated against 48."""
-    if np.any(ts <= 0.0):
-        raise InvalidParameters("contour inversion requires t > 0")
+def _valid_times(ts) -> np.ndarray:
+    """``ts`` as a float array, refused unless every time is finite and > 0."""
+    ts = np.asarray(ts, dtype=float)
+    bad = ~(np.isfinite(ts) & (ts > 0.0))
+    if np.any(bad):
+        raise InvalidParameters(
+            f"kernel evaluation requires finite t > 0, got {ts[bad].flat[0]}"
+        )
+    return ts
+
+
+def ml_contour_grid(
+    spec: RelaxationKernelSpec, ts: np.ndarray, *, eta: float | np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate the relaxation kernel at finite times ``ts > 0`` by Talbot
+    inversion of its Laplace transform on 24 nodes, validated against 48.
+    ``eta``, one value or one per time, replaces ``spec.eta``."""
+    ts = _valid_times(ts)
     spec = spec.reduced()
-    base = _talbot_invert(spec, ts, _TALBOT_NODES)
-    check = _talbot_invert(spec, ts, 2 * _TALBOT_NODES)
+    eta = spec.eta if eta is None else eta
+    base = _talbot_invert(spec, ts, eta, _TALBOT_NODES)
+    check = _talbot_invert(spec, ts, eta, 2 * _TALBOT_NODES)
     # Relative agreement to 2e-8, with an absolute floor at 1e-12 of the
     # kernel's natural scale t^(eta-1)/Gamma(eta): once the kernel has decayed
     # that far below its envelope, double-precision quadrature can only
     # deliver absolute accuracy.
-    envelope = ts ** (spec.eta - 1.0) / math.gamma(spec.eta)
+    envelope = ts ** (eta - 1.0) / _gamma(eta)
     bad = np.abs(base - check) > np.maximum(
         2e-8 * np.abs(base), 1e-12 * np.abs(envelope)
     )
@@ -282,20 +330,19 @@ def ml_contour_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
 _REGIME_THRESHOLD = 2.0
 
 
-def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
-    """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of times t > 0.
+def _kernel_values(
+    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
+) -> np.ndarray:
+    """The reduced ``spec``'s kernel at the valid times ``ts`` with index
+    ``eta``, one value or one per time, in place of ``spec.eta``.
 
     Points whose largest argument m_j t^xi_j is small go through the shell
     sum, the others through the contour; the switch point sits inside the
     band where both converge.  Points the series cannot certify fall back to
     the contour.
     """
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0.0):
-        raise InvalidParameters("kernel evaluation requires t > 0")
-    spec = spec.reduced()
     if not spec.terms:
-        return ts ** (spec.eta - 1.0) / math.gamma(spec.eta)
+        return ts ** (eta - 1.0) / _gamma(eta)
     out = np.empty_like(ts)
     eff = np.zeros_like(ts)
     for m, xi in spec.terms:
@@ -303,25 +350,30 @@ def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     small = eff <= _REGIME_THRESHOLD
     if np.any(small):
         xis = np.asarray(spec.orders)
-        # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
-        logz = np.log(spec.rates)[:, None] + xis[:, None] * np.log(ts[small])[None, :]
-        values, series_ok = _shell_sum(
-            spec.eta, xis, logz, np.ones(xis.size, dtype=bool)
-        )
         idx = np.nonzero(small)[0]
-        out[idx[series_ok]] = (
-            ts[idx[series_ok]] ** (spec.eta - 1.0) * values[series_ok]
+        # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
+        logz = np.log(spec.rates)[:, None] + xis[:, None] * np.log(ts[idx])[None, :]
+        values, series_ok = _shell_sum(
+            _at(eta, idx), xis, logz, np.ones(xis.size, dtype=bool)
         )
+        at = idx[series_ok]
+        out[at] = ts[at] ** (_at(eta, at) - 1.0) * values[series_ok]
         small[idx[~series_ok]] = False
     if np.any(~small):
-        out[~small] = ml_contour_grid(spec, ts[~small])
+        out[~small] = ml_contour_grid(spec, ts[~small], eta=_at(eta, ~small))
     return out
 
 
+def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
+    """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of finite
+    times t > 0, by the shell sum or the contour (see ``_kernel_values``)."""
+    ts = _valid_times(ts)
+    spec = spec.reduced()
+    return _kernel_values(spec, ts, spec.eta)
+
+
 def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:
-    """``eval_kernel_grid`` at the single time ``t > 0``."""
-    if t <= 0.0:
-        raise InvalidParameters(f"kernel evaluation requires t > 0, got {t}")
+    """``eval_kernel_grid`` at the single time ``t``."""
     return float(eval_kernel_grid(spec, np.array([float(t)]))[0])
 
 

@@ -80,6 +80,15 @@ class TestMlfEval:
         assert main(["mlf-eval", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert not (tmp_path / "o" / "mlf_eval.csv").exists()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, tmp_path, bad):
+        cfg = _write_cfg(tmp_path, "c.json", {
+            "kernel": {"eta": 0.8, "terms": [[1.0, 0.5]]},
+            "times": [0.5, bad],
+        })
+        assert main(["mlf-eval", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o" / "mlf_eval.csv").exists()
+
 
 class TestForward:
     def test_artifacts_and_exit_code(self, tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from fracsource import fractional
 from fracsource.fractional import (
@@ -26,7 +27,12 @@ from fracsource.fractional import (
     rl_integral,
     singular_convolve,
 )
-from fracsource.mlf import RelaxationKernelSpec, eval_kernel_grid, kernel_antiderivative
+from fracsource.mlf import (
+    RelaxationKernelSpec,
+    eval_kernel,
+    eval_kernel_grid,
+    kernel_antiderivative,
+)
 
 
 class TestTimeGridAndSeries:
@@ -192,6 +198,99 @@ class TestRLIntegral:
             rl_integral(sig, 0.0)
 
 
+class TestKronrodRule:
+    def test_kronrod_exact_to_degree_22(self):
+        x, wk, _ = fractional._KRONROD01
+        for d in range(23):
+            assert abs(wk @ x**d - 1.0 / (d + 1)) <= 1e-15
+
+    def test_gauss_exact_to_degree_13(self):
+        x, _, wg = fractional._KRONROD01
+        for d in range(14):
+            assert abs(wg @ x**d - 1.0 / (d + 1)) <= 1e-15
+        # and no further: degree 14 is where the 7-point rule stops
+        assert abs(wg @ x**14 - 1.0 / 15) > 1e-12
+
+    def test_gauss_nodes_are_the_odd_kronrod_nodes(self):
+        x, _, wg = fractional._KRONROD01
+        assert np.all(np.diff(x) > 0.0) and 0.0 < x[0] and x[-1] < 1.0
+        np.testing.assert_array_equal(np.nonzero(wg)[0], np.arange(1, 15, 2))
+        gx, gw = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(x[1::2], (gx + 1.0) / 2.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(wg[1::2], gw / 2.0, rtol=0.0, atol=1e-15)
+
+
+class TestLocalCoefficients:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 128, 1024])
+    def test_matches_cubic_spline(self, n):
+        grid = TimeGrid(1.0, n)
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        got = fractional._local_coefficients(grid, values)
+        want = CubicSpline(grid.nodes, values).c[::-1]
+        # row k in units of the interval: coefficient of ((t - t_i)/tau)^k
+        scale = grid.tau ** np.arange(4)[:, None]
+        gap = np.max(np.abs(got - want) * scale)
+        assert gap <= 1e-14 * np.max(np.abs(want) * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_reproduces_a_cubic(self, n):
+        # not-a-knot reproduces any cubic; on one or two intervals the line
+        # or parabola through the samples, so the test polynomial is cut
+        # to that degree there
+        poly = np.array([0.7, -1.3, 2.1, 0.9])
+        poly[min(n, 3) + 1 :] = 0.0
+        grid = TimeGrid(2.0, n)
+        got = fractional._local_coefficients(
+            grid, np.polynomial.polynomial.polyval(grid.nodes, poly)
+        )
+        # row k holds the k-th Taylor coefficient at each left node; compared
+        # in interval units, as the coefficient of ((t - t_i)/tau)^k
+        for k in range(4):
+            deriv = np.polynomial.polynomial.polyder(poly, k)
+            want = np.polynomial.polynomial.polyval(grid.nodes[:-1], deriv)
+            np.testing.assert_allclose(
+                got[k] * grid.tau**k,
+                want / math.factorial(k) * grid.tau**k,
+                rtol=0.0,
+                atol=1e-13,
+            )
+
+    def test_non_finite_samples_refused(self):
+        grid = TimeGrid(1.0, 8)
+        for bad in (np.nan, np.inf):
+            values = np.ones(grid.N + 1)
+            values[3] = bad
+            with pytest.raises(ValueError):
+                fractional._local_coefficients(grid, values)
+
+
+class TestFirstIntervalMoments:
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            # series route: largest argument 0.27 at tau
+            (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), TimeGrid(1.0, 20)),
+            # contour route: largest argument 5.2 at tau
+            (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), TimeGrid(4.0, 2)),
+            # no term: the power kernel in closed form
+            (RelaxationKernelSpec(0.4, ()), TimeGrid(1.0, 8)),
+            # argument 1.5: the series refuses eta + 1 and serves the rest
+            (RelaxationKernelSpec(0.1, ((1.5, 0.15),)), TimeGrid(2.0, 2)),
+        ],
+        ids=["series", "contour", "power", "series-refuses"],
+    )
+    def test_one_call_equals_four_one_point_calls(self, spec, grid):
+        table = KernelMoments(spec, grid)
+        want = np.array(
+            [
+                math.factorial(k) * eval_kernel(spec.with_eta(spec.eta + k + 1.0), grid.tau)
+                for k in range(4)
+            ]
+        )
+        for rule in (0, 1):
+            np.testing.assert_allclose(table.moments[rule, :, 0], want, rtol=1e-15, atol=0.0)
+
+
 class TestSingularConvolve:
     def test_constant_signal_gives_antiderivative(self):
         # (1 * e)(t) = integral of the kernel
@@ -264,7 +363,8 @@ class TestSingularConvolve:
 
     def test_disagreeing_rules_refuse(self, monkeypatch):
         # relative noise of 1e-5 on the kernel values of the later intervals
-        # makes the 8- and 16-point rules disagree far past 1e-7
+        # makes the Kronrod rule and its embedded Gauss rule disagree far
+        # past 1e-7
         grid = TimeGrid(1.0, 32)
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
@@ -279,6 +379,16 @@ class TestSingularConvolve:
         table = KernelMoments(spec, grid)
         with pytest.raises(QuadratureFailure):
             singular_convolve(g, table)
+
+    def test_non_finite_signal_refused(self):
+        grid = TimeGrid(1.0, 16)
+        table = KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), grid)
+        g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
+        g.values[5] = np.nan
+        with pytest.raises(ValueError):
+            singular_convolve(g, table)
+        with pytest.raises(ValueError):
+            rl_integral(g, 0.5)
 
     def test_table_is_grid_bound(self):
         spec = RelaxationKernelSpec(0.7, ((2.0, 0.7), (0.5, 0.3)))

@@ -21,6 +21,7 @@ from fracsource.mlf import (
     MLParameters,
     NonConvergence,
     RelaxationKernelSpec,
+    _shell_sum,
     eval_kernel,
     eval_kernel_grid,
     kernel_antiderivative,
@@ -207,6 +208,40 @@ class TestSeries:
         with pytest.raises(NonConvergence):
             ml_series(MLParameters(0.3, (0.1,)), (-80.0,))
 
+    def test_point_unaffected_by_its_company(self):
+        # each shell runs only over the live points; a point's flag must not
+        # depend on which other points share the call: ones that converge
+        # within a few shells, ones that need many more, and ones the
+        # forecast refuses before the first shell.  Its value may move in the
+        # last digits only: BLAS rounds a matrix product column by column
+        # depending on the column count, and numpy sums one column pairwise
+        # but many columns row by row.
+        xis = np.array([0.6, 0.3])
+        neg = np.array([True, False])
+        company = np.log(
+            np.array(
+                [
+                    [1e-3, 0.5, 8.0, 1e3, 40.0],
+                    [1e-3, 2.0, 0.1, 1e3, 30.0],
+                ]
+            )
+        )
+        for eta in (0.4, 1.0, 2.5):
+            together = _shell_sum(eta, xis, company, neg)
+            np.testing.assert_array_equal(together[1], [True, True, False, False, False])
+            for j in range(company.shape[1]):
+                alone = _shell_sum(eta, xis, company[:, j : j + 1], neg)
+                assert together[1][j] == alone[1][0]
+                if alone[1][0]:
+                    assert together[0][j] == pytest.approx(alone[0][0], rel=1e-13)
+        # the same points with one eta per point, against one eta at a time
+        etas = np.array([0.4, 2.5, 1.0, 0.4, 2.5])
+        mixed = _shell_sum(etas, xis, company, neg)
+        for j, eta in enumerate(etas):
+            alone = _shell_sum(eta, xis, company[:, j : j + 1], neg)
+            assert mixed[1][j] == alone[1][0]
+            assert mixed[0][j] == pytest.approx(alone[0][0], rel=1e-13)
+
     def test_deep_shells_leave_no_tables_resident(self):
         # three slow orders run the sum to about shell 500, where one
         # composition table alone holds 125,751 rows; before only small
@@ -285,6 +320,16 @@ class TestContour:
 
 
 class TestKernelEvaluation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_times_refused(self, bad):
+        spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
+        with pytest.raises(InvalidParameters):
+            eval_kernel_grid(spec, np.array([0.5, bad]))
+        with pytest.raises(InvalidParameters):
+            eval_kernel(spec, bad)
+        with pytest.raises(InvalidParameters):
+            ml_contour_grid(spec, np.array([0.5, bad]))
+
     def test_single_term_order_one_is_exponential(self):
         spec = RelaxationKernelSpec(1.0, ((2.5, 1.0),))
         ts = np.linspace(0.05, 3.0, 40)

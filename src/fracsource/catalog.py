@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import FractionalOperatorSpec, TimeGrid
+from .fractional import FractionalOperatorSpec, TimeGrid, caputo_power
 from .spectral import (
     Field2D,
     SpectralCoefficients,
@@ -34,7 +34,6 @@ def _poly_field(terms) -> Field2D:
     terms = [(float(c), int(px), int(py)) for c, px, py in terms]
 
     def fn(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         out = np.zeros(x.shape)
         for c, px, py in terms:
             out = out + c * x**px * y**py
@@ -47,7 +46,6 @@ def _cos_mode_field(n: int, k: int, amplitude: float = 1.0) -> Field2D:
     n, k = int(n), int(k)
 
     def fn(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         return amplitude * np.cos(2 * n * math.pi * x) * np.cos(k * math.pi * y)
 
     return Field2D.analytic(fn, f"cos_mode n={n} k={k}")
@@ -58,7 +56,6 @@ def _cos_exp_field(amplitude: float = 1.0) -> Field2D:
     # y-derivatives vanish at y = 0 and y = 1, coefficients decay
     # super-algebraically in both indices.
     def fn(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         return amplitude * (1.0 + np.cos(2 * math.pi * x)) * np.exp(np.cos(math.pi * y))
 
     return Field2D.analytic(fn, "cos_exp")
@@ -145,16 +142,19 @@ class SpaceTimeField:
             out = v if out is None else out + v
         return out
 
+    def time_factors(self, ts) -> np.ndarray:
+        """Each term's time factor at ``ts``, one row per term; a factor that
+        returns a constant is broadcast to ``ts``."""
+        ts = np.asarray(ts, dtype=float)
+        return np.array([np.broadcast_to(h(ts), ts.shape) for _, h in self.terms], dtype=float)
+
     def coeff_series(
         self, grid: TimeGrid, n_max: int, k_max: int
     ) -> SpectralCoefficients:
         """Projections f_nk(t) onto the conjugate family, one row per mode:
         the spatial coefficients of every term times its time factor, each
         term snapped against the whole source's scale (see ``snap_tiny``)."""
-        hvals = np.array(
-            [np.broadcast_to(h(grid.nodes), grid.nodes.shape) for _, h in self.terms],
-            dtype=float,
-        )
+        hvals = self.time_factors(grid.nodes)
         modes = enumerate_modes(n_max, k_max)
         spatial = snap_tiny(
             np.array([project_modes(g, modes) for g, _ in self.terms]),
@@ -177,17 +177,12 @@ def manufactured_quadratic(op: FractionalOperatorSpec):
     kappa = (2 * math.pi) ** 4 + math.pi**4
 
     def time_amp(t):
-        t = np.asarray(t, dtype=float)
-        out = kappa * (1.0 + t**2)
-        for psi, beta in op.all_terms():
-            out = out + psi * 2.0 * t ** (2.0 - beta) / math.gamma(3.0 - beta)
-        return out
+        return kappa * (1.0 + np.asarray(t, dtype=float) ** 2) + caputo_power(op, 2.0, t)
 
     phi = _cos_mode_field(1, 1)
-    source = SpaceTimeField.separable(_cos_mode_field(1, 1), time_amp)
+    source = SpaceTimeField.separable(phi, time_amp)
 
     def exact(x, y, t):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return (1.0 + float(t) ** 2) * np.cos(2 * math.pi * x) * np.cos(math.pi * y)
+        return (1.0 + float(t) ** 2) * phi(x, y)
 
     return phi, source, exact

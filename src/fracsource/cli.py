@@ -207,8 +207,8 @@ def _parse_times(cfg: dict) -> np.ndarray:
 
 def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
     """Values of a (t, value) CSV at the grid nodes by linear interpolation.
-    A header row is optional.  The t column must increase strictly and cover
-    [0, T]: the series is never extrapolated."""
+    A header row is optional.  Every entry must be finite, and the t column
+    must increase strictly and cover [0, T]: the series is never extrapolated."""
     if not Path(path).exists():
         raise ConfigError(f"series file not found: {path}")
     try:
@@ -217,6 +217,8 @@ def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
         raw = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
     if raw.shape[1] < 2:
         raise ConfigError(f"{path}: expected two columns, t and the value")
+    if not np.all(np.isfinite(raw[:, :2])):
+        raise ConfigError(f"{path}: the t and value columns must be finite")
     t, v = raw[:, 0], raw[:, 1]
     if np.any(np.diff(t) <= 0.0):
         raise ConfigError(f"{path}: the t column is not strictly increasing")
@@ -344,7 +346,7 @@ def cmd_inverse(cfg: dict, out: Path) -> int:
     _write_csv(out / "amplitude.csv", "t,a", (grid.nodes, amplitude.a.values))
     meta = {
         "energy_residual": amplitude.metadata["energy_residual"],
-        "flux_iterations": amplitude.metadata.get("flux_iterations", 0),
+        "flux_iterations": amplitude.metadata["flux_iterations"],
     }
     if true_amp is not None:
         scale = float(np.max(np.abs(true_amp.values)))

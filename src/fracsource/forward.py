@@ -156,8 +156,8 @@ def mode_odd(
 
 def solve_forward(problem: ProblemData) -> SolutionBundle:
     """Project the data, form the forcing a(t) f_nk(t) of every mode, solve
-    every mode ODE in closed form (the Zero and Even modes before the Odd
-    ones), and assemble coefficients and energy.  Kernel moment tables are
+    every mode ODE in closed form (each Even mode before its Odd partner),
+    and assemble coefficients and energy.  Kernel moment tables are
     built once per eigenvalue and dropped on return."""
     t0 = time.perf_counter()
     grid = problem.grid
@@ -172,10 +172,9 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
     coeffs = SpectralCoefficients(n_max, k_max, np.empty_like(f_coeffs.values), grid)
     tables: dict = {}
 
-    # Odd modes couple to the Even trajectory of the same index, so they go last
+    # storage order solves each Even mode right before the Odd mode it couples to
     modes = coeffs.modes
-    for r in sorted(range(len(modes)), key=lambda r: modes[r].family is Family.Odd):
-        index = modes[r]
+    for r, index in enumerate(modes):
         phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
         if index.family is Family.Zero:
             traj = mode_zero(index.k, problem, phi_c, forcing, tables)
@@ -191,8 +190,6 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
     meta = {
         "truncation_tail": float(np.max(np.abs(coeffs.values[shell]))),
         "elapsed_seconds": time.perf_counter() - t0,
-        "n_max": n_max,
-        "k_max": k_max,
     }
     return SolutionBundle(
         coeffs=coeffs,

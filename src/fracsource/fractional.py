@@ -145,6 +145,15 @@ def caputo_multiterm(signal: TimeSeries, op: FractionalOperatorSpec) -> TimeSeri
     return TimeSeries(signal.grid, out)
 
 
+def caputo_power(op: FractionalOperatorSpec, p: float, ts) -> np.ndarray:
+    """(D^alpha + sum psi_i D^alpha_i) t^p in closed form at ``ts``, p > 0."""
+    ts = np.asarray(ts, dtype=float)
+    return sum(
+        psi * math.gamma(1.0 + p) / math.gamma(1.0 + p - beta) * ts ** (p - beta)
+        for psi, beta in op.all_terms()
+    )
+
+
 # singular convolution -------------------------------------------------------
 
 

@@ -16,8 +16,7 @@ subtracted in closed form.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -34,6 +33,7 @@ from .fractional import (
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
+    caputo_power,
 )
 from .mlf import NonConvergence
 from .spectral import Family, Field2D, SpectralCoefficients, eigen, mode_mean
@@ -68,14 +68,6 @@ class SourceAmplitude:
     metadata: dict = field(default_factory=dict)
 
 
-def _exact_caputo_power(op: FractionalOperatorSpec, p: float, ts: np.ndarray) -> np.ndarray:
-    """(D^alpha + sum psi_i D^alpha_i) t^p in closed form for p > 0."""
-    out = np.zeros_like(ts)
-    for psi, beta in op.all_terms():
-        out += psi * math.gamma(1.0 + p) / math.gamma(1.0 + p - beta) * ts ** (p - beta)
-    return out
-
-
 def _startup_exponents(op: FractionalOperatorSpec) -> list[float]:
     """Three leading exponents of the local expansion of a solution of the
     mode / energy ODE near t = 0: alpha, then alpha plus the operator's gaps."""
@@ -88,10 +80,11 @@ def _startup_correction(signal: TimeSeries, op: FractionalOperatorSpec) -> np.nd
     """Closed-form correction for the L1 defect on the singular startup part.
 
     Fits E(t) - E(0) on the first eight nodes against the basis {t^p} of
-    leading local exponents, then subtracts, for each fitted power, the
-    difference between the L1 approximation and the exact Caputo derivative
-    of t^p.  Exact for signals in the span of the basis; inert for alpha = 1
-    where the L1 scheme has no startup defect on these powers.
+    leading local exponents, then subtracts the difference between the L1
+    approximation and the exact Caputo derivative of the fitted singular part
+    sum c_p t^p (the operator is linear, so L1 runs once on the sum).  Exact
+    for signals in the span of the basis; inert for alpha = 1 where the L1
+    scheme has no startup defect on these powers.
     """
     grid = signal.grid
     if op.alpha == 1.0:
@@ -107,15 +100,11 @@ def _startup_correction(signal: TimeSeries, op: FractionalOperatorSpec) -> np.nd
     A = np.stack([ts**p for p in fit_exps], axis=1)
     rhs = signal.values[j] - signal.values[0]
     coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    singular = [(c, p) for c, p in zip(coef, fit_exps) if p != 1.0]
+    part = TimeSeries.from_function(grid, lambda t: sum(c * t**p for c, p in singular))
     correction = np.zeros(grid.N + 1)
-    tpos = grid.nodes[1:]
-    for c, p in zip(coef, fit_exps):
-        if p == 1.0 or c == 0.0:
-            continue
-        power = TimeSeries.from_function(grid, lambda t: t**p)
-        l1 = caputo_multiterm(power, op).values[1:]
-        exact = _exact_caputo_power(op, p, tpos)
-        correction[1:] += c * (exact - l1)
+    correction[1:] = sum(c * caputo_power(op, p, grid.nodes[1:]) for c, p in singular)
+    correction[1:] -= caputo_multiterm(part, op).values[1:]
     return correction
 
 
@@ -150,7 +139,7 @@ def recover_source(
     ratio makes it a strong contraction); when f excites none of these modes
     the iteration is skipped and the amplitude is the explicit ratio.  Raises
     :class:`NonConvergence` when the iteration has not settled within
-    ``_MAX_FLUX_ITERATIONS``.
+    ``_MAX_FLUX_ITERATIONS``, and ValueError on a non-finite datum sample.
 
     When ``phi`` is supplied, E(0) must equal the mean of phi truncated
     as the forward energy carries it, phi_00 + sum_{n <= flux_modes}
@@ -170,6 +159,8 @@ def recover_source(
     E = datum.E
     if E.grid.N != grid.N or E.grid.T != grid.T:
         raise ValueError("energy datum grid does not match the requested grid")
+    if not np.all(np.isfinite(E.values)):
+        raise ValueError("energy datum samples must be finite")
     phi_coeffs = None
     if phi is not None:
         phi_coeffs = SpectralCoefficients.project_field(phi, flux_modes, 0)
@@ -242,14 +233,13 @@ def solve_inverse(
 ) -> tuple[SourceAmplitude, SolutionBundle]:
     """Recover a(t) from the energy datum, then run the forward solver with
     it; the sup-norm mismatch between the reproduced energy and the datum is
-    reported as a self-consistency residual."""
+    the amplitude's ``energy_residual``, a self-consistency residual."""
     amplitude = recover_source(
         problem.source, datum, problem.op, problem.grid, phi=problem.phi,
         flux_modes=problem.n_max,
     )
     bundle = solve_forward(problem.with_amplitude(amplitude.a))
     residual = float(np.max(np.abs(bundle.energy.values - datum.E.values)))
-    bundle.metadata["energy_residual"] = residual
     amplitude.metadata["energy_residual"] = residual
     return amplitude, bundle
 
@@ -259,54 +249,27 @@ class StabilityReport:
     deltas: list[float]
     a_diffs: list[float]
     slope: float
-    u_diffs: list[float] = field(default_factory=list)
-    base: TimeSeries | None = None  # the amplitude from the unperturbed data
+    base: TimeSeries  # the amplitude from the unperturbed datum
 
 
 def stability_probe(
-    problem: ProblemData,
-    datum: EnergyDatum,
-    deltas=(1e-1, 1e-2, 1e-3, 1e-4),
-    perturb: str = "energy",
-    solve_fields: bool = False,
+    problem: ProblemData, datum: EnergyDatum, deltas=(1e-1, 1e-2, 1e-3, 1e-4)
 ) -> StabilityReport:
-    """Perturb the data by a family of scales and report how the recovered
-    amplitude moves; the log-log slope quantifies the (linear) stability."""
+    """Perturb the energy datum by d * t / T for each d in ``deltas`` and
+    report the sup-norm change of the recovered amplitude; the log-log slope
+    quantifies the (linear) stability.  Recovery runs as in ``solve_inverse``:
+    phi's flux closure and ``flux_modes = n_max``."""
     grid = problem.grid
     recover = partial(
-        recover_source, op=problem.op, grid=grid, phi=problem.phi,
+        recover_source, problem.source, op=problem.op, grid=grid, phi=problem.phi,
         flux_modes=problem.n_max,
     )
-    base = recover(problem.source, datum)
-    if solve_fields:
-        b0 = solve_forward(problem.with_amplitude(base.a))
+    base = recover(datum).a
     a_diffs = []
-    u_diffs = []
     for d in deltas:
-        if perturb == "energy":
-            tilde = EnergyDatum(
-                TimeSeries(grid, datum.E.values + d * grid.nodes / grid.T)
-            )
-            src = problem.source
-        elif perturb == "source":
-            scaled = SpaceTimeField(
-                terms=tuple(
-                    (g, (lambda h: (lambda t: (1.0 + d) * np.asarray(h(t))))(h))
-                    for g, h in problem.source.terms
-                )
-            )
-            tilde, src = datum, scaled
-        else:
-            raise ValueError(f"unknown perturbation target {perturb!r}")
-        pert = recover(src, tilde)
-        a_diffs.append(float(np.max(np.abs(pert.a.values - base.a.values))))
-        if solve_fields:
-            b1 = solve_forward(replace(problem, source=src, amplitude=pert.a))
-            u_diffs.append(float(np.max(np.abs(b0.coeffs.values - b1.coeffs.values))))
+        tilde = EnergyDatum(TimeSeries(grid, datum.E.values + d * grid.nodes / grid.T))
+        a_diffs.append(float(np.max(np.abs(recover(tilde).a.values - base.values))))
     slope = float(
         np.polyfit(np.log(np.asarray(deltas)), np.log(np.asarray(a_diffs)), 1)[0]
     )
-    return StabilityReport(
-        deltas=list(deltas), a_diffs=a_diffs, slope=slope, u_diffs=u_diffs,
-        base=base.a,
-    )
+    return StabilityReport(deltas=list(deltas), a_diffs=a_diffs, slope=slope, base=base)

@@ -94,11 +94,6 @@ class RelaxationKernelSpec:
     def with_eta(self, eta: float) -> "RelaxationKernelSpec":
         return RelaxationKernelSpec(eta, self.terms)
 
-    def decay_scale(self) -> float:
-        """Time scale below which all kernel arguments are O(1) or smaller."""
-        scales = [(1.0 / m) ** (1.0 / xi) for m, xi in self.terms if m > 0.0]
-        return min(scales) if scales else math.inf
-
 
 # series evaluation ---------------------------------------------------------
 

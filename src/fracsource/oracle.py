@@ -13,7 +13,7 @@ so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,7 +117,6 @@ class FieldHistory:
 
     grid: FDGrid
     values: np.ndarray  # (N+1, Mx+1, My+1)
-    metadata: dict = field(default_factory=dict)
 
     def energy(self) -> TimeSeries:
         """Spatial mean at every step (trapezoid on both axes)."""
@@ -181,7 +180,6 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     product gives every step in it the contribution of all earlier blocks,
     and each step adds the at most ``_HISTORY_BLOCK - 1`` terms of its own.
     """
-    op = problem.op
     xs = grid.xs[:-1]
     ys = grid.ys
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -189,21 +187,16 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
 
     L = _spatial_operator(grid)
     tau = grid.tau
-    c = l1_weights(op, tau, grid.N)  # coefficient of the difference m steps back
+    c = l1_weights(problem.op, tau, grid.N)  # coefficient of the difference m steps back
     c0 = float(c[0])
     solve = _block_solver(grid, c0)
 
     step_times = np.arange(grid.N + 1) * tau
-    g_vals = np.array(
-        [np.asarray(g(X, Y), dtype=float).reshape(dof) for g, _ in problem.source.terms]
-    )
-    h_vals = np.array(
-        [np.broadcast_to(h(step_times), step_times.shape) for _, h in problem.source.terms],
-        dtype=float,
-    )
+    g_vals = np.array([g(X, Y).reshape(dof) for g, _ in problem.source.terms])
+    h_vals = problem.source.time_factors(step_times)
 
     a_vals = _amplitude_on(grid, problem)
-    u = np.asarray(problem.phi(X, Y), dtype=float).reshape(dof)
+    u = problem.phi(X, Y).reshape(dof)
     diffs = np.zeros((grid.N + 1, dof))
     out = np.empty((grid.N + 1, grid.Mx + 1, grid.My + 1))
 
@@ -232,11 +225,7 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
             u = new
             store(p, u)
 
-    return FieldHistory(
-        grid=grid,
-        values=out,
-        metadata={"dof": dof, "steps": grid.N, "terms": len(op.all_terms())},
-    )
+    return FieldHistory(grid=grid, values=out)
 
 
 @dataclass

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .fractional import QuadratureFailure, TimeGrid, TimeSeries, _gauss01
 
@@ -120,12 +119,14 @@ def mode_mean(index: ModeIndex) -> float:
 
 
 def enumerate_modes(n_max: int, k_max: int) -> list[ModeIndex]:
-    """All mode indices in the truncation box, Zero then Odd/Even per n."""
+    """All mode indices in the truncation box: the Zero family, then per
+    (n, k) each Even mode right before the Odd mode it couples to, which is
+    the order the forward solver needs."""
     out = [ModeIndex(Family.Zero, 0, k) for k in range(k_max + 1)]
     for n in range(1, n_max + 1):
         for k in range(k_max + 1):
-            out.append(ModeIndex(Family.Odd, n, k))
             out.append(ModeIndex(Family.Even, n, k))
+            out.append(ModeIndex(Family.Odd, n, k))
     return out
 
 
@@ -137,7 +138,8 @@ class Field2D:
 
     Either wraps an analytic callable of vectorized (x, y) or a tabulated
     rectangular grid of values with bilinear interpolation; a tabulated grid
-    must cover the square, as it is never extrapolated.
+    must cover the square, as it is never extrapolated.  Calls broadcast
+    (x, y) to one shape before the wrapped callable sees them.
     """
 
     def __init__(self, fn, description: str = "analytic"):
@@ -150,8 +152,7 @@ class Field2D:
 
     @classmethod
     def constant(cls, c: float) -> "Field2D":
-        return cls(lambda x, y: np.broadcast_arrays(
-            np.full_like(np.asarray(x, dtype=float), c), y)[0], f"constant {c}")
+        return cls(lambda x, y: np.full(x.shape, c), f"constant {c}")
 
     @classmethod
     def tabulated(cls, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> "Field2D":
@@ -171,12 +172,14 @@ class Field2D:
                     f"tabulated {name} axis spans [{axis.min():g}, {axis.max():g}], "
                     "which does not cover [0, 1]"
                 )
+        # imported here, its only use: scipy.interpolate loads scipy.optimize
+        # too, which costs every process that imports the package time and memory
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator((xs, ys), values, method="linear")
 
         def fn(x, y):
-            x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-            pts = np.stack([x.ravel(), y.ravel()], axis=-1)
-            return interp(pts).reshape(x.shape)
+            return interp(np.stack([x.ravel(), y.ravel()], axis=-1)).reshape(x.shape)
 
         return cls(fn, f"tabulated {xs.size}x{ys.size}")
 
@@ -213,6 +216,7 @@ class Field2D:
         return cls.tabulated(xs, ys, block)
 
     def __call__(self, x, y) -> np.ndarray:
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         return np.asarray(self._fn(x, y), dtype=float)
 
 

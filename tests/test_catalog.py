@@ -38,6 +38,25 @@ class TestFieldCatalog:
             math.cos(2 * math.pi * x) * math.cos(2 * math.pi * y)
         )
 
+    @pytest.mark.parametrize("name, params", [
+        ("constant", {"value": 3.0}),
+        ("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 2))}),
+        ("cos_mode", {"n": 1, "k": 2}),
+        ("cos_exp", {}),
+    ])
+    @pytest.mark.parametrize("x, y", [
+        (0.3, np.array([0.0, 0.4, 1.0])),
+        (np.array([0.0, 0.4, 1.0]), 0.3),
+        (np.array([[0.1], [0.6]]), np.array([[0.0, 0.2, 0.9]])),
+    ], ids=["scalar-array", "array-scalar", "column-row"])
+    def test_fields_broadcast_arguments(self, name, params, x, y):
+        f = make_field(name, params)
+        X, Y = np.broadcast_arrays(x, y)
+        got = f(x, y)
+        assert got.shape == X.shape
+        want = [f(float(a), float(b)) for a, b in zip(X.ravel(), Y.ravel())]
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-15)
+
     def test_cos_exp_boundary_compatibility(self):
         # equal values at x = 0 and x = 1; flat in y at both walls
         f = make_field("cos_exp")
@@ -69,6 +88,16 @@ class TestSpaceTimeField:
             )
         )
         assert f(0.5, 0.3, 2.0) == pytest.approx(1.0 + 0.5 * 2.0)
+
+    def test_time_factors_broadcast_constant_law(self):
+        f = SpaceTimeField(
+            terms=(
+                (make_field("constant"), lambda t: 2.0),
+                (make_field("constant"), make_time_fn("poly_t", {"coeffs": (0.0, 1.0)})),
+            )
+        )
+        ts = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(f.time_factors(ts), [[2.0, 2.0, 2.0], ts])
 
     def test_coeff_series_matches_pointwise_projection(self):
         grid = TimeGrid(1.0, 3)

@@ -240,6 +240,37 @@ class TestInverse:
         cfg = _write_cfg(tmp_path, "c.json", payload)
         assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("row, column, bad", [
+        (10, 1, "nan"),  # E column
+        (10, 0, "nan"),  # t column: a NaN also passes the ordering check
+        (64, 1, "inf"),
+    ])
+    def test_energy_csv_non_finite_refused(self, tmp_path, capsys, row, column, bad):
+        ts = np.linspace(0.0, 1.0, 65)
+        cells = [[f"{t:.17g}", f"{t:.17g}"] for t in ts]
+        cells[row][column] = bad
+        lines = ["t,E"] + [",".join(c) for c in cells]
+        (tmp_path / "energy.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg(N=64)
+        del payload["amplitude"]
+        payload["phi"] = {"name": "constant", "params": {"value": 0.0}}
+        payload["energy"] = {"csv": str(tmp_path / "energy.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
+    def test_amplitude_csv_non_finite_refused(self, tmp_path, capsys):
+        ts = np.linspace(0.0, 1.0, 65)
+        lines = ["t,a"] + [f"{t:.17g},{'inf' if j == 7 else 1}" for j, t in enumerate(ts)]
+        (tmp_path / "a.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg(N=64)
+        payload["amplitude"] = {"csv": str(tmp_path / "a.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+
     def test_incompatible_datum_exit_code(self, tmp_path):
         # phi has mean 1/2 but the datum starts at 2: compatibility failure
         ts = np.linspace(0.0, 1.0, 65)

@@ -24,6 +24,7 @@ from fracsource.fractional import (
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
+    caputo_power,
     rl_integral,
     singular_convolve,
 )
@@ -133,6 +134,16 @@ class TestCaputoL1:
             for psi, beta in op.all_terms()
         )
         np.testing.assert_allclose(combined, parts, rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_closed_form_of_power(self, p):
+        op = FractionalOperatorSpec(0.8, ((0.5, 0.4),))
+        ts = np.array([0.0, 0.25, 1.0, 3.0])
+        want = sum(
+            psi * math.gamma(1.0 + p) / math.gamma(1.0 + p - beta) * ts ** (p - beta)
+            for psi, beta in ((1.0, 0.8), (0.5, 0.4))
+        )
+        np.testing.assert_allclose(caputo_power(op, p, ts), want, rtol=1e-15)
 
     def test_rejects_tiny_grid(self):
         sig = TimeSeries(TimeGrid(1.0, 1), np.array([0.0, 1.0]))

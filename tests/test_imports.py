@@ -1,11 +1,15 @@
 """Every module of the package uses each name it imports, and every private
 module-level name the package defines is read somewhere in the package.
+Importing the package leaves out ``scipy.interpolate``, which only a
+tabulated field needs.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them.  Reads from test files do not count for private names.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,15 @@ def test_detector_flags_orphan_names():
 def test_no_orphan_private_names():
     sources = [p.read_text() for p in sorted(_PACKAGE.glob("*.py"))]
     assert _orphans(sources) == []
+
+
+def test_package_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate also loads scipy.optimize: time and memory that
+    # every process importing the package would pay for one rare input form
+    src = str(_PACKAGE.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import fracsource; "
+    code += "print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -86,6 +86,17 @@ class TestValidation:
                 _unit_source(), datum, FractionalOperatorSpec(0.5), TimeGrid(1.0, 32)
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_datum_rejected(self, bad):
+        # one bad sample used to spread into most nodes of the amplitude
+        grid = TimeGrid(1.0, 64)
+        E = grid.nodes.copy()
+        E[20] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            recover_source(
+                _unit_source(), EnergyDatum(TimeSeries(grid, E)), FractionalOperatorSpec(0.5)
+            )
+
     def test_negative_flux_modes_rejected(self):
         datum = EnergyDatum(TimeSeries.from_function(TimeGrid(1.0, 64), lambda t: t))
         with pytest.raises(ValueError):
@@ -345,22 +356,6 @@ class TestStability:
         rep = stability_probe(prob, datum)
         assert rep.slope == pytest.approx(1.0, abs=0.05)
 
-    def test_source_perturbation_is_linear(self, setup):
-        prob, datum = setup
-        rep = stability_probe(prob, datum, perturb="source")
-        assert rep.slope == pytest.approx(1.0, abs=0.05)
-
-    def test_field_differences_grow_with_delta(self, setup):
-        prob, datum = setup
-        deltas = (1e-1, 1e-2, 1e-3)
-        rep = stability_probe(prob, datum, deltas=deltas, solve_fields=True)
-        assert len(rep.u_diffs) == len(deltas)
-        assert all(d > 0.0 for d in rep.u_diffs)
-        # the map is linear: each tenfold smaller delta moves the field tenfold less
-        np.testing.assert_allclose(
-            np.asarray(rep.u_diffs[:-1]) / np.asarray(rep.u_diffs[1:]), 10.0, rtol=0.05
-        )
-
     def test_base_amplitude_matches_solve_inverse(self):
         # the probe recovers with phi's flux closure and flux_modes = n_max,
         # as solve_inverse does; without them it was off by 4.6e-2
@@ -376,8 +371,3 @@ class TestStability:
         amp, _ = solve_inverse(prob, datum)
         rep = stability_probe(prob, datum, deltas=(1e-1, 1e-2))
         np.testing.assert_allclose(rep.base.values, amp.a.values, rtol=0.0, atol=1e-12)
-
-    def test_unknown_perturbation_rejected(self, setup):
-        prob, datum = setup
-        with pytest.raises(ValueError):
-            stability_probe(prob, datum, perturb="nonsense")

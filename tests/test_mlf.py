@@ -270,7 +270,8 @@ class TestContour:
             for _ in range(n)
         )
         spec = RelaxationKernelSpec(float(rng.uniform(0.5, 1.2)), terms)
-        t = 2.0 * spec.decay_scale()
+        # twice the time scale below which every kernel argument is O(1)
+        t = 2.0 * min((1.0 / m) ** (1.0 / xi) for m, xi in terms)
         got = contour_at(spec, t)
         want = mpmath_kernel(spec, t)
         assert got == pytest.approx(want, rel=2e-8, abs=1e-13)

@@ -49,6 +49,14 @@ class TestModeIndex:
         assert len(zero) == 4  # k = 0..3
         assert len(modes) == 4 + 2 * 2 * 4  # plus Odd/Even for n = 1, 2
 
+    def test_enumeration_solve_order(self):
+        # the Zero family first, then each Even(n, k) right before Odd(n, k)
+        modes = enumerate_modes(2, 3)
+        assert modes[:4] == [ModeIndex(Family.Zero, 0, k) for k in range(4)]
+        pairs = [(modes[r], modes[r + 1]) for r in range(4, len(modes), 2)]
+        assert [(e.family, o.family) for e, o in pairs] == [(Family.Even, Family.Odd)] * 8
+        assert all((e.n, e.k) == (o.n, o.k) for e, o in pairs)
+
     def test_eigenvalues_closed_form(self):
         assert eigen(ModeIndex(Family.Zero, 0, 0)).sigma_nk == 0.0
         assert eigen(ModeIndex(Family.Zero, 0, 2)).sigma_nk == pytest.approx(
@@ -172,6 +180,25 @@ class TestField2D:
         # a grid short of the square would be extrapolated over the rest
         with pytest.raises(ValueError, match="does not cover"):
             Field2D.tabulated(xs, ys, np.zeros((xs.size, ys.size)))
+
+    @pytest.mark.parametrize("field", [
+        Field2D.constant(2.5),
+        Field2D.tabulated(
+            np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
+            np.add.outer(np.linspace(0.0, 1.0, 5), 2.0 * np.linspace(0.0, 1.0, 3)),
+        ),
+    ], ids=["constant", "tabulated"])
+    @pytest.mark.parametrize("x, y", [
+        (0.25, np.array([0.0, 0.5, 1.0])),
+        (np.array([0.0, 0.5, 1.0]), 0.75),
+        (np.array([[0.0], [0.25], [1.0]]), np.array([[0.0, 0.5]])),
+    ], ids=["scalar-array", "array-scalar", "column-row"])
+    def test_call_broadcasts_arguments(self, field, x, y):
+        X, Y = np.broadcast_arrays(x, y)
+        got = field(x, y)
+        assert got.shape == X.shape
+        want = [field(float(a), float(b)) for a, b in zip(X.ravel(), Y.ravel())]
+        np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-15)
 
     def test_csv_round_trip(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 33)

@@ -143,10 +143,20 @@ class SpaceTimeField:
         return out
 
     def time_factors(self, ts) -> np.ndarray:
-        """Each term's time factor at ``ts``, one row per term; a factor that
-        returns a constant is broadcast to ``ts``."""
+        """Each term's time factor at the times ``ts``, one row per term; a
+        factor that returns a constant is broadcast to ``ts``.  A factor that
+        is not finite at some time (an overflowing exponential) raises
+        ``ValueError`` naming the term and the first such time."""
         ts = np.asarray(ts, dtype=float)
-        return np.array([np.broadcast_to(h(ts), ts.shape) for _, h in self.terms], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.array([np.broadcast_to(h(ts), ts.shape) for _, h in self.terms], dtype=float)
+        bad = np.argwhere(~np.isfinite(out))
+        if bad.size:
+            term, i = bad[0]
+            raise ValueError(
+                f"source term {term}: time factor at t={ts[i]:g} is {out[term, i]}"
+            )
+        return out
 
     def coeff_series(
         self, grid: TimeGrid, n_max: int, k_max: int

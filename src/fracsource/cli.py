@@ -288,6 +288,7 @@ def _build_problem(cfg: dict) -> ProblemData:
     grid = _parse_grid(cfg)
     phi = _parse_field(_require(cfg, "phi"), "phi")
     source = _parse_source(cfg)
+    source.time_factors(grid.nodes)  # refuses a factor that is not finite on the grid
     modes = cfg.get("modes", {})
     return ProblemData(
         op=op,

@@ -7,7 +7,9 @@ convolution is product integration: the signal's not-a-knot cubic spline
 (one banded solve for its slopes) is integrated exactly against the kernel
 through a table of kernel moments over one grid interval, exact on the
 singular first interval and by the 15-point Gauss-Kronrod rule on the smooth
-later ones, whose embedded 7-point Gauss rule checks it.
+later ones, whose embedded 7-point Gauss rule checks it.  The kernel values
+at the Kronrod nodes come from Chebyshev interpolants on dyadic panels, one
+kernel call per table, with the interpolation error checked too.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class InvalidOrder(ValueError):
 
 class QuadratureFailure(RuntimeError):
     """Convolution quadrature disagrees between the Kronrod rule and its
-    embedded Gauss rule."""
+    embedded Gauss rule, or the kernel's panel interpolant misses the kernel
+    values it skips."""
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,64 @@ def _kronrod01() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _KRONROD01 = _kronrod01()
 
 
+# Chebyshev-Lobatto nodes on each panel of the later intervals' kernel
+# arguments.  Their every-other subset is the 17-node interpolant whose
+# disagreement with the skipped nodes bounds the interpolation error.
+_PANEL_NODES = 33
+
+
+def _lobatto(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev-Lobatto points on [-1, 1] in increasing order."""
+    return np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+
+
+def _lobatto_interp(n: int, targets: np.ndarray) -> np.ndarray:
+    """Matrix taking values at the n + 1 Chebyshev-Lobatto points to their
+    polynomial interpolant at ``targets``, by the barycentric formula with
+    weights (-1)^j halved at the ends; a target on a point takes its value."""
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] /= 2.0
+    d = targets[:, None] - _lobatto(n)
+    hit = d == 0.0
+    d[hit] = 1.0
+    m = np.divide(w, d, out=d)  # in place: the largest array
+    m /= m.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    m[on_node] = hit[on_node]
+    return m
+
+
+_PANEL_X = _lobatto(_PANEL_NODES - 1)
+# the 17-node interpolant on every other panel node at the 16 it skips
+_HALF_PANEL = _lobatto_interp((_PANEL_NODES - 1) // 2, _PANEL_X[1::2])
+
+
+# Four grids: an entry holds 2.1 kB per interval (2.2 MB at n = 1024), and a
+# run uses one or two (the solve's, and an inverse run's synthesis grid).
+@lru_cache(maxsize=4)
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels of the later intervals' kernel arguments on n >= 2 intervals
+    and the weights taking panel values to moments, all in units of tau.
+
+    Returns the panel edges 1, 2, 4, ..., n (the last panel clipped at n),
+    each later interval's panel, and the (rule, k, interval, panel node)
+    weights: the Kronrod and embedded Gauss weights times x^k, folded into
+    the barycentric interpolation from the interval's panel to its Kronrod
+    nodes.  Built one panel at a time, so the interpolation matrices never
+    all exist at once.  Cached: treat as read-only."""
+    edges = np.minimum(2 ** np.arange((n - 1).bit_length() + 1), n)
+    x, wk, wg = _KRONROD01
+    rule = np.stack([w * x ** np.arange(4)[:, None] for w in (wk, wg)])
+    weights = np.empty((2, 4, n - 1, _PANEL_NODES))
+    for a, b in zip(edges[:-1], edges[1:]):
+        # intervals (j + 1, j + 2) in the panel [a, b]; node x sits at j + 2 - x
+        j = np.arange(a - 1, b - 1)
+        ref = (2.0 * (j[:, None] + 2.0 - x) - a - b) / (b - a)
+        interp = _lobatto_interp(_PANEL_NODES - 1, ref.ravel()).reshape(j.size, x.size, -1)
+        weights[:, :, j] = np.einsum("rkq,jqc->rkjc", rule, interp)
+    return edges, np.repeat(np.arange(edges.size - 1), np.diff(edges)), weights
+
+
 class KernelMoments:
     """Moments I_k(p) = int_0^tau u^k e(p tau - u) du, k = 0..3, p = 1..N,
     of one relaxation kernel ``e`` on one uniform grid.
@@ -221,6 +282,18 @@ class KernelMoments:
     away from the singularity and takes the 15-point Gauss-Kronrod rule;
     the embedded 7-point Gauss rule on the same kernel values fills
     ``moments[1]`` for the refusal check in :func:`singular_convolve`.
+
+    The kernel values at those Kronrod nodes come from a piecewise-Chebyshev
+    interpolant: the later intervals' arguments (tau, T] split into dyadic
+    panels [2^i tau, 2^(i+1) tau], the last one ending at T, where the kernel
+    is analytic, and one kernel call gives it at 33 Chebyshev-Lobatto nodes
+    per panel.  ``gap`` bounds the interpolation error's effect on a
+    convolution per unit of max|g|: the sum over panels of the width times
+    the largest gap between the 17-node interpolant on every other node and
+    the 16 nodes it skips.  A panel whose gap is within 1e-7 of its largest
+    kernel value adds nothing: that is the level at which the kernel values
+    themselves carry roundoff (the shell sum's, near its cancellation limit),
+    so no interpolant can be checked below it.
     """
 
     def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid):
@@ -230,17 +303,23 @@ class KernelMoments:
         k = np.arange(4)
         etas = spec.eta + k + 1.0
         first = _kernel_values(spec, np.full(4, tau), etas) * [1.0, 1.0, 2.0, 6.0]  # k!
-        x, wk, wg = _KRONROD01
-        u = x * tau
-        p = np.arange(2, n + 1, dtype=float)
-        e = eval_kernel_grid(spec, (p[:, None] * tau - u[None, :]).ravel())
-        e = e.reshape(n - 1, u.size)
-        powers = u[:, None] ** k  # (node, k)
         # (rule, k, p - 1)
         self.moments = np.empty((2, 4, n))
         self.moments[:, :, 0] = first
-        for r, w in enumerate((wk, wg)):
-            self.moments[r, :, 1:] = ((w * tau)[:, None] * powers).T @ e.T
+        self.gap = 0.0
+        if n == 1:
+            return
+        edges, panel, weights = _panel_rule(n)
+        mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+        nodes = mid[:, None] + half[:, None] * _PANEL_X
+        e = eval_kernel_grid(spec, (nodes * tau).ravel()).reshape(nodes.shape)
+        miss = np.abs(e[:, 1::2] - e[:, ::2] @ _HALF_PANEL.T).max(axis=1)
+        # a panel resolved to 1e-7 of its largest value is resolved to the
+        # kernel values' own accuracy; the others count towards the gap
+        miss[miss <= 1e-7 * np.abs(e).max(axis=1)] = 0.0
+        self.gap = float(miss @ (2.0 * half)) * tau
+        self.moments[:, :, 1:] = np.einsum("rkjc,jc->rkj", weights, e[panel])
+        self.moments[:, :, 1:] *= (tau ** (k + 1.0))[:, None]
 
 
 @lru_cache(maxsize=16)
@@ -301,7 +380,9 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     discrete convolution with a row of the table.  The table's embedded
     7-point Gauss moments are convolved too, and node values that move by
     more than 1e-7 relative from the 15-point Kronrod ones raise
-    :class:`QuadratureFailure`.  Non-finite samples raise ``ValueError``.
+    :class:`QuadratureFailure`; so does a table whose interpolation ``gap``
+    exceeds 1e-10 of the kernel's integral over (0, T], the absolute floor
+    that check accepts.  Non-finite samples raise ``ValueError``.
     """
     grid = g.grid
     if table.grid != grid:
@@ -310,14 +391,21 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     if not np.any(g.values):
         return TimeSeries(grid, out)
     c = _local_coefficients(grid, g.values)
+    # A-priori bound on the convolution, max|g| * int_0^T e: node values more
+    # than 10 digits below it are accepted on absolute accuracy grounds
+    # (relative digits are unrecoverable that far down in doubles).  The
+    # table's interpolation gap, times max|g|, must stay under that floor.
+    integral = abs(float(np.sum(table.moments[0, 0])))
+    if table.gap > 1e-10 * integral:
+        raise QuadratureFailure(
+            f"kernel interpolation gap {table.gap:g} exceeds 1e-10 of the "
+            f"kernel's integral {integral:g}"
+        )
     fine, coarse = (
         sum(np.convolve(c[k], m[k])[: grid.N] for k in range(4))
         for m in table.moments
     )
-    # A-priori bound on the convolution, max|g| * int_0^T e: node values more
-    # than 10 digits below it are accepted on absolute accuracy grounds
-    # (relative digits are unrecoverable that far down in doubles).
-    bound = abs(float(np.sum(table.moments[0, 0]))) * np.max(np.abs(g.values))
+    bound = integral * np.max(np.abs(g.values))
     bad = np.abs(coarse - fine) > np.maximum(1e-7 * np.abs(fine), 1e-10 * bound)
     if np.any(bad):
         j = int(np.argmax(bad))

@@ -167,11 +167,21 @@ class Field2D:
                 f"({xs.size}, {ys.size})"
             )
         for name, axis in (("x", xs), ("y", ys)):
+            if not np.all(np.isfinite(axis)):
+                raise ValueError(
+                    f"tabulated {name} axis holds {axis[~np.isfinite(axis)][0]}"
+                )
             if axis.min() > 0.0 or axis.max() < 1.0:
                 raise ValueError(
                     f"tabulated {name} axis spans [{axis.min():g}, {axis.max():g}], "
                     "which does not cover [0, 1]"
                 )
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"tabulated value at x={xs[i]:g}, y={ys[j]:g} is {values[i, j]}"
+            )
         # imported here, its only use: scipy.interpolate loads scipy.optimize
         # too, which costs every process that imports the package time and memory
         from scipy.interpolate import RegularGridInterpolator
@@ -203,11 +213,13 @@ class Field2D:
             ys = np.unique(data[:, 1])
             if data.shape[0] != xs.size * ys.size:
                 raise ValueError(f"{path}: points do not form a full grid")
-            grid = np.full((xs.size, ys.size), np.nan)
+            grid = np.zeros((xs.size, ys.size))
+            filled = np.zeros(grid.shape, dtype=bool)
             ix = np.searchsorted(xs, data[:, 0])
             iy = np.searchsorted(ys, data[:, 1])
             grid[ix, iy] = data[:, 2]
-            if np.any(np.isnan(grid)):
+            filled[ix, iy] = True
+            if not np.all(filled):
                 raise ValueError(f"{path}: grid has missing entries")
             return cls.tabulated(xs, ys, grid)
         block = np.array([[float(c) for c in r] for r in rows])

@@ -99,6 +99,16 @@ class TestSpaceTimeField:
         ts = np.array([0.0, 0.5, 1.0])
         np.testing.assert_array_equal(f.time_factors(ts), [[2.0, 2.0, 2.0], ts])
 
+    def test_time_factors_refuse_non_finite(self):
+        f = SpaceTimeField(
+            terms=(
+                (make_field("constant"), make_time_fn("constant")),
+                (make_field("constant"), make_time_fn("exp_t", {"rate": 1000.0})),
+            )
+        )
+        with pytest.raises(ValueError, match=r"source term 1: time factor at t=0\.75 is inf"):
+            f.time_factors(np.linspace(0.0, 1.0, 5))
+
     def test_coeff_series_matches_pointwise_projection(self):
         grid = TimeGrid(1.0, 3)
         g = make_field("poly", {"terms": ((1.0, 1, 0),)})

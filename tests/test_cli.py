@@ -132,6 +132,39 @@ class TestForward:
         assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert "does not cover [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", ["points", "block"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_field_csv_non_finite_refused(self, tmp_path, capsys, layout, bad):
+        # one entry of a 5 x 5 phi is not finite, in either CSV layout
+        xs = np.linspace(0.0, 1.0, 5)
+        grid = [[str(1.0 + float(x * y)) for y in xs] for x in xs]
+        grid[2][3] = bad
+        if layout == "points":
+            lines = ["x,y,value"] + [
+                f"{x},{y},{grid[i][j]}" for i, x in enumerate(xs) for j, y in enumerate(xs)
+            ]
+        else:
+            lines = [",".join(row) for row in grid]
+        (tmp_path / "phi.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg()
+        payload["phi"] = {"csv": str(tmp_path / "phi.csv")}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert f"tabulated value at x=0.5, y=0.75 is {bad}" in capsys.readouterr().err
+
+    def test_overflowing_source_time_factor_refused(self, tmp_path, capsys):
+        # exp(1000 t) overflows on the grid: refused while the problem is built
+        payload = _forward_cfg()
+        payload["source"] = {
+            "field": {"name": "constant"},
+            "time": {"name": "exp_t", "params": {"rate": 1000.0}},
+        }
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "source term 0: time factor at t=0.71875 is inf" in err
+        assert not (tmp_path / "o" / "energy.csv").exists()
+
     def test_missing_field_reported(self, tmp_path):
         payload = _forward_cfg()
         del payload["phi"]

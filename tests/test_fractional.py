@@ -302,6 +302,78 @@ class TestFirstIntervalMoments:
             np.testing.assert_allclose(table.moments[rule, :, 0], want, rtol=1e-15, atol=0.0)
 
 
+def direct_moments(spec, grid):
+    """Later-interval moments by the rule the panels replace: the K15 and
+    G7 sums over the kernel evaluated directly at every Kronrod node.
+    Shape (rule, k, p - 2)."""
+    tau, n = grid.tau, grid.N
+    x, wk, wg = fractional._KRONROD01
+    u = x * tau
+    p = np.arange(2, n + 1, dtype=float)
+    e = eval_kernel_grid(spec, (p[:, None] * tau - u).ravel()).reshape(n - 1, u.size)
+    powers = u[:, None] ** np.arange(4)
+    return np.stack([((w * tau)[:, None] * powers).T @ e.T for w in (wk, wg)])
+
+
+# mode kernels of the forward-sweep operators: e_(m xi),alpha of
+# D^alpha + sum psi_i D^alpha_i + sigma, terms (psi_i, alpha - alpha_i), (sigma, alpha)
+_MODE_KERNELS = {
+    "one-term": lambda s: RelaxationKernelSpec(0.55, ((s, 0.55),)),
+    "two-term": lambda s: RelaxationKernelSpec(0.75, ((0.5, 0.32), (s, 0.75))),
+    "three-term": lambda s: RelaxationKernelSpec(0.92, ((0.8, 0.32), (0.3, 0.6), (s, 0.92))),
+}
+
+
+class TestPanelTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 128, 1024])
+    @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS))
+    def test_matches_direct_kronrod_rule(self, kernel, n):
+        grid = TimeGrid(1.0, n)
+        for sigma in (0.0, 40.0, 1.0e4, 1.0e8):
+            spec = _MODE_KERNELS[kernel](sigma)
+            table = KernelMoments(spec, grid)
+            assert table.moments.shape == (2, 4, n)
+            scale = np.max(np.abs(table.moments), axis=2, keepdims=True)
+            gap = np.abs(table.moments[:, :, 1:] - direct_moments(spec, grid))
+            assert np.all(gap <= 1e-12 * scale), (sigma, np.max(gap / scale))
+            # and the table passes the interpolation check
+            assert table.gap <= 1e-10 * abs(np.sum(table.moments[0, 0]))
+
+    @pytest.mark.parametrize("n, edges", [
+        (2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 4, 5]), (128, [1, 2, 4, 8, 16, 32, 64, 128]),
+    ])
+    def test_dyadic_panels_in_one_kernel_call(self, monkeypatch, n, edges):
+        calls = []
+
+        def counting(spec, ts):
+            calls.append(np.asarray(ts).size)
+            return eval_kernel_grid(spec, ts)
+
+        monkeypatch.setattr(fractional, "eval_kernel_grid", counting)
+        KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), TimeGrid(1.0, n))
+        np.testing.assert_array_equal(fractional._panel_rule(n)[0], edges)
+        assert calls == [(len(edges) - 1) * fractional._PANEL_NODES]
+
+    def test_one_interval_has_no_panel(self, monkeypatch):
+        monkeypatch.setattr(fractional, "eval_kernel_grid", None)
+        table = KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), TimeGrid(1.0, 1))
+        assert table.moments.shape == (2, 4, 1) and table.gap == 0.0
+
+    def test_series_noise_is_not_an_interpolation_gap(self):
+        # D^0.8 + 2 D^0.56 + 1: the shell sum serves every panel node and its
+        # roundoff reaches ~2e-8 of the kernel near the series' cancellation
+        # limit, above 1e-10 of the kernel's integral; the table is served,
+        # and convolves as the direct rule does to that noise level
+        grid = TimeGrid(1.0, 128)
+        spec = RelaxationKernelSpec(0.8, ((2.0, 0.24), (1.0, 0.8)))
+        table = KernelMoments(spec, grid)
+        g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
+        got = singular_convolve(g, table).values
+        table.moments[:, :, 1:] = direct_moments(spec, grid)
+        want = singular_convolve(g, table).values
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
 class TestSingularConvolve:
     def test_constant_signal_gives_antiderivative(self):
         # (1 * e)(t) = integral of the kernel
@@ -389,6 +461,24 @@ class TestSingularConvolve:
         monkeypatch.setattr(fractional, "eval_kernel_grid", noisy)
         table = KernelMoments(spec, grid)
         with pytest.raises(QuadratureFailure):
+            singular_convolve(g, table)
+
+    def test_interpolation_gap_refuses(self, monkeypatch):
+        # relative noise of 1e-6 on the panel nodes the 17-node interpolant
+        # skips: the Kronrod and Gauss rules still agree to 1e-7, but the
+        # interpolant misses the skipped nodes by 1e-6 of each panel's kernel
+        grid = TimeGrid(1.0, 32)
+        spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
+        g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
+
+        def noisy(spec, ts):
+            values = eval_kernel_grid(spec, ts)
+            skipped = np.arange(values.size) % fractional._PANEL_NODES % 2 == 1
+            return values * np.where(skipped, 1.0 + 1e-6, 1.0)
+
+        monkeypatch.setattr(fractional, "eval_kernel_grid", noisy)
+        table = KernelMoments(spec, grid)
+        with pytest.raises(QuadratureFailure, match="interpolation gap"):
             singular_convolve(g, table)
 
     def test_non_finite_signal_refused(self):

@@ -181,6 +181,16 @@ class TestField2D:
         with pytest.raises(ValueError, match="does not cover"):
             Field2D.tabulated(xs, ys, np.zeros((xs.size, ys.size)))
 
+    def test_tabulated_refuses_non_finite_entries(self):
+        xs, ys = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)
+        values = np.ones((3, 5))
+        values[1, 2], values[2, 4] = -np.inf, np.nan
+        with pytest.raises(ValueError, match=r"value at x=0\.5, y=0\.5 is -inf"):
+            Field2D.tabulated(xs, ys, values)
+        ys[4] = np.nan
+        with pytest.raises(ValueError, match="y axis holds nan"):
+            Field2D.tabulated(xs, ys, np.ones((3, 5)))
+
     @pytest.mark.parametrize("field", [
         Field2D.constant(2.5),
         Field2D.tabulated(

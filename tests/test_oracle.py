@@ -12,14 +12,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from fracsource import oracle
 from fracsource.catalog import SpaceTimeField, make_field, manufactured_quadratic
 from fracsource.forward import ProblemData, solve_forward
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
 from fracsource.mlf import RelaxationKernelSpec, eval_kernel_grid
 from fracsource.oracle import (
     _HISTORY_BLOCK,
+    _HISTORY_SUB_BLOCK,
     FDGrid,
     SingularSystem,
+    StepRejected,
     _spatial_operator,
     compare,
     fdm_forward,
@@ -239,12 +242,18 @@ def _unblocked_march(problem, grid):
 
 
 class TestBlockedHistory:
-    @pytest.mark.parametrize("N", [200, 40])
+    @pytest.mark.parametrize("N", [200, 40, 75])
     def test_matches_unblocked_march(self, N):
         # N = 200 crosses three block boundaries and stops partway into the
-        # fourth block; N = 40 never leaves the first block
+        # fourth block; N = 40 never leaves the first block; N = 75 crosses
+        # into the second block, then one sub-block boundary in it, and stops
+        # partway into the next sub-block.  Every block is whole sub-blocks,
+        # and N = 40 crosses sub-block boundaries of the first block.
         assert 3 * _HISTORY_BLOCK < 200 < 4 * _HISTORY_BLOCK
         assert 40 < _HISTORY_BLOCK
+        assert _HISTORY_BLOCK % _HISTORY_SUB_BLOCK == 0 and _HISTORY_SUB_BLOCK < 40
+        assert _HISTORY_BLOCK + _HISTORY_SUB_BLOCK < 75 < 2 * _HISTORY_BLOCK
+        assert (75 - _HISTORY_BLOCK) % _HISTORY_SUB_BLOCK != 0
         op = FractionalOperatorSpec(0.8, ((0.5, 0.4), (0.3, 0.1)))
         phi, source, _ = manufactured_quadratic(op)
         prob = _problem(op, phi, source, TimeGrid(0.5, N))
@@ -271,6 +280,42 @@ class TestSingularSystem:
         )
         with pytest.raises(SingularSystem):
             fdm_forward(prob, FDGrid(8, 8, 8, T=0.5))
+
+
+class TestProbeCheck:
+    def test_operator_mismatch_refuses(self, monkeypatch):
+        # a cosine-basis operator that disagrees with _spatial_operator is
+        # refused before the march, not refined against
+        sparse = oracle._spatial_operator
+        monkeypatch.setattr(oracle, "_spatial_operator", lambda grid: 1.001 * sparse(grid))
+        prob = _problem(
+            FractionalOperatorSpec(0.8),
+            make_field("cos_exp"),
+            SpaceTimeField.static(Field2D.constant(1.0)),
+            TimeGrid(0.5, 8),
+        )
+        with pytest.raises(SingularSystem, match="differs from the sparse operator"):
+            fdm_forward(prob, FDGrid(8, 8, 8, T=0.5))
+
+
+class TestStepGuards:
+    def _march(self, phi, amplitude):
+        prob = _problem(
+            FractionalOperatorSpec(0.8),
+            phi,
+            SpaceTimeField.static(Field2D.constant(1.0)),
+            TimeGrid(0.5, 8),
+            amp_fn=lambda t: np.full_like(t, amplitude),
+        )
+        return fdm_forward(prob, FDGrid(8, 8, 8, T=0.5))
+
+    def test_norm_growth_refuses(self):
+        with pytest.raises(StepRejected, match=r"^norm growth beyond 1e\+06 at step 1$"):
+            self._march(Field2D.constant(0.0), 1e12)
+
+    def test_non_finite_solution_refuses(self):
+        with pytest.raises(StepRejected, match=r"^non-finite solution at step 1$"):
+            self._march(Field2D.constant(math.nan), 1.0)
 
 
 class TestCompare:

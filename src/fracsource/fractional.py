@@ -290,10 +290,7 @@ class KernelMoments:
     per panel.  ``gap`` bounds the interpolation error's effect on a
     convolution per unit of max|g|: the sum over panels of the width times
     the largest gap between the 17-node interpolant on every other node and
-    the 16 nodes it skips.  A panel whose gap is within 1e-7 of its largest
-    kernel value adds nothing: that is the level at which the kernel values
-    themselves carry roundoff (the shell sum's, near its cancellation limit),
-    so no interpolant can be checked below it.
+    the 16 nodes it skips.
     """
 
     def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid):
@@ -314,9 +311,6 @@ class KernelMoments:
         nodes = mid[:, None] + half[:, None] * _PANEL_X
         e = eval_kernel_grid(spec, (nodes * tau).ravel()).reshape(nodes.shape)
         miss = np.abs(e[:, 1::2] - e[:, ::2] @ _HALF_PANEL.T).max(axis=1)
-        # a panel resolved to 1e-7 of its largest value is resolved to the
-        # kernel values' own accuracy; the others count towards the gap
-        miss[miss <= 1e-7 * np.abs(e).max(axis=1)] = 0.0
         self.gap = float(miss @ (2.0 * half)) * tau
         self.moments[:, :, 1:] = np.einsum("rkjc,jc->rkj", weights, e[panel])
         self.moments[:, :, 1:] *= (tau ** (k + 1.0))[:, None]

@@ -360,10 +360,11 @@ class TestPanelTables:
         assert table.moments.shape == (2, 4, 1) and table.gap == 0.0
 
     def test_series_noise_is_not_an_interpolation_gap(self):
-        # D^0.8 + 2 D^0.56 + 1: the shell sum serves every panel node and its
-        # roundoff reaches ~2e-8 of the kernel near the series' cancellation
-        # limit, above 1e-10 of the kernel's integral; the table is served,
-        # and convolves as the direct rule does to that noise level
+        # D^0.8 + 2 D^0.56 + 1: near t = 0.5 the shell sum's roundoff reached
+        # ~2e-8 of the kernel, above 1e-10 of its integral, while it served
+        # the panel nodes there.  The contour serves those nodes now, so the
+        # table passes its unexempted gap check and convolves as the direct
+        # rule does to near roundoff
         grid = TimeGrid(1.0, 128)
         spec = RelaxationKernelSpec(0.8, ((2.0, 0.24), (1.0, 0.8)))
         table = KernelMoments(spec, grid)
@@ -371,7 +372,7 @@ class TestPanelTables:
         got = singular_convolve(g, table).values
         table.moments[:, :, 1:] = direct_moments(spec, grid)
         want = singular_convolve(g, table).values
-        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 class TestSingularConvolve:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracsource import mlf
 from fracsource.mlf import (
     ContourFailure,
     InvalidParameters,
@@ -242,6 +243,23 @@ class TestSeries:
             assert mixed[1][j] == alone[1][0]
             assert mixed[0][j] == pytest.approx(alone[0][0], rel=1e-13)
 
+    def test_exponential_rounding_counts_against_certification(self):
+        # each term's exp(log term) is off by about eps |log term|; at these
+        # points that rounding alone put the sums 1.4e-8 and 2.6e-9 off
+        # while the estimate without it certified them
+        points = [
+            (RelaxationKernelSpec(0.8, ((2.0, 0.24), (1.0, 0.8))), 0.5),
+            (RelaxationKernelSpec(1.0, ((40.0, 0.92), (32.0, 0.6), (12.0, 0.32))), 2.6e-3),
+        ]
+        spec, t = points[0]
+        with pytest.raises(NonConvergence):
+            ml_series(
+                MLParameters(spec.eta, spec.orders), [-m * t**xi for m, xi in spec.terms]
+            )
+        for spec, t in points:
+            got = eval_kernel_grid(spec, np.array([t]))[0]
+            assert got == pytest.approx(mpmath_talbot(spec, t, 30), rel=1e-10)
+
     def test_deep_shells_leave_no_tables_resident(self):
         # three slow orders run the sum to about shell 500, where one
         # composition table alone holds 125,751 rows; before only small
@@ -320,6 +338,10 @@ class TestContour:
             checked += 1
 
 
+# a first-interval moment kernel of a sigma = 0 table, eta = alpha + 4
+_CONTOUR_REFUSED = RelaxationKernelSpec(4.748, ((0.5131, 0.3192),))
+
+
 class TestKernelEvaluation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_non_finite_or_nonpositive_times_refused(self, bad):
@@ -335,8 +357,8 @@ class TestKernelEvaluation:
         spec = RelaxationKernelSpec(1.0, ((2.5, 1.0),))
         ts = np.linspace(0.05, 3.0, 40)
         got = eval_kernel_grid(spec, ts)
-        # the large-argument points go through the validated contour, whose
-        # certified accuracy is coarser than the series region's
+        # every point goes through the contour, whose node-doubling check
+        # certifies 2e-8; its values are far closer than that
         np.testing.assert_allclose(got, np.exp(-2.5 * ts), rtol=1e-10)
 
     def test_grid_matches_scalar(self):
@@ -349,14 +371,17 @@ class TestKernelEvaluation:
     @pytest.mark.parametrize(
         "spec, t",
         [
-            # series point: largest argument 0.27
+            # largest argument 0.27, within the series' reach; the contour
+            # certifies it, so the contour serves it
             (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), 0.05),
-            # contour point: largest argument 5.2
+            # largest argument 5.2, beyond the series' reach: contour only
             (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), 2.0),
-            # fallback point: argument 1.5, but the series refuses
+            # argument 1.5, which the series refuses: contour only
             (RelaxationKernelSpec(0.5, ((1.5, 0.05),)), 1.0),
+            # the contour refuses it (24 and 48 nodes differ by 3e-8): series
+            (_CONTOUR_REFUSED, 1.0 / 128.0),
         ],
-        ids=["series", "contour", "fallback"],
+        ids=["series", "contour", "fallback", "contour-refused"],
     )
     def test_scalar_is_one_point_grid(self, spec, t):
         assert eval_kernel(spec, t) == eval_kernel_grid(spec, np.array([t]))[0]
@@ -366,6 +391,46 @@ class TestKernelEvaluation:
             ml_series(MLParameters(0.5, (0.05,)), (-1.5,))
         spec = RelaxationKernelSpec(0.5, ((1.5, 0.05),))
         assert eval_kernel(spec, 1.0) == contour_at(spec, 1.0)
+
+    def test_contour_refused_point_served_by_series(self):
+        # a first-interval moment kernel, eta = alpha + 4, at t = tau = 1/128
+        t = 1.0 / 128.0
+        with pytest.raises(ContourFailure):
+            contour_at(_CONTOUR_REFUSED, t)
+        got = eval_kernel_grid(_CONTOUR_REFUSED, np.array([0.5, t]))
+        want = [mpmath_talbot(_CONTOUR_REFUSED, s, 30) for s in (0.5, t)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_point_both_routes_refuse_raises(self, monkeypatch):
+        def refusing(eta, xis, logz, neg):
+            return np.zeros(logz.shape[1]), np.zeros(logz.shape[1], dtype=bool)
+
+        monkeypatch.setattr(mlf, "_shell_sum", refusing)
+        with pytest.raises(ContourFailure):
+            eval_kernel_grid(_CONTOUR_REFUSED, np.array([0.5, 1.0 / 128.0]))
+
+    def test_contour_refusal_beyond_series_reach_raises(self, monkeypatch):
+        # largest argument 5.2: a point the contour refuses is not summed
+        def refused(spec, ts, eta):
+            return np.zeros(ts.size), np.zeros(ts.size, dtype=bool)
+
+        def unreachable(*args):
+            raise AssertionError("the series was asked beyond its reach")
+
+        monkeypatch.setattr(mlf, "_contour_values", refused)
+        monkeypatch.setattr(mlf, "_shell_sum", unreachable)
+        spec = RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4)))
+        with pytest.raises(ContourFailure):
+            eval_kernel_grid(spec, np.array([2.0]))
+
+    def test_certified_contour_makes_no_series_call(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the series was called")
+
+        monkeypatch.setattr(mlf, "_shell_sum", unreachable)
+        # largest arguments from 2e-3 to 5.2, both sides of the series' reach
+        spec = RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4)))
+        eval_kernel_grid(spec, np.geomspace(1e-6, 2.0, 40))
 
     def test_regime_handoff_against_mpmath(self):
         spec = RelaxationKernelSpec(0.9, ((4.0, 0.7),))

@@ -24,7 +24,7 @@ from .fractional import (
     caputo_multiterm,
     singular_convolve,
 )
-from .mlf import RelaxationKernelSpec, eval_kernel_grid
+from .mlf import RelaxationKernelSpec, _kernel_values
 from .spectral import (
     Family,
     Field2D,
@@ -98,12 +98,12 @@ def _mode_trajectory(
     ts = grid.nodes[1:]
     if phi_c != 0.0:
         vals[0] = phi_c
-        homog = eval_kernel_grid(spec, ts)
+        # values used pointwise: the series' accuracy where it reaches
+        kernel = spec.reduced()
+        homog = _kernel_values(kernel, ts, spec.eta)
         for psi, a_i in op.terms:
             if psi:
-                homog = homog + psi * eval_kernel_grid(
-                    spec.with_eta(op.alpha + 1.0 - a_i), ts
-                )
+                homog = homog + psi * _kernel_values(kernel, ts, op.alpha + 1.0 - a_i)
         vals[1:] = phi_c * homog
     if forcing is not None and np.any(forcing.values):
         if sigma not in tables:

@@ -278,19 +278,20 @@ class KernelMoments:
 
     The first interval holds the weak singularity and is exact:
     I_k(1) = k! e_{eta+k+1}(tau) by the kernel's antiderivative identity,
-    the four orders in one kernel call.  Every later interval is at least tau
-    away from the singularity and takes the 15-point Gauss-Kronrod rule;
-    the embedded 7-point Gauss rule on the same kernel values fills
-    ``moments[1]`` for the refusal check in :func:`singular_convolve`.
+    the four orders in one pointwise (series-first) kernel call.  Every
+    later interval is at least tau away from the singularity and takes the
+    15-point Gauss-Kronrod rule; the embedded 7-point Gauss rule on the same
+    kernel values fills ``moments[1]`` for the refusal check in
+    :func:`singular_convolve`.
 
     The kernel values at those Kronrod nodes come from a piecewise-Chebyshev
     interpolant: the later intervals' arguments (tau, T] split into dyadic
     panels [2^i tau, 2^(i+1) tau], the last one ending at T, where the kernel
     is analytic, and one kernel call gives it at 33 Chebyshev-Lobatto nodes
-    per panel.  ``gap`` bounds the interpolation error's effect on a
-    convolution per unit of max|g|: the sum over panels of the width times
-    the largest gap between the 17-node interpolant on every other node and
-    the 16 nodes it skips.
+    per panel, contour first (the interpolant tolerates its accuracy).
+    ``gap`` bounds the interpolation error's effect on a convolution per unit
+    of max|g|: the sum over panels of the width times the largest gap between
+    the 17-node interpolant on every other node and the 16 nodes it skips.
     """
 
     def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid):

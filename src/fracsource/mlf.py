@@ -1,14 +1,14 @@
 """Multinomial Mittag-Leffler function and the derived relaxation kernel.
 
-Two evaluation routes are provided: numerical inversion of the closed-form
-Laplace transform on a deformed Bromwich contour, checked by node doubling,
-and direct summation of the defining double series, one shell march for a
-whole grid of points (reliable for moderate arguments).  ``eval_kernel_grid``
-sends every point to the cheaper contour and only the points it refuses to
-the series; ``eval_kernel`` and ``ml_series`` are its and the shell sum's
-one-point forms.  Both routes accept the kernel index eta as one value per
-point, so kernels that differ only in eta are evaluated in one call.  The
-two routes are cross-checked in an overlap band by the test suite.
+Two evaluation routes are provided: direct summation of the defining double
+series, one shell march for a whole grid of points (the more accurate for
+moderate arguments), and numerical inversion of the closed-form Laplace
+transform on a deformed Bromwich contour (uniformly valid, a fraction of the
+series' cost).  ``eval_kernel_grid`` tries the contour first, the pointwise
+``_kernel_values`` the series; ``eval_kernel`` and ``ml_series`` are the
+former's and the shell sum's one-point forms.  Both routes accept the kernel
+index eta as one value per point.  The two routes are cross-checked in an
+overlap band by the test suite.
 """
 
 from __future__ import annotations
@@ -117,24 +117,26 @@ def _at(eta, idx):
 _CACHED_COMPOSITION_ROWS = 4096
 
 
-def _composition_matrix(k: int, n: int) -> np.ndarray:
-    """All (l_1, ..., l_n) with nonnegative entries summing to k, as rows.
-    Small tables are cached; callers must treat them as read-only."""
+def _composition_matrix(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (l_1, ..., l_n) with nonnegative entries summing to k as float rows,
+    and the column of their log multinomial coefficients.  Small tables are
+    cached; callers must treat them as read-only."""
     if math.comb(k + n - 1, n - 1) > _CACHED_COMPOSITION_ROWS:
         return _compositions.__wrapped__(k, n)
     return _compositions(k, n)
 
 
 @lru_cache(maxsize=4096)
-def _compositions(k: int, n: int) -> np.ndarray:
+def _compositions(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
-        return np.array([[k]], dtype=np.int64)
-    blocks = []
-    for first in range(k + 1):
-        rest = _composition_matrix(k - first, n - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+        ls = np.array([[float(k)]])
+    else:
+        blocks = []
+        for first in range(k + 1):
+            rest = _composition_matrix(k - first, n - 1)[0]
+            blocks.append(np.hstack([np.full((rest.shape[0], 1), float(first)), rest]))
+        ls = np.vstack(blocks)
+    return ls, gammaln(k + 1) - gammaln(ls + 1).sum(axis=1)[:, None]
 
 
 def _shell_sum(
@@ -182,21 +184,23 @@ def _shell_sum(
         live = np.flatnonzero(ok & ~done)
         if live.size == 0:
             break
-        ls = _composition_matrix(k, xis.size)
-        base = (
-            gammaln(k + 1)
-            - gammaln(ls + 1).sum(axis=1)[:, None]
-            - gammaln(_at(eta, live) + (ls @ xis)[:, None])
-        )
+        ls, coef = _composition_matrix(k, xis.size)
+        if neg.all():  # every argument negative, as for kernels: one sign
+            sign = (-1.0) ** k
+        else:
+            sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)[:, None]
+        base = coef - gammaln(_at(eta, live) + (ls @ xis)[:, None])
         log_term = base + ls @ logz[:, live]  # (ncomp, nlive)
         over = np.max(log_term, axis=0) > 700.0  # terms overflow doubles
         if np.any(over):
             ok[live[over]] = False
             live, log_term = live[~over], log_term[:, ~over]
-        terms = np.exp(log_term)
-        shell_abs = column_sum(terms * (1.0 + np.abs(log_term)))
-        sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)
-        shell = column_sum(sign[:, None] * terms)
+        weight = np.abs(log_term)
+        weight += 1.0
+        terms = np.exp(log_term, out=log_term)  # in place: the largest array
+        weight *= terms
+        shell_abs = column_sum(weight)
+        shell = column_sum(sign * terms)
         total[live] += shell
         absacc[live] += shell_abs
         if k >= _MIN_SHELLS:
@@ -297,9 +301,9 @@ def _valid_times(ts) -> np.ndarray:
 
 def _contour_values(
     spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_kernel_values`` by Talbot inversion on 24 nodes, and per time
-    whether 48 nodes confirm it: (values, ok)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced ``spec``'s kernel at the valid times ``ts`` by Talbot
+    inversion on 24 nodes, on 48, and whether they agree: (values, check, ok)."""
     base = _talbot_invert(spec, ts, eta, _TALBOT_NODES)
     check = _talbot_invert(spec, ts, eta, 2 * _TALBOT_NODES)
     # Relative agreement to 2e-8, with an absolute floor at 1e-12 of the
@@ -307,7 +311,22 @@ def _contour_values(
     # that far below its envelope, double-precision quadrature can only
     # deliver absolute accuracy.
     envelope = ts ** (eta - 1.0) / _gamma(eta)
-    return base, np.abs(base - check) <= np.maximum(2e-8 * np.abs(base), 1e-12 * envelope)
+    ok = np.abs(base - check) <= np.maximum(2e-8 * np.abs(base), 1e-12 * envelope)
+    return base, check, ok
+
+
+def _certified_contour(
+    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
+) -> np.ndarray:
+    """``_contour_values``' values, or :class:`ContourFailure` naming the
+    first refused time with its 24- and 48-node values."""
+    base, check, ok = _contour_values(spec, ts, eta)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ContourFailure(
+            f"quadrature unstable at t={ts[i]:g}: {base[i]:.15g} vs {check[i]:.15g}"
+        )
+    return base
 
 
 def ml_contour_grid(
@@ -318,14 +337,10 @@ def ml_contour_grid(
     ``eta``, one value or one per time, replaces ``spec.eta``."""
     ts = _valid_times(ts)
     spec = spec.reduced()
-    values, ok = _contour_values(spec, ts, spec.eta if eta is None else eta)
-    if not np.all(ok):
-        i = int(np.argmin(ok))
-        raise ContourFailure(f"quadrature unstable at t={ts[i]:g}: 24 and 48 nodes disagree")
-    return values
+    return _certified_contour(spec, ts, spec.eta if eta is None else eta)
 
 
-# dispatching kernel evaluation ---------------------------------------------
+# routing kernel evaluation -------------------------------------------------
 
 _REGIME_THRESHOLD = 2.0
 
@@ -336,39 +351,43 @@ def _kernel_values(
     """The reduced ``spec``'s kernel at the valid times ``ts`` with index
     ``eta``, one value or one per time, in place of ``spec.eta``.
 
-    Every point goes to the contour first: wherever both routes certify, it
-    costs a fraction of the shell sum.  Points the contour refuses go through
-    the shell sum if their largest argument m_j t^xi_j is at most
-    ``_REGIME_THRESHOLD``; a point that both routes refuse raises
-    :class:`ContourFailure`.
+    For values the solution uses pointwise: each point takes the more
+    accurate certified route, the shell sum (about 1e-16 relative) where its
+    largest argument m_j t^xi_j is at most ``_REGIME_THRESHOLD``, else the
+    contour (about 1e-14), which also serves the points the series refuses
+    and raises :class:`ContourFailure`.
     """
     if not spec.terms:
         return ts ** (eta - 1.0) / _gamma(eta)
-    out, ok = _contour_values(spec, ts, eta)
-    if np.all(ok):
-        return out
-    idx = np.flatnonzero(~ok)
+    out = np.empty_like(ts)
     xis = np.asarray(spec.orders)
     # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
-    logz = np.log(spec.rates)[:, None] + xis[:, None] * np.log(ts[idx])[None, :]
-    series_ok = logz.max(axis=0) <= math.log(_REGIME_THRESHOLD)
-    if np.all(series_ok):
-        values, series_ok = _shell_sum(_at(eta, idx), xis, logz, np.ones(xis.size, dtype=bool))
-        out[idx] = ts[idx] ** (_at(eta, idx) - 1.0) * values
-    if not np.all(series_ok):
-        i = idx[np.argmin(series_ok)]
-        raise ContourFailure(
-            f"quadrature unstable at t={ts[i]:g}, and the series cannot certify it"
+    logz = np.log(spec.rates)[:, None] + xis[:, None] * np.log(ts)[None, :]
+    ok = logz.max(axis=0) <= math.log(_REGIME_THRESHOLD)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        values, ok[idx] = _shell_sum(
+            _at(eta, idx), xis, logz[:, idx], np.ones(xis.size, dtype=bool)
         )
+        out[idx] = ts[idx] ** (_at(eta, idx) - 1.0) * values
+    if not np.all(ok):
+        out[~ok] = _certified_contour(spec, ts[~ok], _at(eta, ~ok))
     return out
 
 
 def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of finite
-    times t > 0, by the contour or the shell sum (see ``_kernel_values``)."""
+    times t > 0 on the contour first: where it certifies, it costs a fraction
+    of the shell sum.  Only the points it refuses take ``_kernel_values``'
+    route, so a point both routes refuse raises :class:`ContourFailure`."""
     ts = _valid_times(ts)
     spec = spec.reduced()
-    return _kernel_values(spec, ts, spec.eta)
+    if not spec.terms:
+        return _kernel_values(spec, ts, spec.eta)
+    out, _, ok = _contour_values(spec, ts, spec.eta)
+    if not np.all(ok):
+        out[~ok] = _kernel_values(spec, ts[~ok], spec.eta)
+    return out
 
 
 def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:

@@ -22,6 +22,7 @@ from fracsource.mlf import (
     MLParameters,
     NonConvergence,
     RelaxationKernelSpec,
+    _kernel_values,
     _shell_sum,
     eval_kernel,
     eval_kernel_grid,
@@ -406,13 +407,14 @@ class TestKernelEvaluation:
             return np.zeros(logz.shape[1]), np.zeros(logz.shape[1], dtype=bool)
 
         monkeypatch.setattr(mlf, "_shell_sum", refusing)
-        with pytest.raises(ContourFailure):
+        # the message carries the 24- and 48-node values
+        with pytest.raises(ContourFailure, match=r"at t=\S+: \S+ vs \S+"):
             eval_kernel_grid(_CONTOUR_REFUSED, np.array([0.5, 1.0 / 128.0]))
 
     def test_contour_refusal_beyond_series_reach_raises(self, monkeypatch):
         # largest argument 5.2: a point the contour refuses is not summed
         def refused(spec, ts, eta):
-            return np.zeros(ts.size), np.zeros(ts.size, dtype=bool)
+            return np.zeros(ts.size), np.ones(ts.size), np.zeros(ts.size, dtype=bool)
 
         def unreachable(*args):
             raise AssertionError("the series was asked beyond its reach")
@@ -420,7 +422,7 @@ class TestKernelEvaluation:
         monkeypatch.setattr(mlf, "_contour_values", refused)
         monkeypatch.setattr(mlf, "_shell_sum", unreachable)
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4)))
-        with pytest.raises(ContourFailure):
+        with pytest.raises(ContourFailure, match="0 vs 1"):
             eval_kernel_grid(spec, np.array([2.0]))
 
     def test_certified_contour_makes_no_series_call(self, monkeypatch):
@@ -431,6 +433,20 @@ class TestKernelEvaluation:
         # largest arguments from 2e-3 to 5.2, both sides of the series' reach
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4)))
         eval_kernel_grid(spec, np.geomspace(1e-6, 2.0, 40))
+
+    def test_pointwise_values_within_reach_make_no_contour_call(self, monkeypatch):
+        # the series is more accurate there, and the inverse problem
+        # differentiates data built from these values
+        def unreachable(*args):
+            raise AssertionError("the contour was called")
+
+        monkeypatch.setattr(mlf, "_contour_values", unreachable)
+        spec = RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4)))
+        # largest arguments from 2e-3 to 1.1
+        ts = np.geomspace(1e-6, 0.3, 40)
+        want = [mpmath_talbot(spec, t, 30) for t in ts[::13]]
+        got = _kernel_values(spec, ts, spec.eta)[::13]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_regime_handoff_against_mpmath(self):
         spec = RelaxationKernelSpec(0.9, ((4.0, 0.7),))

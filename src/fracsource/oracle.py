@@ -3,13 +3,12 @@
 A fully discrete cross-check for the spectral construction: the fourth-order
 spatial operator as squared second-order central differences, with ghost nodes
 eliminated through the boundary conditions, and an implicit L1 discretization
-of the multi-term Caputo derivative in time.  The march runs in the DCT-I
-basis along y, where the reflected y operator is diagonal and each step
-matrix splits into one dense x-block per cosine; each step is one batched
-product with the block inverses and one refinement in that basis.  A probe
-checks the basis operator against the sparse operator once per march.  The
-scheme shares no code path with the spectral solver, so agreement between
-the two is meaningful evidence.
+of the multi-term Caputo derivative in time.  The march runs in a closed-form
+basis, the DCT-I along y and along x the Jordan basis of the nonlocal second
+difference (the discrete pairs cos 2 pi n x, x sin 2 pi n x), where a step
+matrix is diagonal but for one coupling per pair.  A probe checks the basis
+operator against the sparse operator once per march.  The scheme shares no
+code path with the spectral solver, so their agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ _GROWTH_LIMIT = 1e6
 _HISTORY_BLOCK = 64
 _HISTORY_SUB_BLOCK = 8
 # Largest relative gap, on a fixed probe, between the step operator applied
-# in the cosine basis and c0 I + _spatial_operator.
+# in the x-Jordan x y-cosine basis and c0 I + _spatial_operator.
 _PROBE_RTOL = 1e-10
 
 
@@ -143,58 +142,59 @@ def _amplitude_on(grid: FDGrid, problem: ProblemData) -> np.ndarray:
     return np.interp(grid.times, src.grid.nodes, src.values)
 
 
+def _jordan_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jordan basis S of the nonlocal Dx / hx^2 on m nodes (hx = 1 / m), and
+    each column's eigenvalue.  With theta_n = 2 pi n / m: the eigenvectors
+    c_n(i) = cos(theta_n i) of lam_n = -4 sin^2(theta_n / 2) / hx^2 for
+    n = 0..m // 2, then g_n(i) = hx^2 i sin(theta_n i) / (2 sin theta_n) for
+    n = 1..(m - 1) // 2, generalized: (Dx / hx^2 - lam_n) g_n = c_n."""
+    i, n_c, n_g = np.arange(m), np.arange(m // 2 + 1), np.arange(1, (m + 1) // 2)
+    # theta_n i is reduced mod 2 pi before scaling, as in the cosine basis
+    cos = np.cos(2.0 * np.pi * (np.outer(i, n_c) % m) / m)
+    sin = np.sin(2.0 * np.pi * (np.outer(i, n_g) % m) / m)
+    gen = i[:, None] * sin / (2.0 * m**2 * np.sin(2.0 * np.pi * n_g / m))
+    n = np.concatenate([n_c, n_g])
+    return np.hstack([cos, gen]), -4.0 * m**2 * np.sin(np.pi * n / m) ** 2
+
+
 @dataclass(frozen=True)
-class _CosineSystem:
-    """The step matrix c0 I + L in the DCT-I basis along y.
+class _StepBasis:
+    """The step matrix c0 I + L in the basis S (``_jordan_basis``) along x
+    and V (the DCT-I, eigenvalues mu_j of Dy Dy / hy^4) along y: an
+    (Mx, My + 1) plane has coefficients S_inv @ plane @ V_inv.  Ax maps g_n
+    to lam_n^2 g_n + 2 lam_n c_n, so the step matrix is ``diag`` =
+    c0 + lam_k^2 + mu_j plus ``coupling`` = 2 lam_n from the coefficient of
+    each g_n (the last P rows) to that of its c_n (rows 1..P)."""
 
-    The reflected y operator Dy Dy is diagonal in the basis
-    V[i, j] = cos(pi i j / My), with eigenvalues
-    mu_j = (2 - 2 cos(j pi / My))^2 / hy^4.  A field on the unknowns, an
-    (Mx, My + 1) plane, has coefficients V_inv @ plane.T, one row per
-    cosine, and on row j the step matrix is the dense x-block
-    (c0 + mu_j) I + Ax; the nonlocal x operator Ax is non-normal and stays
-    dense.  ``apply`` takes Ax as two products with the second difference
-    Dx.  The rounding of the first product then reaches the residual only
-    through Dx, which leaves nothing along the x-constant mode (Dx and Ax
-    share their left null vector), and that mode is the one no step damps.
-    A product with Ax itself rounds at about eps |u| / hx^4 per entry; on a
-    64 x 64 grid with 1024 steps that left the field about 1e-11 (relative)
-    off a march refined in extended precision, almost all of it in the
-    mean, against 1e-15 with the two products.
-    """
-
+    S: np.ndarray
+    S_inv: np.ndarray
     V: np.ndarray
     V_inv: np.ndarray
-    shift: np.ndarray  # c0 + mu_j, one per cosine
-    Dx: np.ndarray  # second difference along x over hx^2, so Ax = Dx Dx
-    inverses: np.ndarray  # (My + 1, Mx, Mx), the block inverses
+    diag: np.ndarray  # (Mx, My + 1)
+    coupling: np.ndarray  # (P, 1)
 
     def to_coef(self, plane: np.ndarray) -> np.ndarray:
-        return self.V_inv @ plane.T
+        return self.S_inv @ plane @ self.V_inv
 
     def to_plane(self, coef: np.ndarray) -> np.ndarray:
-        return (self.V @ coef).T
-
-    def apply(self, coef: np.ndarray) -> np.ndarray:
-        return self.shift[:, None] * coef + (coef @ self.Dx.T) @ self.Dx.T
-
-    def solve(self, coef: np.ndarray) -> np.ndarray:
-        return (self.inverses @ coef[:, :, None])[:, :, 0]
+        return self.S @ (coef @ self.V)
 
 
-def _probe_gap(grid: FDGrid, system: _CosineSystem, c0: float) -> float:
-    """Relative gap between the step operator applied in the cosine basis
-    and c0 I + _spatial_operator, on a fixed pseudo-random probe.  Rounding
-    leaves less than 1e-15; one mu_j off by 1e-6 of itself (j = 5 on 64 x 64)
-    leaves 3e-11."""
+def _probe_gap(grid: FDGrid, basis: _StepBasis, c0: float) -> float:
+    """Relative gap between the step operator applied in the basis and
+    c0 I + _spatial_operator, on a fixed pseudo-random probe.  Rounding
+    leaves about 1e-15; one coupling 2 lam_n off by 1e-6 of itself leaves
+    1.2e-12 (n = 1) to 2.6e-9 (n = 20) on 64 x 64, 1.2e-8 (n = 1) on 8 x 8."""
     probe = np.random.default_rng(0).standard_normal((grid.Mx, grid.My + 1))
     want = c0 * probe + (_spatial_operator(grid) @ probe.reshape(-1)).reshape(probe.shape)
-    got = system.to_plane(system.apply(system.to_coef(probe)))
-    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+    coef, P = basis.to_coef(probe), len(basis.coupling)
+    step = basis.diag * coef
+    step[1:P + 1] += basis.coupling * coef[-P:]
+    return float(np.linalg.norm(basis.to_plane(step) - want) / np.linalg.norm(want))
 
 
-def _cosine_system(grid: FDGrid, c0: float) -> _CosineSystem:
-    """Set up c0 I + L in the cosine basis: every x-block is inverted once,
+def _step_basis(grid: FDGrid, c0: float) -> _StepBasis:
+    """Set up c0 I + L in the x-Jordan x y-cosine basis: S is inverted once,
     and the basis operator must match ``_spatial_operator`` on the probe of
     ``_probe_gap``.  SingularSystem if either fails."""
     j = np.arange(grid.My + 1)
@@ -204,22 +204,22 @@ def _cosine_system(grid: FDGrid, c0: float) -> _CosineSystem:
     w = _trapezoid(grid.My, 1.0)
     V_inv = (2.0 / grid.My) * w[:, None] * V * w[None, :]  # DCT-I is its own inverse up to weights
     mu = (4.0 * np.sin(0.5 * np.pi * j / grid.My) ** 2) ** 2 / grid.hy**4
-    Dx = _second_difference(grid.Mx, coupled=True).toarray() / grid.hx**2
-    Ax = Dx @ Dx
+    S, lam = _jordan_basis(grid.Mx)
     try:
-        inverses = np.linalg.inv((c0 + mu)[:, None, None] * np.eye(grid.Mx) + Ax)
+        S_inv = np.linalg.inv(S)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"block inversion failed: {exc}") from exc
-    if not np.all(np.isfinite(inverses)):
-        raise SingularSystem("block inversion returned non-finite entries")
-    system = _CosineSystem(V, V_inv, c0 + mu, Dx, inverses)
-    gap = _probe_gap(grid, system, c0)
+        raise SingularSystem(f"x basis inversion failed: {exc}") from exc
+    if not np.all(np.isfinite(S_inv)):
+        raise SingularSystem("x basis inversion returned non-finite entries")
+    coupling = 2.0 * lam[1:(grid.Mx + 1) // 2, None]  # 2 lam_n for the pairs n = 1..P
+    basis = _StepBasis(S, S_inv, V, V_inv, c0 + lam[:, None] ** 2 + mu, coupling)
+    gap = _probe_gap(grid, basis, c0)
     if not gap <= _PROBE_RTOL:
         raise SingularSystem(
-            f"cosine-basis operator differs from the sparse operator by {gap:.2e} "
+            f"basis operator differs from the sparse operator by {gap:.2e} "
             f"(relative) on the probe, above {_PROBE_RTOL:g}"
         )
-    return system
+    return basis
 
 
 def _lagged_sums(c: np.ndarray, diffs: np.ndarray, lo: int, hi: int, first: int) -> np.ndarray:
@@ -232,13 +232,12 @@ def _lagged_sums(c: np.ndarray, diffs: np.ndarray, lo: int, hi: int, first: int)
 def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     """March the implicit L1 / central-difference scheme.
 
-    Each step solves (c0 I + L) u = rhs in the cosine basis of
-    ``_cosine_system``, set up once per march: φ and each source term's
-    spatial factor are transformed once, and u, its differences, the right
-    side and the history stay in that basis.  A step is one batched product
-    with the block inverses, one refinement against the basis operator, and
-    one transform back; the finite-value and growth guards read that
-    physical field.  The source's time factors are sampled once per march.
+    Each step solves (c0 I + L) u = rhs in the basis of ``_step_basis``, set
+    up once per march: it divides by the diagonal, then takes each Jordan
+    pair's coupling off its c_n coefficient.  φ, the source's spatial
+    factors, u, its differences and the history live in that basis; one
+    transform back per step gives the field that is stored and read by the
+    step guards.  The source's time factors are sampled once per march.
 
     The L1 history at step p is the Toeplitz sum
     sum_{j<p} c_{p-j} (u_j - u_{j-1}), taken in two levels.  At the start of
@@ -252,15 +251,16 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     tau = grid.tau
     c = l1_weights(problem.op, tau, grid.N)  # coefficient of the difference m steps back
     c0 = float(c[0])
-    system = _cosine_system(grid, c0)
-    solve, apply, to_plane = system.solve, system.apply, system.to_plane
+    basis = _step_basis(grid, c0)
+    diag, to_plane, P = basis.diag, basis.to_plane, len(basis.coupling)
+    lead = basis.coupling / diag[1:P + 1]  # each c_n takes lead times its g_n off
 
     step_times = np.arange(grid.N + 1) * tau
-    g_coef = np.array([system.to_coef(g(X, Y)).reshape(-1) for g, _ in problem.source.terms])
+    g_coef = np.array([basis.to_coef(g(X, Y)).reshape(-1) for g, _ in problem.source.terms])
     src = _amplitude_on(grid, problem) * problem.source.time_factors(step_times)
 
     plane = problem.phi(X, Y)
-    u = system.to_coef(plane)
+    u = basis.to_coef(plane)
     shape = u.shape
     diffs = np.zeros((grid.N + 1, u.size))
     tail = c[_HISTORY_SUB_BLOCK - 1:0:-1].copy()  # c_{S-1}..c_1; np.dot on a reversed view is 4x slower
@@ -278,8 +278,8 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
                 if p > sub:
                     hist = hist + np.dot(tail[sub - p:], diffs[sub:p])
                 rhs = (np.dot(src[:, p], g_coef) - hist).reshape(shape) + c0 * u
-                new = solve(rhs)
-                new += solve(rhs - apply(new))
+                new = rhs / diag
+                new[1:P + 1] -= lead * new[-P:]
                 plane = to_plane(new)
                 new_norm = np.linalg.norm(plane)
                 # a finite norm means finite entries; an infinite one may be overflow

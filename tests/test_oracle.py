@@ -107,6 +107,28 @@ class TestSpatialOperator:
         assert np.array_equal(got.data, want.data)
 
 
+class TestJordanBasis:
+    @pytest.mark.parametrize("Mx", [8, 9, 16, 64])
+    def test_eigenvectors_and_generalized_vectors(self, Mx):
+        # columns 0..Mx//2 are the c_n, the last (Mx - 1) // 2 the g_n of
+        # pairs n = 1, 2, ...: Dx c_n = lam_n c_n, (Dx - lam_n) g_n = c_n
+        S, lam = oracle._jordan_basis(Mx)
+        Dx = oracle._second_difference(Mx, coupled=True).toarray() * Mx**2
+        n_c, P = Mx // 2 + 1, (Mx - 1) // 2
+        assert S.shape == (Mx, Mx) and lam.shape == (Mx,) and n_c + P == Mx
+        lam_max = np.max(np.abs(lam))
+        i = np.arange(Mx)
+        for n in range(n_c):
+            c = S[:, n]
+            np.testing.assert_allclose(c, np.cos(2.0 * math.pi * n * i / Mx), atol=1e-13)
+            assert np.max(np.abs(Dx @ c - lam[n] * c)) <= 1e-12 * lam_max
+        for q in range(P):
+            g, c = S[:, n_c + q], S[:, 1 + q]
+            assert lam[n_c + q] == lam[1 + q]
+            gap = np.max(np.abs(Dx @ g - lam[1 + q] * g - c))
+            assert gap <= 1e-12 * lam_max * np.max(np.abs(g))
+
+
 class TestFDMForward:
     def test_zero_data_is_zero(self):
         prob = _problem(
@@ -218,14 +240,23 @@ class TestFDMForward:
 def _unblocked_march(problem, grid):
     """Reference L1 march: at every step the history is summed over all
     earlier differences, term by term, with no blocking.  Each step is a
-    sparse LU solve refined once against the assembled matrix, so the
-    reference does not carry one factorization's rounding."""
+    sparse LU solve refined once, so the reference does not carry one
+    factorization's rounding.  The residual is taken in extended precision,
+    with c0 apart from L and L from its exact integer entries: rounding in
+    the assembled diagonal c0 + L_ii, or in entries divided by a rounded
+    hy^4, moves the operator along the spatial mean, which no step damps,
+    by up to about 1e-11 of c0."""
     X, Y = np.meshgrid(grid.xs[:-1], grid.ys, indexing="ij")
     terms = problem.op.all_terms()
     scales = [psi * grid.tau ** (-beta) / math.gamma(2.0 - beta) for psi, beta in terms]
     c0 = sum(scales)
-    A = (c0 * sp.identity(X.size) + _spatial_operator(grid)).tocsc()
-    solver = splu(A)
+    Dx = oracle._second_difference(grid.Mx, coupled=True)
+    Dy = oracle._second_difference(grid.My + 1, coupled=False)
+    L_ext = (
+        sp.kron(Dx @ Dx * grid.Mx**4, sp.identity(grid.My + 1))
+        + sp.kron(sp.identity(grid.Mx), Dy @ Dy * grid.My**4)
+    ).astype(np.longdouble)
+    solver = splu((c0 * sp.identity(X.size) + _spatial_operator(grid)).tocsc())
     us = [np.asarray(problem.phi(X, Y), dtype=float).ravel()]
     for p in range(1, grid.N + 1):
         rhs = np.asarray(problem.source(X, Y, p * grid.tau), dtype=float).ravel()
@@ -236,7 +267,8 @@ def _unblocked_march(problem, grid):
                 b = (lag + 1.0) ** (1.0 - beta) - lag ** (1.0 - beta)
                 rhs -= scale * b * (us[j] - us[j - 1])
         u = solver.solve(rhs)
-        u += solver.solve(rhs - A @ u)
+        u_ext = u.astype(np.longdouble)
+        u += solver.solve(np.asarray(rhs - c0 * u_ext - L_ext @ u_ext, dtype=float))
         us.append(u)
     return np.array(us).reshape(grid.N + 1, grid.Mx, grid.My + 1)
 
@@ -262,10 +294,29 @@ class TestBlockedHistory:
         want = _unblocked_march(prob, grid)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("Mx, My", [(9, 12), (16, 9)])
+    def test_x_asymmetric_data_match_unblocked_march(self, Mx, My):
+        # data even about x = 1/2, as in the other marches here, leave the
+        # generalized vectors (discrete x sin 2 pi n x) and so every pair's
+        # coupling at zero; these excite them.  An odd Mx has (Mx - 1) / 2
+        # pairs and no unpaired cosine at n = Mx / 2.
+        op = FractionalOperatorSpec(0.8, ((0.5, 0.4), (0.3, 0.1)))
+        phi = Field2D.analytic(
+            lambda x, y: 1.0 + x * np.sin(2.0 * math.pi * x) * np.cos(math.pi * y), "x sin"
+        )
+        f = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
+        source = SpaceTimeField.separable(f, lambda t: 1.0 + t)
+        prob = _problem(op, phi, source, TimeGrid(0.5, 40))
+        grid = FDGrid(Mx, My, 40, T=0.5)
+        got = fdm_forward(prob, grid).values[:, :-1, :]
+        want = _unblocked_march(prob, grid)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestSingularSystem:
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_failed_block_inverse_refuses(self, monkeypatch, failure):
+        # np.linalg.inv is called once per march, on the x Jordan basis S
         def inv(a):
             if failure == "raise":
                 raise np.linalg.LinAlgError("Singular matrix")
@@ -288,6 +339,27 @@ class TestProbeCheck:
         # refused before the march, not refined against
         sparse = oracle._spatial_operator
         monkeypatch.setattr(oracle, "_spatial_operator", lambda grid: 1.001 * sparse(grid))
+        prob = _problem(
+            FractionalOperatorSpec(0.8),
+            make_field("cos_exp"),
+            SpaceTimeField.static(Field2D.constant(1.0)),
+            TimeGrid(0.5, 8),
+        )
+        with pytest.raises(SingularSystem, match="differs from the sparse operator"):
+            fdm_forward(prob, FDGrid(8, 8, 8, T=0.5))
+
+    def test_perturbed_jordan_pair_refuses(self, monkeypatch):
+        # g_1 scaled by 1 + 1e-6 is a generalized vector of coupling
+        # 2 lam_1 (1 + 1e-6), so the basis' coupling 2 lam_1 is off by 1e-6
+        # of itself; the probe reads about 1e-8 on 8 x 8
+        exact = oracle._jordan_basis
+
+        def perturbed(m):
+            S, lam = exact(m)
+            S[:, m // 2 + 1] *= 1.0 + 1e-6
+            return S, lam
+
+        monkeypatch.setattr(oracle, "_jordan_basis", perturbed)
         prob = _problem(
             FractionalOperatorSpec(0.8),
             make_field("cos_exp"),

@@ -24,7 +24,7 @@ from .fractional import (
     caputo_multiterm,
     singular_convolve,
 )
-from .mlf import RelaxationKernelSpec, _kernel_values
+from .mlf import RelaxationKernelSpec, _kernel_sum
 from .spectral import (
     Family,
     Field2D,
@@ -93,19 +93,22 @@ def _mode_trajectory(
     T(0) = phi_c, via the explicit relaxation-kernel formula.  ``tables``
     maps sigma to the kernel's moment table; a missing table is built and
     stored there, so modes sharing an eigenvalue share one table."""
-    spec = mode_kernel_spec(op, sigma)
+    forced = forcing is not None and np.any(forcing.values)
     vals = np.zeros(grid.N + 1)
-    ts = grid.nodes[1:]
+    if phi_c == 0.0 and not forced:
+        return TimeSeries(grid, vals)
+    spec = mode_kernel_spec(op, sigma)
     if phi_c != 0.0:
-        vals[0] = phi_c
-        # values used pointwise: the series' accuracy where it reaches
-        kernel = spec.reduced()
-        homog = _kernel_values(kernel, ts, spec.eta)
-        for psi, a_i in op.terms:
-            if psi:
-                homog = homog + psi * _kernel_values(kernel, ts, op.alpha + 1.0 - a_i)
-        vals[1:] = phi_c * homog
-    if forcing is not None and np.any(forcing.values):
+        # phi_c P(s) / (s (P(s) + sigma)), P(s) = s^alpha + sum psi_i s^alpha_i,
+        # is phi_c (e_1 + sum psi_i e_(alpha+1-alpha_i)): one contour-first
+        # kernel call.  At sigma = 0 it is phi_c / s: the mean mode stays put.
+        vals[:] = phi_c
+        if sigma != 0.0:
+            powers = ((1.0, spec.eta),) + tuple(
+                (psi, op.alpha + 1.0 - a_i) for psi, a_i in op.terms if psi
+            )
+            vals[1:] = phi_c * _kernel_sum(spec.reduced(), grid.nodes[1:], powers)
+    if forced:
         if sigma not in tables:
             tables[sigma] = KernelMoments(spec.with_eta(op.alpha), grid)
         vals += singular_convolve(forcing, tables[sigma]).values

@@ -4,11 +4,14 @@ Two evaluation routes are provided: direct summation of the defining double
 series, one shell march for a whole grid of points (the more accurate for
 moderate arguments), and numerical inversion of the closed-form Laplace
 transform on a deformed Bromwich contour (uniformly valid, a fraction of the
-series' cost).  ``eval_kernel_grid`` tries the contour first, the pointwise
-``_kernel_values`` the series; ``eval_kernel`` and ``ml_series`` are the
-former's and the shell sum's one-point forms.  Both routes accept the kernel
-index eta as one value per point.  The two routes are cross-checked in an
-overlap band by the test suite.
+series' cost).  ``eval_kernel_grid`` and ``_kernel_sum`` try the contour
+first; the latter inverts a weighted sum of kernels that share their rates
+and orders, such as a mode's initial-state trajectory, in one pass.
+``_kernel_values``, which serves only a kernel table's first-interval moments
+directly, tries the series first; ``eval_kernel`` and ``ml_series`` are
+``eval_kernel_grid``'s and the shell sum's one-point forms.  Both routes
+accept the kernel index eta as one value per point.  The two routes are
+cross-checked in an overlap band by the test suite.
 """
 
 from __future__ import annotations
@@ -266,18 +269,23 @@ def _talbot_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _talbot_invert(
-    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray, m: int
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, m: int
 ) -> np.ndarray:
-    """Invert s^(-eta) / (1 + sum_j m_j s^(-xi_j)) on the m-node contour;
-    ``eta`` is one value or one per time.
+    """Invert sum_i w_i s^(-eta_i) / (1 + sum_j m_j s^(-xi_j)) on the m-node
+    contour.  ``powers`` holds the numerator's weighted powers
+    ((w_1, eta_1), (w_2, eta_2), ...); eta_1 is one value or one per time,
+    the others one value each.
 
     With s = (m/t) z the exponent is s t = m z, and on the principal branch
     s^(-xi) = (t/m)^xi z^(-xi) because m/t is real and positive.  So every
     complex power and exponential depends on the node alone, and the
     (times x nodes) denominator is 1 plus a real-weighted sum of per-node
-    vectors.  Nodes theta and -theta contribute equal imaginary parts, so
-    the upper half is summed and doubled.
+    vectors; so is the numerator over its leading power, w_1 plus
+    w_i (t/m)^(eta_i - eta_1) z^(eta_1 - eta_i), formed only when it is not
+    1.  Nodes theta and -theta contribute equal imaginary parts, so the
+    upper half is summed and doubled.
     """
+    (w1, eta), *rest = powers
     z, dz = _talbot_nodes(m)
     x = ts / m
     denom = np.ones((ts.size, z.size), dtype=complex)
@@ -285,6 +293,11 @@ def _talbot_invert(
         denom += np.multiply.outer(rate * x**xi, z ** (-xi))
     per_time = eta if np.ndim(eta) == 0 else eta[:, None]
     weight = np.exp(m * z) * z ** (-per_time) * dz
+    if rest or w1 != 1.0:
+        numer = w1
+        for w, eta_i in rest:
+            numer = numer + (w * x ** (eta_i - eta))[:, None] * z ** (per_time - eta_i)
+        weight = weight * numer
     return (2.0 / m) * x ** (eta - 1.0) * (weight / denom).imag.sum(axis=1)
 
 
@@ -300,17 +313,18 @@ def _valid_times(ts) -> np.ndarray:
 
 
 def _contour_values(
-    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reduced ``spec``'s kernel at the valid times ``ts`` by Talbot
-    inversion on 24 nodes, on 48, and whether they agree: (values, check, ok)."""
-    base = _talbot_invert(spec, ts, eta, _TALBOT_NODES)
-    check = _talbot_invert(spec, ts, eta, 2 * _TALBOT_NODES)
+    """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``,
+    for ``_talbot_invert``'s weighted ``powers``, by one Talbot inversion on
+    24 nodes, one on 48, and whether they agree: (values, check, ok)."""
+    base = _talbot_invert(spec, ts, powers, _TALBOT_NODES)
+    check = _talbot_invert(spec, ts, powers, 2 * _TALBOT_NODES)
     # Relative agreement to 2e-8, with an absolute floor at 1e-12 of the
-    # kernel's natural scale t^(eta-1)/Gamma(eta): once the kernel has decayed
-    # that far below its envelope, double-precision quadrature can only
-    # deliver absolute accuracy.
-    envelope = ts ** (eta - 1.0) / _gamma(eta)
+    # natural scale sum_i |w_i| t^(eta_i-1)/Gamma(eta_i): once the kernels
+    # have decayed that far below their envelope, double-precision quadrature
+    # can only deliver absolute accuracy.
+    envelope = sum(abs(w) * ts ** (eta - 1.0) / _gamma(eta) for w, eta in powers)
     ok = np.abs(base - check) <= np.maximum(2e-8 * np.abs(base), 1e-12 * envelope)
     return base, check, ok
 
@@ -318,9 +332,10 @@ def _contour_values(
 def _certified_contour(
     spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
 ) -> np.ndarray:
-    """``_contour_values``' values, or :class:`ContourFailure` naming the
-    first refused time with its 24- and 48-node values."""
-    base, check, ok = _contour_values(spec, ts, eta)
+    """``_contour_values``' kernel with index ``eta``, or
+    :class:`ContourFailure` naming the first refused time with its 24- and
+    48-node values."""
+    base, check, ok = _contour_values(spec, ts, ((1.0, eta),))
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise ContourFailure(
@@ -351,11 +366,13 @@ def _kernel_values(
     """The reduced ``spec``'s kernel at the valid times ``ts`` with index
     ``eta``, one value or one per time, in place of ``spec.eta``.
 
-    For values the solution uses pointwise: each point takes the more
-    accurate certified route, the shell sum (about 1e-16 relative) where its
-    largest argument m_j t^xi_j is at most ``_REGIME_THRESHOLD``, else the
-    contour (about 1e-14), which also serves the points the series refuses
-    and raises :class:`ContourFailure`.
+    Each point takes the more accurate certified route, the shell sum
+    (about 1e-16 relative) where its largest argument m_j t^xi_j is at most
+    ``_REGIME_THRESHOLD``, else the contour (about 1e-14), which also serves
+    the points the series refuses and raises :class:`ContourFailure`.  A
+    kernel table's first-interval moments, at eta up to alpha + 4 where the
+    24-node contour loses digits, take this route directly; the contour-first
+    routes send it only the points they refuse.
     """
     if not spec.terms:
         return ts ** (eta - 1.0) / _gamma(eta)
@@ -375,6 +392,26 @@ def _kernel_values(
     return out
 
 
+def _kernel_sum(
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple
+) -> np.ndarray:
+    """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``
+    for the weighted ``powers`` ((w_1, eta_1), (w_2, eta_2), ...), contour
+    first: one inversion of the whole sum, whose transform has the common
+    denominator.  Only the points it refuses take the per-eta route,
+    ``sum_i w_i _kernel_values``, so a point both routes refuse raises
+    :class:`ContourFailure`."""
+    if spec.terms:
+        out, _, ok = _contour_values(spec, ts, powers)
+    else:  # pure powers of t: the per-eta route is exact
+        out, ok = np.empty_like(ts), np.zeros(ts.size, dtype=bool)
+    if not np.all(ok):
+        bad = ~ok
+        per_eta = [w * _kernel_values(spec, ts[bad], eta) for w, eta in powers]
+        out[bad] = sum(per_eta[1:], per_eta[0])
+    return out
+
+
 def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of finite
     times t > 0 on the contour first: where it certifies, it costs a fraction
@@ -382,12 +419,7 @@ def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     route, so a point both routes refuse raises :class:`ContourFailure`."""
     ts = _valid_times(ts)
     spec = spec.reduced()
-    if not spec.terms:
-        return _kernel_values(spec, ts, spec.eta)
-    out, _, ok = _contour_values(spec, ts, spec.eta)
-    if not np.all(ok):
-        out[~ok] = _kernel_values(spec, ts[~ok], spec.eta)
-    return out
+    return _kernel_sum(spec, ts, ((1.0, spec.eta),))
 
 
 def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:

@@ -90,6 +90,35 @@ class TestTrivialSolutions:
         )
         np.testing.assert_allclose(bundle.energy.values, 2.0, rtol=1e-12)
 
+    def test_constant_mode_is_exactly_stationary_with_lower_order_terms(self):
+        # P(s) / (s P(s)) = 1/s: the mean mode keeps phi_c to the last bit
+        grid = TimeGrid(1.0, 16)
+        prob = ProblemData(
+            op=FractionalOperatorSpec(0.8, ((0.5, 0.4),)),
+            phi=Field2D.constant(2.0),
+            source=_zero_source(),
+            grid=grid,
+            amplitude=_amp(grid, lambda t: np.zeros_like(t)),
+            n_max=2,
+            k_max=2,
+        )
+        bundle = solve_forward(prob)
+        mean = ModeIndex(Family.Zero, 0, 0)
+        np.testing.assert_array_equal(
+            bundle.coeffs[mean].values, bundle.phi_coeffs[mean]
+        )
+
+    def test_data_free_mode_builds_no_kernel(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a kernel was set up for a mode with no data")
+
+        monkeypatch.setattr(forward, "mode_kernel_spec", unreachable)
+        grid = TimeGrid(1.0, 16)
+        op = FractionalOperatorSpec(0.8, ((0.5, 0.4),))
+        for forcing in (None, TimeSeries(grid, np.zeros(grid.N + 1))):
+            traj = forward._mode_trajectory(1e3, 0.0, forcing, op, grid, {})
+            np.testing.assert_array_equal(traj.values, 0.0)
+
 
 class TestSingleModeClosedForms:
     def test_classical_exponential_decay(self):

@@ -472,6 +472,66 @@ class TestKernelEvaluation:
         assert np.all(np.diff(vals) < 0.0)
 
 
+# the initial-state kernels of the mode D^0.8 + 0.5 D^0.4 + 1e4: e_1 + 0.5 e_1.4
+_MODE_SPEC = RelaxationKernelSpec(1.0, ((0.5, 0.4), (1e4, 0.8)))
+_MODE_POWERS = ((1.0, 1.0), (0.5, 1.4))
+
+
+class TestKernelSum:
+    """One contour inversion for a weighted sum of kernels sharing their
+    rates and orders, and the per-eta route for what it refuses."""
+
+    def test_one_pair_is_ml_contour_grid(self):
+        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        for eta in (_MODE_SPEC.eta, 1.4, 2.3):
+            got = mlf._kernel_sum(_MODE_SPEC, ts, ((1.0, eta),))
+            want = ml_contour_grid(_MODE_SPEC, ts, eta=eta)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_weight_pair_changes_no_bit(self):
+        # the numerator over its leading power is then exactly 1 + 0j
+        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        for m in (24, 48):
+            one = mlf._talbot_invert(_MODE_SPEC, ts, ((1.0, 1.0),), m)
+            two = mlf._talbot_invert(_MODE_SPEC, ts, ((1.0, 1.0), (0.0, 1.4)), m)
+            assert one.tobytes() == two.tobytes()
+
+    def test_refused_points_take_per_eta_route(self, monkeypatch):
+        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        contour_values = mlf._contour_values
+        combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS)[0]
+
+        def refusing_sums(spec, ts, powers):
+            base, check, ok = contour_values(spec, ts, powers)
+            if len(powers) > 1:
+                ok[::3] = False
+            return base, check, ok
+
+        monkeypatch.setattr(mlf, "_contour_values", refusing_sums)
+        got = mlf._kernel_sum(_MODE_SPEC, ts, _MODE_POWERS)
+        refused = ts[::3]
+        want = _kernel_values(_MODE_SPEC, refused, 1.0) + 0.5 * _kernel_values(
+            _MODE_SPEC, refused, 1.4
+        )
+        assert got[::3].tobytes() == want.tobytes()
+        kept = np.ones(ts.size, dtype=bool)
+        kept[::3] = False
+        assert got[kept].tobytes() == combined[kept].tobytes()
+
+    def test_point_both_routes_refuse_raises(self, monkeypatch):
+        def refused(spec, ts, powers):
+            return np.zeros(ts.size), np.ones(ts.size), np.zeros(ts.size, dtype=bool)
+
+        def refusing(eta, xis, logz, neg):
+            return np.zeros(logz.shape[1]), np.zeros(logz.shape[1], dtype=bool)
+
+        monkeypatch.setattr(mlf, "_contour_values", refused)
+        monkeypatch.setattr(mlf, "_shell_sum", refusing)
+        # largest argument 1e4 t^0.8 = 0.85 at t = 1e-5: within the series' reach
+        with pytest.raises(ContourFailure, match="0 vs 1"):
+            mlf._kernel_sum(_MODE_SPEC, np.array([1e-5, 0.5]), _MODE_POWERS)
+
+
 class TestAntiderivative:
     def test_shifts_eta_by_one(self):
         spec = RelaxationKernelSpec(0.7, ((1.5, 0.7),))

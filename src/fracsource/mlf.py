@@ -175,13 +175,13 @@ def _shell_sum(
         return k * log_sumabs - gammaln(eta + k * np.min(xis))
 
     ok = np.minimum(log_bound(1), log_bound(_MAX_SHELLS)) <= math.log(_SERIES_RTOL)
-    # numpy sums the rows of a many-column array in order but one column
-    # pairwise; a point left alone from a many-point call keeps the row order,
-    # so its value does not depend on when the others stopped.
-    several = total.size > 1
+    # A point's value must not depend on the other points in its call.  numpy
+    # sums the rows of a many-column array in order but one column pairwise,
+    # so a lone column is summed in row order too; and a matrix product rounds
+    # by the column count, so the exponents are formed argument by argument.
 
     def column_sum(a: np.ndarray) -> np.ndarray:
-        return np.cumsum(a, axis=0)[-1] if several and a.shape[1] == 1 else a.sum(axis=0)
+        return np.cumsum(a, axis=0)[-1] if a.shape[1] == 1 else a.sum(axis=0)
 
     for k in range(1, _MAX_SHELLS + 1):
         live = np.flatnonzero(ok & ~done)
@@ -192,8 +192,10 @@ def _shell_sum(
             sign = (-1.0) ** k
         else:
             sign = np.where(ls[:, neg].sum(axis=1) % 2, -1.0, 1.0)[:, None]
-        base = coef - gammaln(_at(eta, live) + (ls @ xis)[:, None])
-        log_term = base + ls @ logz[:, live]  # (ncomp, nlive)
+        log_term = np.multiply.outer(ls[:, 0], logz[0, live])  # (ncomp, nlive)
+        for j in range(1, xis.size):
+            log_term += np.multiply.outer(ls[:, j], logz[j, live])
+        log_term += coef - gammaln(_at(eta, live) + (ls @ xis)[:, None])
         over = np.max(log_term, axis=0) > 700.0  # terms overflow doubles
         if np.any(over):
             ok[live[over]] = False

@@ -214,10 +214,8 @@ class TestSeries:
         # each shell runs only over the live points; a point's flag must not
         # depend on which other points share the call: ones that converge
         # within a few shells, ones that need many more, and ones the
-        # forecast refuses before the first shell.  Its value may move in the
-        # last digits only: BLAS rounds a matrix product column by column
-        # depending on the column count, and numpy sums one column pairwise
-        # but many columns row by row.
+        # forecast refuses before the first shell.  Nor may its value, to the
+        # last bit.
         xis = np.array([0.6, 0.3])
         neg = np.array([True, False])
         company = np.log(
@@ -235,14 +233,33 @@ class TestSeries:
                 alone = _shell_sum(eta, xis, company[:, j : j + 1], neg)
                 assert together[1][j] == alone[1][0]
                 if alone[1][0]:
-                    assert together[0][j] == pytest.approx(alone[0][0], rel=1e-13)
+                    assert together[0][j] == alone[0][0]
         # the same points with one eta per point, against one eta at a time
         etas = np.array([0.4, 2.5, 1.0, 0.4, 2.5])
         mixed = _shell_sum(etas, xis, company, neg)
         for j, eta in enumerate(etas):
             alone = _shell_sum(eta, xis, company[:, j : j + 1], neg)
             assert mixed[1][j] == alone[1][0]
-            assert mixed[0][j] == pytest.approx(alone[0][0], rel=1e-13)
+            if alone[1][0]:
+                assert mixed[0][j] == alone[0][0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_like_point_alone_equals_in_company(self, seed):
+        # all arguments negative, as for kernels: a point summed alone and
+        # within a call of up to a dozen points gets the same bits, whatever
+        # the number of arguments and whenever the others converge
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            xis = rng.uniform(0.05, 1.0, n)
+            neg = np.ones(n, dtype=bool)
+            logz = np.log(rng.uniform(1e-3, 2.0, (n, int(rng.integers(2, 12)))))
+            eta = rng.uniform(0.3, 5.0)
+            values, ok = _shell_sum(eta, xis, logz, neg)
+            for j in range(logz.shape[1]):
+                alone, alone_ok = _shell_sum(eta, xis, logz[:, j : j + 1], neg)
+                assert ok[j] == alone_ok[0]
+                assert values[j] == alone[0]
 
     def test_exponential_rounding_counts_against_certification(self):
         # each term's exp(log term) is off by about eps |log term|; at these
@@ -276,7 +293,10 @@ class TestSeries:
         before = resident_mb()
         got = ml_series(MLParameters(1.0, (0.05, 0.05, 0.05)), (-0.345,) * 3)
         assert resident_mb() - before <= 64.0
-        assert got == 0.4841797205177047
+        # the sum is E_(0.05),1(-1.035) = 0.48417972051772950 (mpmath); this
+        # value is 1.3e-14 below it (5.1e-14 before each exponent was formed
+        # argument by argument and each column summed in row order)
+        assert got == 0.4841797205177234
 
 
 class TestContour:
@@ -386,6 +406,25 @@ class TestKernelEvaluation:
     )
     def test_scalar_is_one_point_grid(self, spec, t):
         assert eval_kernel(spec, t) == eval_kernel_grid(spec, np.array([t]))[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_is_one_point_grid_at_random_draws(self, seed):
+        # a point's value does not depend on the other points of its call,
+        # on either route: random 1-3-term kernels on grids reaching from
+        # the series' reach into the contour's
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            n = int(rng.integers(1, 4))
+            terms = tuple(
+                (float(rng.uniform(0.1, 50.0)), float(rng.uniform(0.05, 1.0))) for _ in range(n)
+            )
+            spec = RelaxationKernelSpec(float(rng.uniform(0.3, 4.5)), terms)
+            ts = np.sort(rng.uniform(1e-4, 2.0, int(rng.integers(2, 20))))
+            grid_vals = eval_kernel_grid(spec, ts)
+            series_first = _kernel_values(spec, ts, spec.eta)
+            for j, t in enumerate(ts):
+                assert eval_kernel(spec, t) == grid_vals[j]
+                assert _kernel_values(spec, ts[j : j + 1], spec.eta)[0] == series_first[j]
 
     def test_fallback_point_refused_by_series(self):
         with pytest.raises(NonConvergence):

@@ -4,7 +4,9 @@ Each expansion coefficient T_nk(t) of the solution satisfies a multi-term
 fractional ODE whose solution is explicit in terms of relaxation kernels:
 homogeneous terms carry the initial coefficient, the forcing enters through a
 weakly singular Laplace convolution, and the Odd family picks up an extra
-convolution against its paired Even trajectory.
+convolution against its paired Even trajectory.  The modes' kernels differ
+only in the eigenvalue, so a solve sets up those of all its eigenvalues in
+one pass before it solves the modes.
 """
 
 from __future__ import annotations
@@ -81,37 +83,79 @@ def mode_kernel_spec(op: FractionalOperatorSpec, sigma: float) -> RelaxationKern
     return RelaxationKernelSpec(1.0, gaps + ((sigma, op.alpha),))
 
 
+def _initial_state(op: FractionalOperatorSpec) -> tuple:
+    """The initial-state trajectory per unit phi_c as weighted kernel indices:
+    P(s) / (s (P(s) + sigma)), P(s) = s^alpha + sum psi_i s^alpha_i, is
+    e_1 + sum psi_i e_(alpha+1-alpha_i)."""
+    return ((1.0, 1.0),) + tuple((psi, op.alpha + 1.0 - a_i) for psi, a_i in op.terms if psi)
+
+
+@dataclass
+class EigenKernels:
+    """What the mode solves of one eigenvalue share: the initial-state
+    trajectory per unit phi_c at ``grid.nodes[1:]`` and the forcing's moment
+    table, each None until built."""
+
+    relaxation: np.ndarray | None = None
+    table: KernelMoments | None = None
+
+
+def eigen_kernels(
+    op: FractionalOperatorSpec, grid: TimeGrid, relaxed, forced
+) -> dict[float, EigenKernels]:
+    """The kernel pieces of many eigenvalues in one pass: the initial-state
+    trajectories of the nonzero ``relaxed`` ones, by one contour set-up for
+    all, and the moment tables of the nonzero ``forced`` ones, their
+    first-interval moments in one call.  At sigma = 0 the trajectory needs
+    no kernel and the table's kernel lacks the eigenvalue's term; it is left
+    to ``_mode_trajectory``, which builds what is missing."""
+    kernels: dict[float, EigenKernels] = {}
+    family = mode_kernel_spec(op, 1.0)
+    relaxed = sorted({s for s in relaxed if s != 0.0})
+    if relaxed:
+        rows = _kernel_sum(family.reduced(), grid.nodes[1:], _initial_state(op), relaxed)
+        for sigma, row in zip(relaxed, rows):
+            kernels.setdefault(sigma, EigenKernels()).relaxation = row
+    forced = sorted({s for s in forced if s != 0.0})
+    if forced:
+        tables = KernelMoments.family(family.with_eta(op.alpha), forced, grid)
+        for sigma, table in zip(forced, tables):
+            kernels.setdefault(sigma, EigenKernels()).table = table
+    return kernels
+
+
 def _mode_trajectory(
     sigma: float,
     phi_c: float,
     forcing: TimeSeries | None,
     op: FractionalOperatorSpec,
     grid: TimeGrid,
-    tables: dict,
+    kernels: dict,
 ) -> TimeSeries:
     """Solve one mode ODE (D^alpha + sum psi_i D^alpha_i + sigma) T = forcing,
-    T(0) = phi_c, via the explicit relaxation-kernel formula.  ``tables``
-    maps sigma to the kernel's moment table; a missing table is built and
-    stored there, so modes sharing an eigenvalue share one table."""
+    T(0) = phi_c, via the explicit relaxation-kernel formula.  ``kernels``
+    maps sigma to its :class:`EigenKernels`, as ``eigen_kernels`` builds
+    them; a missing piece is built alone and stored there, so modes sharing
+    an eigenvalue share it."""
     forced = forcing is not None and np.any(forcing.values)
     vals = np.zeros(grid.N + 1)
     if phi_c == 0.0 and not forced:
         return TimeSeries(grid, vals)
     spec = mode_kernel_spec(op, sigma)
+    pieces = kernels.setdefault(sigma, EigenKernels())
     if phi_c != 0.0:
-        # phi_c P(s) / (s (P(s) + sigma)), P(s) = s^alpha + sum psi_i s^alpha_i,
-        # is phi_c (e_1 + sum psi_i e_(alpha+1-alpha_i)): one contour-first
-        # kernel call.  At sigma = 0 it is phi_c / s: the mean mode stays put.
+        # at sigma = 0 the trajectory is phi_c / s: the mean mode stays put
         vals[:] = phi_c
         if sigma != 0.0:
-            powers = ((1.0, spec.eta),) + tuple(
-                (psi, op.alpha + 1.0 - a_i) for psi, a_i in op.terms if psi
-            )
-            vals[1:] = phi_c * _kernel_sum(spec.reduced(), grid.nodes[1:], powers)
+            if pieces.relaxation is None:
+                pieces.relaxation = _kernel_sum(
+                    spec.reduced(), grid.nodes[1:], _initial_state(op)
+                )
+            vals[1:] = phi_c * pieces.relaxation
     if forced:
-        if sigma not in tables:
-            tables[sigma] = KernelMoments(spec.with_eta(op.alpha), grid)
-        vals += singular_convolve(forcing, tables[sigma]).values
+        if pieces.table is None:
+            pieces.table = KernelMoments(spec.with_eta(op.alpha), grid)
+        vals += singular_convolve(forcing, pieces.table).values
     return TimeSeries(grid, vals)
 
 
@@ -122,20 +166,20 @@ def _odd_coupling(n: int) -> float:
 
 
 def mode_zero(
-    k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries, tables: dict
+    k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries, kernels: dict
 ) -> TimeSeries:
     """Trajectory of the Zero-family mode (eigenvalue mu_k)."""
     sigma = eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk
-    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, tables)
+    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, kernels)
 
 
 def mode_even(
     n: int, k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries,
-    tables: dict,
+    kernels: dict,
 ) -> TimeSeries:
     """Trajectory of the Even-family mode (eigenvalue sigma_nk)."""
     sigma = eigen(ModeIndex(Family.Even, n, k)).sigma_nk
-    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, tables)
+    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, kernels)
 
 
 def mode_odd(
@@ -145,7 +189,7 @@ def mode_odd(
     phi_c: float,
     forcing: TimeSeries,
     even_traj: TimeSeries,
-    tables: dict,
+    kernels: dict,
 ) -> TimeSeries:
     """Trajectory of the Odd-family mode; couples to the Even trajectory of
     the same index through the forcing term 4 lambda_n^(3/4) T_even."""
@@ -153,15 +197,18 @@ def mode_odd(
     coupled = forcing.values + _odd_coupling(n) * even_traj.values
     return _mode_trajectory(
         sigma, phi_c, TimeSeries(problem.grid, coupled), problem.op, problem.grid,
-        tables,
+        kernels,
     )
 
 
 def solve_forward(problem: ProblemData) -> SolutionBundle:
     """Project the data, form the forcing a(t) f_nk(t) of every mode, solve
     every mode ODE in closed form (each Even mode before its Odd partner),
-    and assemble coefficients and energy.  Kernel moment tables are
-    built once per eigenvalue and dropped on return."""
+    and assemble coefficients and energy.  The kernel pieces are set up
+    before the mode loop, once per eigenvalue and in one pass over all
+    eigenvalues (``eigen_kernels``): the initial-state trajectories of the
+    modes with phi_c != 0, and the moment tables of the modes with forcing
+    or an Odd coupling.  They are dropped on return."""
     t0 = time.perf_counter()
     grid = problem.grid
     n_max, k_max = problem.n_max, problem.k_max
@@ -173,19 +220,29 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
         n_max, k_max, problem.amplitude.values * f_coeffs.values, grid
     )
     coeffs = SpectralCoefficients(n_max, k_max, np.empty_like(f_coeffs.values), grid)
-    tables: dict = {}
 
     # storage order solves each Even mode right before the Odd mode it couples to
     modes = coeffs.modes
+    sigmas = [eigen(index).sigma_nk for index in modes]
+    forced = np.any(forcing_coeffs.values, axis=1)
+    moving = forced | (phi_coeffs.values != 0.0)  # modes with a nonzero trajectory
+    for r, index in enumerate(modes):
+        if index.family is Family.Odd:  # the Even partner is the row before
+            forced[r] |= moving[r - 1]
+    kernels = eigen_kernels(
+        problem.op, grid,
+        (s for s, c in zip(sigmas, phi_coeffs.values) if c != 0.0),
+        (s for s, f in zip(sigmas, forced) if f),
+    )
     for r, index in enumerate(modes):
         phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
         if index.family is Family.Zero:
-            traj = mode_zero(index.k, problem, phi_c, forcing, tables)
+            traj = mode_zero(index.k, problem, phi_c, forcing, kernels)
         elif index.family is Family.Even:
-            traj = mode_even(index.n, index.k, problem, phi_c, forcing, tables)
+            traj = mode_even(index.n, index.k, problem, phi_c, forcing, kernels)
         else:
             even = coeffs[ModeIndex(Family.Even, index.n, index.k)]
-            traj = mode_odd(index.n, index.k, problem, phi_c, forcing, even, tables)
+            traj = mode_odd(index.n, index.k, problem, phi_c, forcing, even, kernels)
         coeffs.values[r] = traj.values
 
     energy = coeffs.mean()

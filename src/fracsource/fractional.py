@@ -4,12 +4,15 @@ Provides the L1 approximation of the multi-term Caputo derivative and the
 weakly singular Laplace convolution of a signal against a relaxation kernel,
 with the Riemann-Liouville integral as its power-kernel case.  The
 convolution is product integration: the signal's not-a-knot cubic spline
-(one banded solve for its slopes) is integrated exactly against the kernel
-through a table of kernel moments over one grid interval, exact on the
-singular first interval and by the 15-point Gauss-Kronrod rule on the smooth
-later ones, whose embedded 7-point Gauss rule checks it.  The kernel values
-at the Kronrod nodes come from Chebyshev interpolants on dyadic panels, one
-kernel call per table, with the interpolation error checked too.
+(one tridiagonal solve for its slopes, against a factor kept per grid) is
+integrated exactly against the kernel through a table of kernel moments
+over one grid interval, exact on the singular first interval and by the
+15-point Gauss-Kronrod rule on the smooth later ones, whose embedded 7-point
+Gauss rule checks it.  The kernel values at the Kronrod nodes come from
+Chebyshev interpolants on dyadic panels, one kernel call per table, with the
+interpolation error checked too.  The tables of kernels that differ only in
+their last rate, a solve's eigenvalues, are built together, their
+first-interval moments in one pointwise call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .mlf import RelaxationKernelSpec, _kernel_values, eval_kernel_grid
 
@@ -272,13 +275,32 @@ def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, np.repeat(np.arange(edges.size - 1), np.diff(edges)), weights
 
 
+_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])  # k!, k = 0..3
+
+
+def _first_moments(spec: RelaxationKernelSpec, tau: float, rates=None) -> np.ndarray:
+    """The exact first-interval moments I_k(1) = k! e_(eta+k+1)(tau),
+    k = 0..3, of the reduced ``spec``, in one pointwise (series-first)
+    kernel call: shape (4,), or (rates, 4) for each of the positive
+    ``rates`` in place of the last term's rate."""
+    etas = spec.eta + np.arange(4) + 1.0
+    if rates is None:
+        return _kernel_values(spec, np.full(4, tau), etas) * _FACTORIALS
+    count = len(rates)
+    values = _kernel_values(
+        spec, np.full(4 * count, tau), np.tile(etas, count), np.repeat(rates, 4)
+    )
+    return values.reshape(count, 4) * _FACTORIALS
+
+
 class KernelMoments:
     """Moments I_k(p) = int_0^tau u^k e(p tau - u) du, k = 0..3, p = 1..N,
     of one relaxation kernel ``e`` on one uniform grid.
 
     The first interval holds the weak singularity and is exact:
     I_k(1) = k! e_{eta+k+1}(tau) by the kernel's antiderivative identity,
-    the four orders in one pointwise (series-first) kernel call.  Every
+    the four orders in one pointwise (series-first) kernel call, or
+    ``first`` when :meth:`family` has them from its call for many kernels.  Every
     later interval is at least tau away from the singularity and takes the
     15-point Gauss-Kronrod rule; the embedded 7-point Gauss rule on the same
     kernel values fills ``moments[1]`` for the refusal check in
@@ -294,16 +316,16 @@ class KernelMoments:
     the 17-node interpolant on every other node and the 16 nodes it skips.
     """
 
-    def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid):
+    def __init__(
+        self, spec: RelaxationKernelSpec, grid: TimeGrid, first: np.ndarray | None = None
+    ):
         spec = spec.reduced()
         self.grid = grid
         tau, n = grid.tau, grid.N
         k = np.arange(4)
-        etas = spec.eta + k + 1.0
-        first = _kernel_values(spec, np.full(4, tau), etas) * [1.0, 1.0, 2.0, 6.0]  # k!
         # (rule, k, p - 1)
         self.moments = np.empty((2, 4, n))
-        self.moments[:, :, 0] = first
+        self.moments[:, :, 0] = _first_moments(spec, tau) if first is None else first
         self.gap = 0.0
         if n == 1:
             return
@@ -316,13 +338,23 @@ class KernelMoments:
         self.moments[:, :, 1:] = np.einsum("rkjc,jc->rkj", weights, e[panel])
         self.moments[:, :, 1:] *= (tau ** (k + 1.0))[:, None]
 
+    @classmethod
+    def family(
+        cls, spec: RelaxationKernelSpec, rates, grid: TimeGrid
+    ) -> list["KernelMoments"]:
+        """The tables of ``spec``'s kernel with each of the positive ``rates``
+        in place of its last term's rate, as ``KernelMoments`` builds them
+        one at a time: the first-interval moments of all of them in one
+        pointwise call, the panel values one kernel call per table."""
+        spec = spec.reduced()
+        firsts = _first_moments(spec, grid.tau, rates)
+        return [cls(spec.with_rate(r), grid, first) for r, first in zip(rates, firsts)]
 
-@lru_cache(maxsize=16)
+
 def _not_a_knot_band(n: int) -> np.ndarray:
     """Banded (1, 1) matrix of the not-a-knot slope system on n >= 3 uniform
     intervals, scaled by 1/h: rows 1 4 1 inside, and the ends eliminate
-    the third-derivative jump at the second and the last-but-one node.
-    Cached: treat as read-only."""
+    the third-derivative jump at the second and the last-but-one node."""
     band = np.zeros((3, n + 1))
     band[0, 2:] = 1.0
     band[1, 1:-1] = 4.0
@@ -330,6 +362,19 @@ def _not_a_knot_band(n: int) -> np.ndarray:
     band[1, 0], band[0, 1] = 1.0, 2.0
     band[1, -1], band[2, -2] = 1.0, 2.0
     return band
+
+
+@lru_cache(maxsize=16)
+def _not_a_knot_factor(n: int) -> tuple:
+    """LAPACK's LU factorization (``gttrf``, partial pivoting) of the
+    not-a-knot band on n >= 3 intervals, for ``gttrs``: each spline fit is
+    then one back substitution, bit for bit the solve ``gtsv`` would do.
+    Cached: treat as read-only."""
+    band = _not_a_knot_band(n)
+    *factor, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    if info != 0:
+        raise ValueError(f"not-a-knot system on {n} intervals is singular")
+    return tuple(factor)
 
 
 def _local_coefficients(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -358,7 +403,7 @@ def _local_coefficients(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     rhs[1:-1] = 3.0 * (slope[:-1] + slope[1:])
     rhs[0] = (5.0 * slope[0] + slope[1]) / 2.0
     rhs[-1] = (slope[-2] + 5.0 * slope[-1]) / 2.0
-    s = solve_banded((1, 1), _not_a_knot_band(n), rhs, check_finite=False)
+    s, _ = dgttrs(*_not_a_knot_factor(n), rhs)
     t = (s[:-1] + s[1:] - 2.0 * slope) / h
     c[1] = s[:-1]
     c[2] = (slope - s[:-1]) / h - t

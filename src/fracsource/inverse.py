@@ -26,6 +26,7 @@ from .forward import (
     ProblemData,
     SolutionBundle,
     _mode_trajectory,
+    eigen_kernels,
     solve_forward,
 )
 from .fractional import (
@@ -150,7 +151,8 @@ def recover_source(
     the stiff T_n.
 
     Projections and trajectories are the forward solver's own, over the
-    k = 0 box n <= ``flux_modes``.
+    k = 0 box n <= ``flux_modes``; the kernels of phi's trajectories and of
+    the flux's tables are set up in one pass, as the forward solver's are.
     """
     if flux_modes < 0:
         raise ValueError(f"flux_modes must be nonnegative, got {flux_modes}")
@@ -180,24 +182,26 @@ def recover_source(
             f"{grid.nodes[j]:.6g} is below the threshold {DEFAULT_MEAN_THRESHOLD:g}"
         )
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
-    tables: dict = {}
+    excited = [i for i in associated if np.any(f_coeffs[i].values)]
+    relaxed = [] if phi_coeffs is None else [i for i in associated if phi_coeffs[i] != 0.0]
+    kernels = eigen_kernels(
+        op, grid, (eigen(i).sigma_nk for i in relaxed), (eigen(i).sigma_nk for i in excited)
+    )
 
     def trajectory(index, phi_c, forcing=None) -> np.ndarray:
         sigma = eigen(index).sigma_nk
-        return _mode_trajectory(sigma, phi_c, forcing, op, grid, tables).values
+        return _mode_trajectory(sigma, phi_c, forcing, op, grid, kernels).values
 
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)
-        for index in associated:
+        for index in relaxed:
             c = phi_coeffs[index]
-            if c != 0.0:
-                homog += mode_mean(index) * (trajectory(index, c) - c)
+            homog += mode_mean(index) * (trajectory(index, c) - c)
         E = TimeSeries(grid, E.values - homog)
     deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)
     a[1:] = deriv[1:] / fmean[1:]
     _extrapolate_origin(a, grid.N)
-    excited = [i for i in associated if np.any(f_coeffs[i].values)]
     iterations = 0
     if excited:
         for iterations in range(1, _MAX_FLUX_ITERATIONS + 1):

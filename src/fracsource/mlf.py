@@ -10,8 +10,15 @@ and orders, such as a mode's initial-state trajectory, in one pass.
 ``_kernel_values``, which serves only a kernel table's first-interval moments
 directly, tries the series first; ``eval_kernel`` and ``ml_series`` are
 ``eval_kernel_grid``'s and the shell sum's one-point forms.  Both routes
-accept the kernel index eta as one value per point.  The two routes are
-cross-checked in an overlap band by the test suite.
+accept the kernel index eta as one value per point.
+
+A solve's modes differ only in the eigenvalue, the rate of the kernel's last
+term.  The contour's nodes and weights do not depend on the transform, so
+``_kernel_sum`` inverts a whole family of such kernels in one pass, building
+everything the rate does not enter once; ``_kernel_values`` takes the last
+rate per point, so the first-interval moments of many kernels take one
+series pass and one contour pass.  The two routes are cross-checked in an
+overlap band by the test suite.
 """
 
 from __future__ import annotations
@@ -96,6 +103,11 @@ class RelaxationKernelSpec:
 
     def with_eta(self, eta: float) -> "RelaxationKernelSpec":
         return RelaxationKernelSpec(eta, self.terms)
+
+    def with_rate(self, rate: float) -> "RelaxationKernelSpec":
+        """The kernel with its last term's rate replaced by ``rate``."""
+        *shared, (_, xi) = self.terms
+        return RelaxationKernelSpec(self.eta, (*shared, (rate, xi)))
 
 
 # series evaluation ---------------------------------------------------------
@@ -271,12 +283,14 @@ def _talbot_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _talbot_invert(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, m: int
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, m: int, rates=None
 ) -> np.ndarray:
     """Invert sum_i w_i s^(-eta_i) / (1 + sum_j m_j s^(-xi_j)) on the m-node
     contour.  ``powers`` holds the numerator's weighted powers
     ((w_1, eta_1), (w_2, eta_2), ...); eta_1 is one value or one per time,
-    the others one value each.
+    the others one value each.  Given ``rates``, each in turn replaces the
+    last term's rate m_n, as one value or one per time, and the result has
+    one row per rate.
 
     With s = (m/t) z the exponent is s t = m z, and on the principal branch
     s^(-xi) = (t/m)^xi z^(-xi) because m/t is real and positive.  So every
@@ -285,13 +299,17 @@ def _talbot_invert(
     vectors; so is the numerator over its leading power, w_1 plus
     w_i (t/m)^(eta_i - eta_1) z^(eta_1 - eta_i), formed only when it is not
     1.  Nodes theta and -theta contribute equal imaginary parts, so the
-    upper half is summed and doubled.
+    upper half is summed and doubled.  Only the last term depends on the
+    rate, so the rest of the denominator, the numerator and the weights are
+    formed once for all rates, and no array has a dimension per rate.
     """
     (w1, eta), *rest = powers
+    # a power kernel: a zero rate adds exactly nothing to the denominator
+    *shared, (own, alpha) = spec.terms or ((0.0, 1.0),)
     z, dz = _talbot_nodes(m)
     x = ts / m
     denom = np.ones((ts.size, z.size), dtype=complex)
-    for rate, xi in spec.terms:
+    for rate, xi in shared:
         denom += np.multiply.outer(rate * x**xi, z ** (-xi))
     per_time = eta if np.ndim(eta) == 0 else eta[:, None]
     weight = np.exp(m * z) * z ** (-per_time) * dz
@@ -300,7 +318,13 @@ def _talbot_invert(
         for w, eta_i in rest:
             numer = numer + (w * x ** (eta_i - eta))[:, None] * z ** (per_time - eta_i)
         weight = weight * numer
-    return (2.0 / m) * x ** (eta - 1.0) * (weight / denom).imag.sum(axis=1)
+    scale = (2.0 / m) * x ** (eta - 1.0)
+    x_alpha, z_alpha = x**alpha, z ** (-alpha)
+    rows = np.empty((1 if rates is None else len(rates), ts.size))
+    for row, rate in zip(rows, (own,) if rates is None else rates):
+        last = np.multiply.outer(rate * x_alpha, z_alpha)
+        row[:] = scale * (weight / (denom + last)).imag.sum(axis=1)
+    return rows[0] if rates is None else rows
 
 
 def _valid_times(ts) -> np.ndarray:
@@ -315,13 +339,14 @@ def _valid_times(ts) -> np.ndarray:
 
 
 def _contour_values(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``,
-    for ``_talbot_invert``'s weighted ``powers``, by one Talbot inversion on
-    24 nodes, one on 48, and whether they agree: (values, check, ok)."""
-    base = _talbot_invert(spec, ts, powers, _TALBOT_NODES)
-    check = _talbot_invert(spec, ts, powers, 2 * _TALBOT_NODES)
+    for ``_talbot_invert``'s weighted ``powers`` and ``rates``, by one Talbot
+    inversion on 24 nodes, one on 48, and whether they agree:
+    (values, check, ok)."""
+    base = _talbot_invert(spec, ts, powers, _TALBOT_NODES, rates)
+    check = _talbot_invert(spec, ts, powers, 2 * _TALBOT_NODES, rates)
     # Relative agreement to 2e-8, with an absolute floor at 1e-12 of the
     # natural scale sum_i |w_i| t^(eta_i-1)/Gamma(eta_i): once the kernels
     # have decayed that far below their envelope, double-precision quadrature
@@ -332,12 +357,16 @@ def _contour_values(
 
 
 def _certified_contour(
-    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
+    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray, rate=None
 ) -> np.ndarray:
-    """``_contour_values``' kernel with index ``eta``, or
+    """``_contour_values``' kernel with index ``eta`` and, if given, last
+    rate ``rate`` (each one value or one per time), or
     :class:`ContourFailure` naming the first refused time with its 24- and
     48-node values."""
-    base, check, ok = _contour_values(spec, ts, ((1.0, eta),))
+    rates = None if rate is None else (rate,)
+    base, check, ok = (
+        np.reshape(a, ts.shape) for a in _contour_values(spec, ts, ((1.0, eta),), rates)
+    )
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise ContourFailure(
@@ -363,10 +392,13 @@ _REGIME_THRESHOLD = 2.0
 
 
 def _kernel_values(
-    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray
+    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray, rate=None
 ) -> np.ndarray:
     """The reduced ``spec``'s kernel at the valid times ``ts`` with index
-    ``eta``, one value or one per time, in place of ``spec.eta``.
+    ``eta``, one value or one per time, in place of ``spec.eta``, and, if
+    given, ``rate``, one positive value or one per time, in place of its
+    last term's rate: the points of many kernels that differ only there
+    take one call.
 
     Each point takes the more accurate certified route, the shell sum
     (about 1e-16 relative) where its largest argument m_j t^xi_j is at most
@@ -381,7 +413,11 @@ def _kernel_values(
     out = np.empty_like(ts)
     xis = np.asarray(spec.orders)
     # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
-    logz = np.log(spec.rates)[:, None] + xis[:, None] * np.log(ts)[None, :]
+    log_rates = np.log(spec.rates)[:, None]
+    if rate is not None:
+        log_rates = np.repeat(log_rates, ts.size, axis=1)
+        log_rates[-1] = np.log(rate)
+    logz = log_rates + xis[:, None] * np.log(ts)[None, :]
     ok = logz.max(axis=0) <= math.log(_REGIME_THRESHOLD)
     idx = np.flatnonzero(ok)
     if idx.size:
@@ -390,27 +426,36 @@ def _kernel_values(
         )
         out[idx] = ts[idx] ** (_at(eta, idx) - 1.0) * values
     if not np.all(ok):
-        out[~ok] = _certified_contour(spec, ts[~ok], _at(eta, ~ok))
+        out[~ok] = _certified_contour(spec, ts[~ok], _at(eta, ~ok), _at(rate, ~ok))
     return out
 
 
 def _kernel_sum(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates=None
 ) -> np.ndarray:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``
     for the weighted ``powers`` ((w_1, eta_1), (w_2, eta_2), ...), contour
     first: one inversion of the whole sum, whose transform has the common
     denominator.  Only the points it refuses take the per-eta route,
     ``sum_i w_i _kernel_values``, so a point both routes refuse raises
-    :class:`ContourFailure`."""
+    :class:`ContourFailure`.
+
+    Given positive ``rates``, the sum for each in place of the last term's
+    rate, one row per rate: a family of kernels that differ only there,
+    such as a solve's modes, shares one contour set-up, and a refused point
+    takes its own kernel's per-eta route."""
     if spec.terms:
-        out, _, ok = _contour_values(spec, ts, powers)
+        out, _, ok = _contour_values(spec, ts, powers, rates)
     else:  # pure powers of t: the per-eta route is exact
         out, ok = np.empty_like(ts), np.zeros(ts.size, dtype=bool)
-    if not np.all(ok):
-        bad = ~ok
-        per_eta = [w * _kernel_values(spec, ts[bad], eta) for w, eta in powers]
-        out[bad] = sum(per_eta[1:], per_eta[0])
+    # one kernel's values are the single row of a family of one
+    for row, row_ok, rate in zip(
+        np.atleast_2d(out), np.atleast_2d(ok), (None,) if rates is None else rates
+    ):
+        if not np.all(row_ok):
+            bad = ~row_ok
+            per_eta = [w * _kernel_values(spec, ts[bad], eta, rate) for w, eta in powers]
+            row[bad] = sum(per_eta[1:], per_eta[0])
     return out
 
 

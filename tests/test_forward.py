@@ -295,3 +295,64 @@ def test_each_even_mode_solved_once(monkeypatch):
     assert len(calls) == 20
     assert len(set(calls)) == 20
     assert len(bundle.coeffs.indices()) == 45
+
+
+_XY = {"terms": [[1.0, 0, 0], [0.5, 1, 1]]}  # 1 + xy/2
+
+
+def _box_problem(phi=("cos_exp", None), source=("poly", _XY)):
+    grid = TimeGrid(1.0, 32)
+    return ProblemData(
+        op=FractionalOperatorSpec(0.8, ((0.5, 0.4),)),
+        phi=make_field(*phi),
+        source=SpaceTimeField.static(make_field(*source)),
+        grid=grid,
+        amplitude=_amp(grid, lambda t: 1.0 + t),
+        n_max=4,
+        k_max=4,
+    )
+
+
+@pytest.mark.parametrize("data, counts", [
+    # phi = cos_exp, f = 1 + xy/2: each Even mode shares its eigenvalue with
+    # its Odd partner, 27 forced modes and 15 eigenvalues
+    ({}, (15, 27)),
+    # phi = 1 + xy/2, f = 1: the Odd modes are forced by their coupling alone
+    ({"phi": ("poly", _XY), "source": ("constant", None)}, (13, 13)),
+])
+def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
+    built, used, forced, solves = [], [], set(), []
+    init, trajectory, convolve = (
+        forward.KernelMoments.__init__, forward._mode_trajectory, forward.singular_convolve
+    )
+
+    def building(self, *args, **kwargs):
+        built.append(id(self))
+        # before the mode loop, but for the mean mode's, which comes first
+        assert len(solves) <= 1
+        init(self, *args, **kwargs)
+
+    def solving(sigma, phi_c, forcing, *args):
+        solves.append(sigma)
+        if forcing is not None and np.any(forcing.values):
+            forced.add(sigma)
+        return trajectory(sigma, phi_c, forcing, *args)
+
+    def convolving(g, table):
+        used.append(id(table))
+        return convolve(g, table)
+
+    monkeypatch.setattr(forward.KernelMoments, "__init__", building)
+    monkeypatch.setattr(forward, "_mode_trajectory", solving)
+    monkeypatch.setattr(forward, "singular_convolve", convolving)
+    solve_forward(_box_problem(**data))
+    assert (len(forced), len(used)) == counts
+    assert len(built) == len(forced)
+    assert set(built) == set(used)
+
+
+def test_one_pass_set_up_equals_per_mode_set_up(monkeypatch):
+    batched = solve_forward(_box_problem()).coeffs.values
+    monkeypatch.setattr(forward, "eigen_kernels", lambda *args: {})
+    alone = solve_forward(_box_problem()).coeffs.values
+    assert batched.tobytes() == alone.tobytes()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from fracsource import fractional
 from fracsource.fractional import (
@@ -266,6 +267,23 @@ class TestLocalCoefficients:
                 atol=1e-13,
             )
 
+    @pytest.mark.parametrize("n", [3, 16, 128, 1024])
+    def test_factored_solve_is_the_banded_solve(self, n):
+        # the cached factor gives the slopes solve_banded gives, bit for bit
+        grid = TimeGrid(1.0, n)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            values = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-5, 5)
+            slope = np.diff(values) / grid.tau
+            rhs = np.concatenate([
+                [(5.0 * slope[0] + slope[1]) / 2.0],
+                3.0 * (slope[:-1] + slope[1:]),
+                [(slope[-2] + 5.0 * slope[-1]) / 2.0],
+            ])
+            want = solve_banded((1, 1), fractional._not_a_knot_band(n), rhs)
+            got = fractional._local_coefficients(grid, values)[1]
+            assert got.tobytes() == want[:-1].tobytes()
+
     def test_non_finite_samples_refused(self):
         grid = TimeGrid(1.0, 8)
         for bad in (np.nan, np.inf):
@@ -360,6 +378,23 @@ class TestPanelTables:
         monkeypatch.setattr(fractional, "eval_kernel_grid", None)
         table = KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), TimeGrid(1.0, 1))
         assert table.moments.shape == (2, 4, 1) and table.gap == 0.0
+
+    @pytest.mark.parametrize("n", [1, 5, 128])
+    @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS) + ["zero-weight"])
+    def test_family_tables_are_one_rate_tables(self, kernel, n):
+        # a repeated rate, and first-interval moments on both routes
+        make = _MODE_KERNELS.get(
+            kernel, lambda s: RelaxationKernelSpec(0.8, ((0.0, 0.4), (0.5, 0.2), (s, 0.8)))
+        )
+        rates = (0.5, 40.0, 1.0e4, 1.0e4, 1.0e8)
+        grid = TimeGrid(1.0, n)
+        tables = KernelMoments.family(make(1.0), rates, grid)
+        assert len(tables) == len(rates)
+        for table, rate in zip(tables, rates):
+            want = KernelMoments(make(rate), grid)
+            assert table.grid == grid
+            assert table.moments.tobytes() == want.moments.tobytes()
+            assert table.gap == want.gap
 
     def test_series_noise_is_not_an_interpolation_gap(self):
         # D^0.8 + 2 D^0.56 + 1: near t = 0.5 the shell sum's roundoff reached

@@ -452,7 +452,7 @@ class TestKernelEvaluation:
 
     def test_contour_refusal_beyond_series_reach_raises(self, monkeypatch):
         # largest argument 5.2: a point the contour refuses is not summed
-        def refused(spec, ts, eta):
+        def refused(spec, ts, eta, rates=None):
             return np.zeros(ts.size), np.ones(ts.size), np.zeros(ts.size, dtype=bool)
 
         def unreachable(*args):
@@ -540,8 +540,8 @@ class TestKernelSum:
         contour_values = mlf._contour_values
         combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS)[0]
 
-        def refusing_sums(spec, ts, powers):
-            base, check, ok = contour_values(spec, ts, powers)
+        def refusing_sums(spec, ts, powers, rates=None):
+            base, check, ok = contour_values(spec, ts, powers, rates)
             if len(powers) > 1:
                 ok[::3] = False
             return base, check, ok
@@ -558,7 +558,7 @@ class TestKernelSum:
         assert got[kept].tobytes() == combined[kept].tobytes()
 
     def test_point_both_routes_refuse_raises(self, monkeypatch):
-        def refused(spec, ts, powers):
+        def refused(spec, ts, powers, rates=None):
             return np.zeros(ts.size), np.ones(ts.size), np.zeros(ts.size, dtype=bool)
 
         def refusing(eta, xis, logz, neg):
@@ -569,6 +569,113 @@ class TestKernelSum:
         # largest argument 1e4 t^0.8 = 0.85 at t = 1e-5: within the series' reach
         with pytest.raises(ContourFailure, match="0 vs 1"):
             mlf._kernel_sum(_MODE_SPEC, np.array([1e-5, 0.5]), _MODE_POWERS)
+
+
+# the mode kernels of 1-3-term operators with the eigenvalue's rate last, one
+# with a zero-weight lower-order term, and their initial-state numerators
+_FAMILIES = {
+    "one-term": (RelaxationKernelSpec(1.0, ((1.0, 0.55),)), ((1.0, 1.0),)),
+    "two-term": (_MODE_SPEC, _MODE_POWERS),
+    "three-term": (
+        RelaxationKernelSpec(1.0, ((0.8, 0.32), (0.3, 0.6), (1.0, 0.92))),
+        ((1.0, 1.0), (0.8, 1.32), (0.3, 1.6)),
+    ),
+    "zero-weight": (
+        RelaxationKernelSpec(1.0, ((0.0, 0.4), (0.5, 0.2), (1.0, 0.8))),
+        ((1.0, 1.0), (0.5, 1.2)),
+    ),
+}
+# a repeated eigenvalue, and first-interval points on both routes
+_RATES = (0.5, 97.4, 1558.5, 1558.5, 2.5e4, 1e8)
+
+
+class TestKernelFamily:
+    """Kernels that differ only in their last rate, evaluated together: each
+    row must be the one-kernel call, bit for bit, refusals included."""
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_rows_are_one_kernel_calls(self, name):
+        spec, powers = _FAMILIES[name]
+        spec = spec.reduced()
+        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        rows = mlf._kernel_sum(spec, ts, powers, _RATES)
+        assert rows.shape == (len(_RATES), ts.size)
+        for row, rate in zip(rows, _RATES):
+            want = mlf._kernel_sum(spec.with_rate(rate), ts, powers)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_pointwise_rates_are_one_kernel_calls(self, name):
+        # a kernel table's first-interval moments: four indices at t = tau
+        # per rate, series first, in one call
+        spec = _FAMILIES[name][0].reduced()
+        etas = spec.eta + 0.8 + np.arange(4)
+        ts = np.full(4 * len(_RATES), 1.0 / 128.0)
+        got = _kernel_values(spec, ts, np.tile(etas, len(_RATES)), np.repeat(_RATES, 4))
+        for values, rate in zip(got.reshape(-1, 4), _RATES):
+            want = _kernel_values(spec.with_rate(rate), ts[:4], etas)
+            assert values.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _refusing(monkeypatch, rate, times, alone=False):
+        """Patch the 24-vs-48 check to refuse ``times`` of the kernel with
+        last rate ``rate`` only: in the family's inversion, and with
+        ``alone`` in that kernel's own inversion too."""
+        contour_values = mlf._contour_values
+
+        def refusing(spec, ts, powers, rates=None):
+            base, check, ok = contour_values(spec, ts, powers, rates)
+            if rates is not None and (alone or len(rates) > 1):
+                for row_ok, r in zip(ok, rates):
+                    if np.all(r == rate):
+                        row_ok[np.isin(ts, times)] = False
+            return base, check, ok
+
+        monkeypatch.setattr(mlf, "_contour_values", refusing)
+
+    def test_refused_points_take_their_kernels_per_eta_route(self, monkeypatch):
+        spec, powers = _FAMILIES["three-term"]
+        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        plain = mlf._kernel_sum(spec, ts, powers, _RATES)
+        refused = ts[::5]
+        self._refusing(monkeypatch, _RATES[2], refused)
+        calls = []
+        kernel_values = mlf._kernel_values
+
+        def recording(spec, ts, eta, rate=None):
+            calls.append((ts, rate))
+            return kernel_values(spec, ts, eta, rate)
+
+        monkeypatch.setattr(mlf, "_kernel_values", recording)
+        got = mlf._kernel_sum(spec, ts, powers, _RATES)
+        # one per-eta call per numerator term, for the refused points of
+        # that kernel only; a repeated rate is refused in both its rows
+        assert len(calls) == 2 * len(powers)
+        for call_ts, rate in calls:
+            assert rate == _RATES[2]
+            np.testing.assert_array_equal(call_ts, refused)
+        monkeypatch.setattr(mlf, "_kernel_values", kernel_values)
+        one = spec.with_rate(_RATES[2])
+        per_eta = [w * kernel_values(one, refused, eta) for w, eta in powers]
+        want = sum(per_eta[1:], per_eta[0])
+        for row in (2, 3):
+            assert got[row, ::5].tobytes() == want.tobytes()
+            kept = np.ones(ts.size, dtype=bool)
+            kept[::5] = False
+            assert got[row, kept].tobytes() == plain[row, kept].tobytes()
+        others = [0, 1, 4, 5]
+        assert got[others].tobytes() == plain[others].tobytes()
+
+    def test_point_both_routes_refuse_raises_naming_its_time(self, monkeypatch):
+        def refusing(eta, xis, logz, neg):
+            return np.zeros(logz.shape[1]), np.zeros(logz.shape[1], dtype=bool)
+
+        spec, powers = _FAMILIES["two-term"]
+        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        self._refusing(monkeypatch, _RATES[4], ts[[37, 90]], alone=True)
+        monkeypatch.setattr(mlf, "_shell_sum", refusing)
+        with pytest.raises(ContourFailure, match=f"at t={ts[37]:g}: "):
+            mlf._kernel_sum(spec, ts, powers, _RATES)
 
 
 class TestAntiderivative:

@@ -101,25 +101,40 @@ class EigenKernels:
 
 
 def eigen_kernels(
-    op: FractionalOperatorSpec, grid: TimeGrid, relaxed, forced
+    op: FractionalOperatorSpec, grid: TimeGrid, modes
 ) -> dict[float, EigenKernels]:
-    """The kernel pieces of many eigenvalues in one pass: the initial-state
-    trajectories of the nonzero ``relaxed`` ones, by one contour set-up for
-    all, and the moment tables of the nonzero ``forced`` ones, their
-    first-interval moments in one call.  At sigma = 0 the trajectory needs
-    no kernel and the table's kernel lacks the eigenvalue's term; it is left
-    to ``_mode_trajectory``, which builds what is missing."""
+    """The kernel pieces of a solve's eigenvalues in one pass.  ``modes``
+    yields (index, phi_c, forced) of each mode the solve will solve, forced
+    telling whether its own forcing is nonzero.  A mode with phi_c != 0
+    needs its initial-state trajectory, built for all by one contour set-up;
+    a forced one, or an Odd one whose Even partner moves, needs its moment
+    table, the first-interval moments of all in one call.  At sigma = 0 the
+    trajectory needs no kernel and the table's kernel lacks the eigenvalue's
+    term; it is left to ``_mode_trajectory``, which builds what is
+    missing."""
+    modes = list(modes)
+    moving = {
+        (i.n, i.k) for i, phi_c, forced in modes
+        if i.family is Family.Even and (forced or phi_c != 0.0)
+    }
+    relaxed, tabled = set(), set()
+    for index, phi_c, forced in modes:
+        sigma = eigen(index).sigma_nk
+        if phi_c != 0.0:
+            relaxed.add(sigma)
+        if forced or (index.family is Family.Odd and (index.n, index.k) in moving):
+            tabled.add(sigma)
     kernels: dict[float, EigenKernels] = {}
     family = mode_kernel_spec(op, 1.0)
-    relaxed = sorted({s for s in relaxed if s != 0.0})
+    relaxed = sorted(relaxed - {0.0})
     if relaxed:
         rows = _kernel_sum(family.reduced(), grid.nodes[1:], _initial_state(op), relaxed)
         for sigma, row in zip(relaxed, rows):
             kernels.setdefault(sigma, EigenKernels()).relaxation = row
-    forced = sorted({s for s in forced if s != 0.0})
-    if forced:
-        tables = KernelMoments.family(family.with_eta(op.alpha), forced, grid)
-        for sigma, table in zip(forced, tables):
+    tabled = sorted(tabled - {0.0})
+    if tabled:
+        tables = KernelMoments.family(family.with_eta(op.alpha), tabled, grid)
+        for sigma, table in zip(tabled, tables):
             kernels.setdefault(sigma, EigenKernels()).table = table
     return kernels
 
@@ -149,8 +164,8 @@ def _mode_trajectory(
         if sigma != 0.0:
             if pieces.relaxation is None:
                 pieces.relaxation = _kernel_sum(
-                    spec.reduced(), grid.nodes[1:], _initial_state(op)
-                )
+                    spec.reduced(), grid.nodes[1:], _initial_state(op), (sigma,)
+                )[0]
             vals[1:] = phi_c * pieces.relaxation
     if forced:
         if pieces.table is None:
@@ -223,16 +238,9 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
 
     # storage order solves each Even mode right before the Odd mode it couples to
     modes = coeffs.modes
-    sigmas = [eigen(index).sigma_nk for index in modes]
-    forced = np.any(forcing_coeffs.values, axis=1)
-    moving = forced | (phi_coeffs.values != 0.0)  # modes with a nonzero trajectory
-    for r, index in enumerate(modes):
-        if index.family is Family.Odd:  # the Even partner is the row before
-            forced[r] |= moving[r - 1]
     kernels = eigen_kernels(
         problem.op, grid,
-        (s for s, c in zip(sigmas, phi_coeffs.values) if c != 0.0),
-        (s for s, f in zip(sigmas, forced) if f),
+        zip(modes, phi_coeffs.values, np.any(forcing_coeffs.values, axis=1)),
     )
     for r, index in enumerate(modes):
         phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]

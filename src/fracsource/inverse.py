@@ -183,10 +183,9 @@ def recover_source(
         )
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     excited = [i for i in associated if np.any(f_coeffs[i].values)]
-    relaxed = [] if phi_coeffs is None else [i for i in associated if phi_coeffs[i] != 0.0]
-    kernels = eigen_kernels(
-        op, grid, (eigen(i).sigma_nk for i in relaxed), (eigen(i).sigma_nk for i in excited)
-    )
+    kernels = eigen_kernels(op, grid, (
+        (i, 0.0 if phi_coeffs is None else phi_coeffs[i], i in excited) for i in associated
+    ))
 
     def trajectory(index, phi_c, forcing=None) -> np.ndarray:
         sigma = eigen(index).sigma_nk
@@ -194,9 +193,10 @@ def recover_source(
 
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)
-        for index in relaxed:
+        for index in associated:
             c = phi_coeffs[index]
-            homog += mode_mean(index) * (trajectory(index, c) - c)
+            if c != 0.0:
+                homog += mode_mean(index) * (trajectory(index, c) - c)
         E = TimeSeries(grid, E.values - homog)
     deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)

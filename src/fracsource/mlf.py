@@ -283,14 +283,14 @@ def _talbot_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _talbot_invert(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, m: int, rates=None
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, m: int, rates: tuple
 ) -> np.ndarray:
     """Invert sum_i w_i s^(-eta_i) / (1 + sum_j m_j s^(-xi_j)) on the m-node
-    contour.  ``powers`` holds the numerator's weighted powers
-    ((w_1, eta_1), (w_2, eta_2), ...); eta_1 is one value or one per time,
-    the others one value each.  Given ``rates``, each in turn replaces the
-    last term's rate m_n, as one value or one per time, and the result has
-    one row per rate.
+    contour, one row per entry of ``rates``, each of which in turn replaces
+    the last term's rate m_n, as one value or one per time (the kernel's own
+    is ``_own_rate(spec)``).  ``powers`` holds the numerator's weighted
+    powers ((w_1, eta_1), (w_2, eta_2), ...); eta_1 is one value or one per
+    time, the others one value each.
 
     With s = (m/t) z the exponent is s t = m z, and on the principal branch
     s^(-xi) = (t/m)^xi z^(-xi) because m/t is real and positive.  So every
@@ -305,7 +305,7 @@ def _talbot_invert(
     """
     (w1, eta), *rest = powers
     # a power kernel: a zero rate adds exactly nothing to the denominator
-    *shared, (own, alpha) = spec.terms or ((0.0, 1.0),)
+    *shared, (_, alpha) = spec.terms or ((0.0, 1.0),)
     z, dz = _talbot_nodes(m)
     x = ts / m
     denom = np.ones((ts.size, z.size), dtype=complex)
@@ -320,11 +320,17 @@ def _talbot_invert(
         weight = weight * numer
     scale = (2.0 / m) * x ** (eta - 1.0)
     x_alpha, z_alpha = x**alpha, z ** (-alpha)
-    rows = np.empty((1 if rates is None else len(rates), ts.size))
-    for row, rate in zip(rows, (own,) if rates is None else rates):
+    rows = np.empty((len(rates), ts.size))
+    for row, rate in zip(rows, rates):
         last = np.multiply.outer(rate * x_alpha, z_alpha)
         row[:] = scale * (weight / (denom + last)).imag.sum(axis=1)
-    return rows[0] if rates is None else rows
+    return rows
+
+
+def _own_rate(spec: RelaxationKernelSpec) -> tuple:
+    """``spec``'s own last rate as the family of one; zero for a power
+    kernel."""
+    return spec.rates[-1:] or (0.0,)
 
 
 def _valid_times(ts) -> np.ndarray:
@@ -339,12 +345,12 @@ def _valid_times(ts) -> np.ndarray:
 
 
 def _contour_values(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates=None
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``,
     for ``_talbot_invert``'s weighted ``powers`` and ``rates``, by one Talbot
     inversion on 24 nodes, one on 48, and whether they agree:
-    (values, check, ok)."""
+    (values, check, ok), one row per rate each."""
     base = _talbot_invert(spec, ts, powers, _TALBOT_NODES, rates)
     check = _talbot_invert(spec, ts, powers, 2 * _TALBOT_NODES, rates)
     # Relative agreement to 2e-8, with an absolute floor at 1e-12 of the
@@ -363,10 +369,8 @@ def _certified_contour(
     rate ``rate`` (each one value or one per time), or
     :class:`ContourFailure` naming the first refused time with its 24- and
     48-node values."""
-    rates = None if rate is None else (rate,)
-    base, check, ok = (
-        np.reshape(a, ts.shape) for a in _contour_values(spec, ts, ((1.0, eta),), rates)
-    )
+    rates = _own_rate(spec) if rate is None else (rate,)
+    base, check, ok = (a[0] for a in _contour_values(spec, ts, ((1.0, eta),), rates))
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise ContourFailure(
@@ -431,27 +435,23 @@ def _kernel_values(
 
 
 def _kernel_sum(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates=None
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates: tuple
 ) -> np.ndarray:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``
-    for the weighted ``powers`` ((w_1, eta_1), (w_2, eta_2), ...), contour
-    first: one inversion of the whole sum, whose transform has the common
-    denominator.  Only the points it refuses take the per-eta route,
-    ``sum_i w_i _kernel_values``, so a point both routes refuse raises
-    :class:`ContourFailure`.
-
-    Given positive ``rates``, the sum for each in place of the last term's
-    rate, one row per rate: a family of kernels that differ only there,
-    such as a solve's modes, shares one contour set-up, and a refused point
-    takes its own kernel's per-eta route."""
+    for the weighted ``powers`` ((w_1, eta_1), (w_2, eta_2), ...), one row
+    per entry of ``rates`` in place of the last term's rate, contour first:
+    one inversion of the whole sum, whose transform has the common
+    denominator.  A family of kernels that differ only in that rate, such as
+    a solve's modes, shares one contour set-up; one kernel is the family of
+    ``_own_rate(spec)``.  Only the points it refuses take their own kernel's
+    per-eta route, ``sum_i w_i _kernel_values``, so a point both routes
+    refuse raises :class:`ContourFailure`."""
     if spec.terms:
         out, _, ok = _contour_values(spec, ts, powers, rates)
     else:  # pure powers of t: the per-eta route is exact
-        out, ok = np.empty_like(ts), np.zeros(ts.size, dtype=bool)
-    # one kernel's values are the single row of a family of one
-    for row, row_ok, rate in zip(
-        np.atleast_2d(out), np.atleast_2d(ok), (None,) if rates is None else rates
-    ):
+        out = np.empty((len(rates), ts.size))
+        ok = np.zeros(out.shape, dtype=bool)
+    for row, row_ok, rate in zip(out, ok, rates):
         if not np.all(row_ok):
             bad = ~row_ok
             per_eta = [w * _kernel_values(spec, ts[bad], eta, rate) for w, eta in powers]
@@ -466,7 +466,7 @@ def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     route, so a point both routes refuse raises :class:`ContourFailure`."""
     ts = _valid_times(ts)
     spec = spec.reduced()
-    return _kernel_sum(spec, ts, ((1.0, spec.eta),))
+    return _kernel_sum(spec, ts, ((1.0, spec.eta),), _own_rate(spec))[0]
 
 
 def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:

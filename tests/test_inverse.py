@@ -13,7 +13,7 @@ import pytest
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
 from fracsource.forward import ProblemData, solve_forward
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
-from fracsource import inverse
+from fracsource import forward, inverse
 from fracsource.inverse import (
     CompatibilityViolation,
     EnergyDatum,
@@ -294,6 +294,43 @@ class TestFluxClosureBudget:
         monkeypatch.setattr(inverse, "_MAX_FLUX_ITERATIONS", 1)
         with pytest.raises(NonConvergence, match="flux closure"):
             solve_inverse(prob, datum)
+
+
+class TestKernelSetUp:
+    def test_kernels_built_in_one_pass_before_the_closure(self, monkeypatch):
+        # the recovery lists its modes for the forward solver's one-pass
+        # set-up: one table per excited eigenvalue and one inversion for
+        # phi's trajectories, and the closure builds nothing more
+        prob = _poly_phi_problem()
+        a_true = TimeSeries.from_function(prob.grid, lambda t: 1.0 + t)
+        datum = EnergyDatum(solve_forward(prob.with_amplitude(a_true)).energy)
+        built, inverted, at_set_up = [], [], []
+        init, kernel_sum = forward.KernelMoments.__init__, forward._kernel_sum
+        set_up = inverse.eigen_kernels
+
+        def building(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        def inverting(*args):
+            inverted.append(args[-1])
+            return kernel_sum(*args)
+
+        def setting_up(*args):
+            kernels = set_up(*args)
+            at_set_up.append((len(built), len(inverted)))
+            return kernels
+
+        monkeypatch.setattr(forward.KernelMoments, "__init__", building)
+        monkeypatch.setattr(forward, "_kernel_sum", inverting)
+        monkeypatch.setattr(inverse, "eigen_kernels", setting_up)
+        amp = recover_source(
+            prob.source, datum, prob.op, prob.grid, phi=prob.phi, flux_modes=4
+        )
+        assert amp.metadata["flux_iterations"] > 1
+        assert at_set_up == [(len(built), len(inverted))]
+        assert len(built) == amp.metadata["flux_modes_excited"] == 4
+        assert len(inverted) == 1 and len(inverted[0]) == 4
 
 
 class TestSolveInverse:

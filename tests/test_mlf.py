@@ -215,7 +215,8 @@ class TestSeries:
         # depend on which other points share the call: ones that converge
         # within a few shells, ones that need many more, and ones the
         # forecast refuses before the first shell.  Nor may its value, to the
-        # last bit.
+        # last bit, refused or not: a refused point keeps the sum of the
+        # shells it reached.
         xis = np.array([0.6, 0.3])
         neg = np.array([True, False])
         company = np.log(
@@ -232,16 +233,14 @@ class TestSeries:
             for j in range(company.shape[1]):
                 alone = _shell_sum(eta, xis, company[:, j : j + 1], neg)
                 assert together[1][j] == alone[1][0]
-                if alone[1][0]:
-                    assert together[0][j] == alone[0][0]
+                assert together[0][j] == alone[0][0]
         # the same points with one eta per point, against one eta at a time
         etas = np.array([0.4, 2.5, 1.0, 0.4, 2.5])
         mixed = _shell_sum(etas, xis, company, neg)
         for j, eta in enumerate(etas):
             alone = _shell_sum(eta, xis, company[:, j : j + 1], neg)
             assert mixed[1][j] == alone[1][0]
-            if alone[1][0]:
-                assert mixed[0][j] == alone[0][0]
+            assert mixed[0][j] == alone[0][0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kernel_like_point_alone_equals_in_company(self, seed):
@@ -452,8 +451,9 @@ class TestKernelEvaluation:
 
     def test_contour_refusal_beyond_series_reach_raises(self, monkeypatch):
         # largest argument 5.2: a point the contour refuses is not summed
-        def refused(spec, ts, eta, rates=None):
-            return np.zeros(ts.size), np.ones(ts.size), np.zeros(ts.size, dtype=bool)
+        def refused(spec, ts, powers, rates):
+            shape = (len(rates), ts.size)
+            return np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
 
         def unreachable(*args):
             raise AssertionError("the series was asked beyond its reach")
@@ -514,6 +514,7 @@ class TestKernelEvaluation:
 # the initial-state kernels of the mode D^0.8 + 0.5 D^0.4 + 1e4: e_1 + 0.5 e_1.4
 _MODE_SPEC = RelaxationKernelSpec(1.0, ((0.5, 0.4), (1e4, 0.8)))
 _MODE_POWERS = ((1.0, 1.0), (0.5, 1.4))
+_MODE_RATE = mlf._own_rate(_MODE_SPEC)
 
 
 class TestKernelSum:
@@ -523,7 +524,7 @@ class TestKernelSum:
     def test_one_pair_is_ml_contour_grid(self):
         ts = np.linspace(1.0 / 128.0, 1.0, 128)
         for eta in (_MODE_SPEC.eta, 1.4, 2.3):
-            got = mlf._kernel_sum(_MODE_SPEC, ts, ((1.0, eta),))
+            got = mlf._kernel_sum(_MODE_SPEC, ts, ((1.0, eta),), _MODE_RATE)[0]
             want = ml_contour_grid(_MODE_SPEC, ts, eta=eta)
             assert got.tobytes() == want.tobytes()
 
@@ -531,23 +532,23 @@ class TestKernelSum:
         # the numerator over its leading power is then exactly 1 + 0j
         ts = np.linspace(1.0 / 128.0, 1.0, 128)
         for m in (24, 48):
-            one = mlf._talbot_invert(_MODE_SPEC, ts, ((1.0, 1.0),), m)
-            two = mlf._talbot_invert(_MODE_SPEC, ts, ((1.0, 1.0), (0.0, 1.4)), m)
+            one = mlf._talbot_invert(_MODE_SPEC, ts, ((1.0, 1.0),), m, _MODE_RATE)
+            two = mlf._talbot_invert(_MODE_SPEC, ts, ((1.0, 1.0), (0.0, 1.4)), m, _MODE_RATE)
             assert one.tobytes() == two.tobytes()
 
     def test_refused_points_take_per_eta_route(self, monkeypatch):
         ts = np.linspace(1.0 / 128.0, 1.0, 128)
         contour_values = mlf._contour_values
-        combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS)[0]
+        combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS, _MODE_RATE)[0][0]
 
-        def refusing_sums(spec, ts, powers, rates=None):
+        def refusing_sums(spec, ts, powers, rates):
             base, check, ok = contour_values(spec, ts, powers, rates)
             if len(powers) > 1:
-                ok[::3] = False
+                ok[:, ::3] = False
             return base, check, ok
 
         monkeypatch.setattr(mlf, "_contour_values", refusing_sums)
-        got = mlf._kernel_sum(_MODE_SPEC, ts, _MODE_POWERS)
+        got = mlf._kernel_sum(_MODE_SPEC, ts, _MODE_POWERS, _MODE_RATE)[0]
         refused = ts[::3]
         want = _kernel_values(_MODE_SPEC, refused, 1.0) + 0.5 * _kernel_values(
             _MODE_SPEC, refused, 1.4
@@ -558,8 +559,9 @@ class TestKernelSum:
         assert got[kept].tobytes() == combined[kept].tobytes()
 
     def test_point_both_routes_refuse_raises(self, monkeypatch):
-        def refused(spec, ts, powers, rates=None):
-            return np.zeros(ts.size), np.ones(ts.size), np.zeros(ts.size, dtype=bool)
+        def refused(spec, ts, powers, rates):
+            shape = (len(rates), ts.size)
+            return np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
 
         def refusing(eta, xis, logz, neg):
             return np.zeros(logz.shape[1]), np.zeros(logz.shape[1], dtype=bool)
@@ -568,7 +570,7 @@ class TestKernelSum:
         monkeypatch.setattr(mlf, "_shell_sum", refusing)
         # largest argument 1e4 t^0.8 = 0.85 at t = 1e-5: within the series' reach
         with pytest.raises(ContourFailure, match="0 vs 1"):
-            mlf._kernel_sum(_MODE_SPEC, np.array([1e-5, 0.5]), _MODE_POWERS)
+            mlf._kernel_sum(_MODE_SPEC, np.array([1e-5, 0.5]), _MODE_POWERS, _MODE_RATE)
 
 
 # the mode kernels of 1-3-term operators with the eigenvalue's rate last, one
@@ -601,7 +603,7 @@ class TestKernelFamily:
         rows = mlf._kernel_sum(spec, ts, powers, _RATES)
         assert rows.shape == (len(_RATES), ts.size)
         for row, rate in zip(rows, _RATES):
-            want = mlf._kernel_sum(spec.with_rate(rate), ts, powers)
+            want = mlf._kernel_sum(spec.with_rate(rate), ts, powers, (rate,))[0]
             assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(_FAMILIES))
@@ -623,9 +625,9 @@ class TestKernelFamily:
         ``alone`` in that kernel's own inversion too."""
         contour_values = mlf._contour_values
 
-        def refusing(spec, ts, powers, rates=None):
+        def refusing(spec, ts, powers, rates):
             base, check, ok = contour_values(spec, ts, powers, rates)
-            if rates is not None and (alone or len(rates) > 1):
+            if alone or len(rates) > 1:
                 for row_ok, r in zip(ok, rates):
                     if np.all(r == rate):
                         row_ok[np.isin(ts, times)] = False

@@ -87,7 +87,7 @@ def forced_errors(op, law, N, want):
     h, _ = FORCINGS[law]
     grid = TimeGrid(1.0, N)
     sigmas = [eigen(index).sigma_nk for index in FORCED_MODES]
-    kernels = eigen_kernels(op, grid, sigmas, sigmas)
+    kernels = eigen_kernels(op, grid, [(index, PHI_C, True) for index in FORCED_MODES])
     forcing = TimeSeries(grid, A * h(grid.nodes))
     nodes = (N // 128) * np.array([1, 3, 9, 27, 64, 128])
     worst = 0.0

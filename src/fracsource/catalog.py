@@ -118,6 +118,21 @@ def make_time_fn(name: str, params: dict | None = None):
     return ctor(**(params or {}))
 
 
+def time_samples(laws: dict, ts) -> np.ndarray:
+    """The time laws ``laws`` (label -> callable of t) at the times ``ts``,
+    one row per law; a law that returns a constant is broadcast to ``ts``.
+    A law that is not finite at some time (an overflowing exponential)
+    raises ``ValueError`` naming its label and the first such time."""
+    ts = np.asarray(ts, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array([np.broadcast_to(h(ts), ts.shape) for h in laws.values()], dtype=float)
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        row, i = bad[0]
+        raise ValueError(f"{list(laws)[row]}: time factor at t={ts[i]:g} is {out[row, i]}")
+    return out
+
+
 # space-time sources -----------------------------------------------------------
 
 
@@ -143,20 +158,9 @@ class SpaceTimeField:
         return out
 
     def time_factors(self, ts) -> np.ndarray:
-        """Each term's time factor at the times ``ts``, one row per term; a
-        factor that returns a constant is broadcast to ``ts``.  A factor that
-        is not finite at some time (an overflowing exponential) raises
-        ``ValueError`` naming the term and the first such time."""
-        ts = np.asarray(ts, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.array([np.broadcast_to(h(ts), ts.shape) for _, h in self.terms], dtype=float)
-        bad = np.argwhere(~np.isfinite(out))
-        if bad.size:
-            term, i = bad[0]
-            raise ValueError(
-                f"source term {term}: time factor at t={ts[i]:g} is {out[term, i]}"
-            )
-        return out
+        """Each term's time factor at the times ``ts``, one row per term,
+        refused where it is not finite (see ``time_samples``)."""
+        return time_samples({f"source term {i}": h for i, (_, h) in enumerate(self.terms)}, ts)
 
     def coeff_series(
         self, grid: TimeGrid, n_max: int, k_max: int

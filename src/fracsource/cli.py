@@ -24,6 +24,7 @@ from .catalog import (
     UnknownCatalogName,
     make_field,
     make_time_fn,
+    time_samples,
 )
 from .forward import ProblemData, solve_forward
 from .fractional import (
@@ -127,6 +128,18 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _count(section: dict, key: str, where: str, default=None) -> int:
+    """The whole number ``section[key]`` (``default`` when absent, required
+    when None): a JSON integer, or a float with no fractional part.  Anything
+    else, 8.7, true or "8", is a ConfigError rather than a truncated count."""
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
+    return value
+
+
 def _parse_operator(cfg: dict) -> FractionalOperatorSpec:
     section = _require(cfg, "operator")
     alpha = float(_require(section, "alpha", "operator"))
@@ -138,7 +151,7 @@ def _parse_operator(cfg: dict) -> FractionalOperatorSpec:
 
 def _parse_grid(cfg: dict) -> TimeGrid:
     section = _require(cfg, "grid")
-    return TimeGrid(float(section.get("T", 1.0)), int(_require(section, "N", "grid")))
+    return TimeGrid(float(section.get("T", 1.0)), _count(section, "N", "grid"))
 
 
 def _parse_field(section, where: str) -> Field2D:
@@ -173,7 +186,7 @@ def _parse_amplitude(cfg: dict, grid: TimeGrid, key: str = "amplitude"):
     if "csv" in section:
         return TimeSeries(grid, _read_series_csv(section["csv"], grid))
     fn = make_time_fn(_require(section, "name", key), section.get("params"))
-    return TimeSeries.from_function(grid, fn)
+    return TimeSeries(grid, time_samples({key: fn}, grid.nodes)[0])
 
 
 def _parse_kernel(cfg: dict) -> RelaxationKernelSpec:
@@ -192,7 +205,7 @@ def _parse_times(cfg: dict) -> np.ndarray:
     else:
         start = float(_require(section, "start", "times"))
         stop = float(_require(section, "stop", "times"))
-        count = int(section.get("count", 50))
+        count = _count(section, "count", "times", 50)
         spacing = section.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise ConfigError(f"times.spacing must be 'linear' or 'log', got {spacing!r}")
@@ -296,8 +309,8 @@ def _build_problem(cfg: dict) -> ProblemData:
         source=source,
         grid=grid,
         amplitude=_parse_amplitude(cfg, grid) or TimeSeries(grid, np.ones(grid.N + 1)),
-        n_max=int(modes.get("n_max", 16)),
-        k_max=int(modes.get("k_max", 16)),
+        n_max=_count(modes, "n_max", "modes", 16),
+        k_max=_count(modes, "k_max", "modes", 16),
     )
 
 
@@ -329,7 +342,7 @@ def cmd_inverse(cfg: dict, out: Path) -> int:
             energy = _read_series_csv(esec["csv"], grid)
         elif "synthesize" in esec:
             syn = esec["synthesize"]
-            gen_grid = TimeGrid(grid.T, int(syn.get("N", 2 * grid.N)))
+            gen_grid = TimeGrid(grid.T, _count(syn, "N", "energy.synthesize", 2 * grid.N))
             stride = gen_grid.N // grid.N
             if stride * grid.N != gen_grid.N:
                 raise ConfigError("synthesis N must be a multiple of the recovery N")
@@ -533,9 +546,9 @@ def cmd_oracle_compare(cfg: dict, out: Path, tol: float | None) -> int:
     with _parsing():
         fd = cfg.get("fd", {})
         fd_grid = FDGrid(
-            Mx=int(fd.get("Mx", 32)),
-            My=int(fd.get("My", 32)),
-            N=int(fd.get("N", problem.grid.N)),
+            Mx=_count(fd, "Mx", "fd", 32),
+            My=_count(fd, "My", "fd", 32),
+            N=_count(fd, "N", "fd", problem.grid.N),
             T=problem.grid.T,
         )
         times = cfg.get("times", [problem.grid.T / 2.0, problem.grid.T])

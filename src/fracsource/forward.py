@@ -94,24 +94,18 @@ def _initial_state(op: FractionalOperatorSpec) -> tuple:
 class EigenKernels:
     """What the mode solves of one eigenvalue share: the initial-state
     trajectory per unit phi_c at ``grid.nodes[1:]`` and the forcing's moment
-    table, each None until built."""
+    table, each None unless a mode needs it."""
 
     relaxation: np.ndarray | None = None
     table: KernelMoments | None = None
 
 
-def eigen_kernels(
-    op: FractionalOperatorSpec, grid: TimeGrid, modes
-) -> dict[float, EigenKernels]:
-    """The kernel pieces of a solve's eigenvalues in one pass.  ``modes``
-    yields (index, phi_c, forced) of each mode the solve will solve, forced
-    telling whether its own forcing is nonzero.  A mode with phi_c != 0
-    needs its initial-state trajectory, built for all by one contour set-up;
-    a forced one, or an Odd one whose Even partner moves, needs its moment
-    table, the first-interval moments of all in one call.  At sigma = 0 the
-    trajectory needs no kernel and the table's kernel lacks the eigenvalue's
-    term; it is left to ``_mode_trajectory``, which builds what is
-    missing."""
+def _kernel_needs(modes) -> tuple[set, set]:
+    """The eigenvalues whose kernel pieces a solve needs.  ``modes`` yields
+    (index, phi_c, forced) of each mode the solve will solve, forced telling
+    whether its own forcing is nonzero.  A mode with phi_c != 0 needs its
+    initial-state trajectory (``relaxed``); a forced one, or an Odd one whose
+    Even partner moves, needs its moment table (``tabled``)."""
     modes = list(modes)
     moving = {
         (i.n, i.k) for i, phi_c, forced in modes
@@ -124,52 +118,49 @@ def eigen_kernels(
             relaxed.add(sigma)
         if forced or (index.family is Family.Odd and (index.n, index.k) in moving):
             tabled.add(sigma)
-    kernels: dict[float, EigenKernels] = {}
+    return relaxed, tabled
+
+
+def eigen_kernels(
+    op: FractionalOperatorSpec, grid: TimeGrid, relaxed, tabled
+) -> dict[float, EigenKernels]:
+    """The kernel pieces of the sets of eigenvalues ``relaxed`` (initial-state
+    trajectories) and ``tabled`` (moment tables) in one pass: the nonzero
+    eigenvalues' trajectories by one contour set-up, their tables'
+    first-interval moments in one call.  At sigma = 0 the trajectory is
+    phi_c / s, all ones per unit phi_c, and the table's kernel lacks the
+    eigenvalue's term, so it is built alone."""
+    kernels = {sigma: EigenKernels() for sigma in relaxed | tabled}
+    if 0.0 in relaxed:
+        kernels[0.0].relaxation = np.ones(grid.N)
+    if 0.0 in tabled:
+        kernels[0.0].table = KernelMoments(mode_kernel_spec(op, 0.0).with_eta(op.alpha), grid)
     family = mode_kernel_spec(op, 1.0)
-    relaxed = sorted(relaxed - {0.0})
+    relaxed, tabled = sorted(relaxed - {0.0}), sorted(tabled - {0.0})
     if relaxed:
         rows = _kernel_sum(family.reduced(), grid.nodes[1:], _initial_state(op), relaxed)
         for sigma, row in zip(relaxed, rows):
-            kernels.setdefault(sigma, EigenKernels()).relaxation = row
-    tabled = sorted(tabled - {0.0})
+            kernels[sigma].relaxation = row
     if tabled:
         tables = KernelMoments.family(family.with_eta(op.alpha), tabled, grid)
         for sigma, table in zip(tabled, tables):
-            kernels.setdefault(sigma, EigenKernels()).table = table
+            kernels[sigma].table = table
     return kernels
 
 
 def _mode_trajectory(
-    sigma: float,
-    phi_c: float,
-    forcing: TimeSeries | None,
-    op: FractionalOperatorSpec,
-    grid: TimeGrid,
-    kernels: dict,
+    phi_c: float, forcing: TimeSeries | None, pieces: EigenKernels | None, grid: TimeGrid
 ) -> TimeSeries:
     """Solve one mode ODE (D^alpha + sum psi_i D^alpha_i + sigma) T = forcing,
-    T(0) = phi_c, via the explicit relaxation-kernel formula.  ``kernels``
-    maps sigma to its :class:`EigenKernels`, as ``eigen_kernels`` builds
-    them; a missing piece is built alone and stored there, so modes sharing
-    an eigenvalue share it."""
-    forced = forcing is not None and np.any(forcing.values)
+    T(0) = phi_c, via the explicit relaxation-kernel formula, from the
+    eigenvalue's ``pieces`` as ``eigen_kernels`` built them: phi_c times the
+    initial-state trajectory plus the forcing's convolution with the table.
+    A mode with no data reads nothing, so its ``pieces`` may be None."""
     vals = np.zeros(grid.N + 1)
-    if phi_c == 0.0 and not forced:
-        return TimeSeries(grid, vals)
-    spec = mode_kernel_spec(op, sigma)
-    pieces = kernels.setdefault(sigma, EigenKernels())
     if phi_c != 0.0:
-        # at sigma = 0 the trajectory is phi_c / s: the mean mode stays put
-        vals[:] = phi_c
-        if sigma != 0.0:
-            if pieces.relaxation is None:
-                pieces.relaxation = _kernel_sum(
-                    spec.reduced(), grid.nodes[1:], _initial_state(op), (sigma,)
-                )[0]
-            vals[1:] = phi_c * pieces.relaxation
-    if forced:
-        if pieces.table is None:
-            pieces.table = KernelMoments(spec.with_eta(op.alpha), grid)
+        vals[0] = phi_c
+        vals[1:] = phi_c * pieces.relaxation
+    if forcing is not None and np.any(forcing.values):
         vals += singular_convolve(forcing, pieces.table).values
     return TimeSeries(grid, vals)
 
@@ -185,7 +176,7 @@ def mode_zero(
 ) -> TimeSeries:
     """Trajectory of the Zero-family mode (eigenvalue mu_k)."""
     sigma = eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk
-    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, kernels)
+    return _mode_trajectory(phi_c, forcing, kernels.get(sigma), problem.grid)
 
 
 def mode_even(
@@ -194,7 +185,7 @@ def mode_even(
 ) -> TimeSeries:
     """Trajectory of the Even-family mode (eigenvalue sigma_nk)."""
     sigma = eigen(ModeIndex(Family.Even, n, k)).sigma_nk
-    return _mode_trajectory(sigma, phi_c, forcing, problem.op, problem.grid, kernels)
+    return _mode_trajectory(phi_c, forcing, kernels.get(sigma), problem.grid)
 
 
 def mode_odd(
@@ -211,8 +202,7 @@ def mode_odd(
     sigma = eigen(ModeIndex(Family.Odd, n, k)).sigma_nk
     coupled = forcing.values + _odd_coupling(n) * even_traj.values
     return _mode_trajectory(
-        sigma, phi_c, TimeSeries(problem.grid, coupled), problem.op, problem.grid,
-        kernels,
+        phi_c, TimeSeries(problem.grid, coupled), kernels.get(sigma), problem.grid
     )
 
 
@@ -223,7 +213,8 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
     before the mode loop, once per eigenvalue and in one pass over all
     eigenvalues (``eigen_kernels``): the initial-state trajectories of the
     modes with phi_c != 0, and the moment tables of the modes with forcing
-    or an Odd coupling.  They are dropped on return."""
+    or an Odd coupling, sigma = 0's included; the mode solves only read
+    them.  They are dropped on return."""
     t0 = time.perf_counter()
     grid = problem.grid
     n_max, k_max = problem.n_max, problem.k_max
@@ -238,10 +229,9 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
 
     # storage order solves each Even mode right before the Odd mode it couples to
     modes = coeffs.modes
-    kernels = eigen_kernels(
-        problem.op, grid,
-        zip(modes, phi_coeffs.values, np.any(forcing_coeffs.values, axis=1)),
-    )
+    kernels = eigen_kernels(problem.op, grid, *_kernel_needs(
+        zip(modes, phi_coeffs.values, np.any(forcing_coeffs.values, axis=1))
+    ))
     for r, index in enumerate(modes):
         phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
         if index.family is Family.Zero:

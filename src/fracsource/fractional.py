@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .mlf import RelaxationKernelSpec, _kernel_values, eval_kernel_grid
+from .mlf import RelaxationKernelSpec, _kernel_values, _own_rate, eval_kernel_grid
 
 
 class GridTooCoarse(ValueError):
@@ -53,8 +53,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.T}")
         if self.N < 1:
             raise ValueError(f"need at least one interval, got {self.N}")
 
@@ -111,8 +111,8 @@ class FractionalOperatorSpec:
             raise InvalidSpec(f"leading order must be in (0, 1], got {self.alpha}")
         prev = self.alpha
         for psi, alpha_i in self.terms:
-            if psi < 0.0:
-                raise InvalidSpec(f"weights must be nonnegative, got {psi}")
+            if not 0.0 <= psi < math.inf:
+                raise InvalidSpec(f"weights must be nonnegative and finite, got {psi}")
             if not 0.0 < alpha_i < prev:
                 raise InvalidSpec(
                     "orders must satisfy 0 < alpha_m < ... < alpha_1 < alpha"
@@ -278,14 +278,12 @@ def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])  # k!, k = 0..3
 
 
-def _first_moments(spec: RelaxationKernelSpec, tau: float, rates=None) -> np.ndarray:
+def _first_moments(spec: RelaxationKernelSpec, tau: float, rates) -> np.ndarray:
     """The exact first-interval moments I_k(1) = k! e_(eta+k+1)(tau),
-    k = 0..3, of the reduced ``spec``, in one pointwise (series-first)
-    kernel call: shape (4,), or (rates, 4) for each of the positive
-    ``rates`` in place of the last term's rate."""
+    k = 0..3, of the reduced ``spec`` with each of the ``rates`` in place of
+    its last term's rate, in one pointwise (series-first) kernel call: shape
+    (rates, 4).  One kernel is the family of ``_own_rate(spec)``."""
     etas = spec.eta + np.arange(4) + 1.0
-    if rates is None:
-        return _kernel_values(spec, np.full(4, tau), etas) * _FACTORIALS
     count = len(rates)
     values = _kernel_values(
         spec, np.full(4 * count, tau), np.tile(etas, count), np.repeat(rates, 4)
@@ -325,7 +323,9 @@ class KernelMoments:
         k = np.arange(4)
         # (rule, k, p - 1)
         self.moments = np.empty((2, 4, n))
-        self.moments[:, :, 0] = _first_moments(spec, tau) if first is None else first
+        if first is None:
+            first = _first_moments(spec, tau, _own_rate(spec))[0]
+        self.moments[:, :, 0] = first
         self.gap = 0.0
         if n == 1:
             return

@@ -25,6 +25,7 @@ from .catalog import SpaceTimeField
 from .forward import (
     ProblemData,
     SolutionBundle,
+    _kernel_needs,
     _mode_trajectory,
     eigen_kernels,
     solve_forward,
@@ -183,13 +184,13 @@ def recover_source(
         )
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     excited = [i for i in associated if np.any(f_coeffs[i].values)]
-    kernels = eigen_kernels(op, grid, (
+    kernels = eigen_kernels(op, grid, *_kernel_needs(
         (i, 0.0 if phi_coeffs is None else phi_coeffs[i], i in excited) for i in associated
     ))
 
     def trajectory(index, phi_c, forcing=None) -> np.ndarray:
-        sigma = eigen(index).sigma_nk
-        return _mode_trajectory(sigma, phi_c, forcing, op, grid, kernels).values
+        pieces = kernels.get(eigen(index).sigma_nk)
+        return _mode_trajectory(phi_c, forcing, pieces, grid).values
 
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)

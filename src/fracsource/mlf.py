@@ -53,12 +53,14 @@ class MLParameters:
     orders: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise InvalidParameters(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidParameters(f"eta must be positive and finite, got {self.eta}")
         if len(self.orders) < 1:
             raise InvalidParameters("at least one order xi_j is required")
-        if any(xi <= 0.0 for xi in self.orders):
-            raise InvalidParameters(f"all orders must be positive, got {self.orders}")
+        if not all(0.0 < xi < math.inf for xi in self.orders):
+            raise InvalidParameters(
+                f"all orders must be positive and finite, got {self.orders}"
+            )
 
     @property
     def n(self) -> int:
@@ -78,13 +80,13 @@ class RelaxationKernelSpec:
     terms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise InvalidParameters(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidParameters(f"eta must be positive and finite, got {self.eta}")
         for m, xi in self.terms:
-            if m < 0.0:
-                raise InvalidParameters(f"rates must be nonnegative, got {m}")
-            if xi <= 0.0:
-                raise InvalidParameters(f"orders must be positive, got {xi}")
+            if not 0.0 <= m < math.inf:
+                raise InvalidParameters(f"rates must be nonnegative and finite, got {m}")
+            if not 0.0 < xi < math.inf:
+                raise InvalidParameters(f"orders must be positive and finite, got {xi}")
 
     @property
     def rates(self) -> tuple[float, ...]:

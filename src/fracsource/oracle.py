@@ -56,8 +56,8 @@ class FDGrid:
     def __post_init__(self):
         if self.Mx < 8 or self.My < 8:
             raise ValueError("need at least 8 intervals per spatial axis")
-        if self.N < 1 or self.T <= 0.0:
-            raise ValueError("need N >= 1 time intervals and T > 0")
+        if self.N < 1 or not 0.0 < self.T < math.inf:
+            raise ValueError(f"need N >= 1 time intervals and finite T > 0, got T={self.T}")
 
     @property
     def hx(self) -> float:

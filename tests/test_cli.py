@@ -370,6 +370,70 @@ class TestMalformedConfig:
         assert main([command, cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
 
+_SYNTH = {"N": 128, "amplitude": {"name": "poly_t", "params": {"coeffs": [1.0, 1.0]}}}
+_NAN_AMP = {"name": "constant", "params": {"value": math.nan}}
+_OVERFLOWING_AMP = {"name": "exp_t", "params": {"rate": 800.0}}  # exp(800) is inf
+
+
+class TestRefusedValues:
+    """A non-finite parameter or amplitude, and a count with a fractional
+    part, each exit 2 with a one-line message, never run or truncated."""
+
+    @staticmethod
+    def _refused(capsys, command, cfg, out):
+        assert main([command, cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, edit", [
+        ("forward", {"operator": {"alpha": 0.8, "terms": [[math.nan, 0.4]]}}),
+        ("forward", {"operator": {"alpha": 0.8, "terms": [[math.inf, 0.4]]}}),
+        ("forward", {"grid": {"T": math.nan, "N": 64}}),
+        ("forward", {"grid": {"T": math.inf, "N": 64}}),
+        ("forward", {"amplitude": _NAN_AMP}),
+        ("forward", {"amplitude": _OVERFLOWING_AMP}),
+        ("inverse", {"energy": {"synthesize": {**_SYNTH, "amplitude": _NAN_AMP}}}),
+        ("inverse", {"energy": {"synthesize": _SYNTH}, "amplitude_true": _OVERFLOWING_AMP}),
+        ("forward", {"grid": {"T": 1.0, "N": 8.7}}),
+        ("forward", {"modes": {"n_max": 1.9, "k_max": 1}}),
+        ("forward", {"modes": {"n_max": 1, "k_max": True}}),
+        ("forward", {"modes": {"n_max": "2", "k_max": 1}}),
+        ("oracle-compare", {"fd": {"Mx": 16.5, "My": 16, "N": 64}}),
+        ("oracle-compare", {"fd": {"Mx": 16, "My": 16, "N": 64.5}}),
+        ("inverse", {"energy": {"synthesize": {**_SYNTH, "N": 128.5}}}),
+    ])
+    def test_problem_config(self, tmp_path, capsys, monkeypatch, command, edit):
+        import fracsource.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_forward called on a refused config")
+
+        monkeypatch.setattr(cli, "solve_forward", no_solve)
+        cfg = _write_cfg(tmp_path, "c.json", {**_forward_cfg(), **edit})
+        self._refused(capsys, command, cfg, tmp_path / "o")
+
+    @pytest.mark.parametrize("kernel, times", [
+        ({"eta": 1.0, "terms": [[math.nan, 0.5]]}, [0.5]),
+        ({"eta": 1.0, "terms": [[math.inf, 0.5]]}, [0.5]),
+        ({"eta": math.nan, "terms": [[1.0, 0.5]]}, [0.5]),
+        ({"eta": math.inf, "terms": [[1.0, 0.5]]}, [0.5]),
+        ({"eta": 1.0, "terms": [[1.0, math.nan]]}, [0.5]),
+        ({"eta": 1.0, "terms": [[1.0, 0.5]]}, {"start": 0.1, "stop": 1.0, "count": 4.5}),
+    ])
+    def test_mlf_eval_config(self, tmp_path, capsys, kernel, times):
+        cfg = _write_cfg(tmp_path, "c.json", {"kernel": kernel, "times": times})
+        self._refused(capsys, "mlf-eval", cfg, tmp_path / "o")
+        assert not (tmp_path / "o" / "mlf_eval.csv").exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        as_int = _write_cfg(tmp_path, "a.json", _forward_cfg(N=64, n_max=2))
+        as_float = _write_cfg(tmp_path, "b.json", _forward_cfg(N=64.0, n_max=2.0))
+        for cfg, out in ((as_int, "a"), (as_float, "b")):
+            assert main(["forward", cfg, "--out", str(tmp_path / out)]) == EXIT_OK
+        energy = [(tmp_path / out / "energy.csv").read_text() for out in "ab"]
+        assert energy[0] == energy[1]
+
+
 class TestVerify:
     def test_single_suite_passes(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", {"suites": ["biorthonormality"]})

@@ -108,15 +108,16 @@ class TestTrivialSolutions:
             bundle.coeffs[mean].values, bundle.phi_coeffs[mean]
         )
 
-    def test_data_free_mode_builds_no_kernel(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a kernel was set up for a mode with no data")
-
-        monkeypatch.setattr(forward, "mode_kernel_spec", unreachable)
+    def test_data_free_mode_builds_no_kernel(self):
+        # a mode with no data puts no eigenvalue into the set-up, and its
+        # trajectory reads no kernel piece
         grid = TimeGrid(1.0, 16)
-        op = FractionalOperatorSpec(0.8, ((0.5, 0.4),))
-        for forcing in (None, TimeSeries(grid, np.zeros(grid.N + 1))):
-            traj = forward._mode_trajectory(1e3, 0.0, forcing, op, grid, {})
+        zero = TimeSeries(grid, np.zeros(grid.N + 1))
+        for family in Family:
+            index = ModeIndex(family, 0 if family is Family.Zero else 1, 1)
+            assert forward._kernel_needs([(index, 0.0, False)]) == (set(), set())
+        for forcing in (None, zero):
+            traj = forward._mode_trajectory(0.0, forcing, None, grid)
             np.testing.assert_array_equal(traj.values, 0.0)
 
 
@@ -328,15 +329,15 @@ def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
 
     def building(self, *args, **kwargs):
         built.append(id(self))
-        # before the mode loop, but for the mean mode's, which comes first
-        assert len(solves) <= 1
+        # every table, the mean mode's included, before the mode loop
+        assert not solves
         init(self, *args, **kwargs)
 
-    def solving(sigma, phi_c, forcing, *args):
-        solves.append(sigma)
+    def solving(phi_c, forcing, pieces, grid):
+        solves.append(pieces)
         if forcing is not None and np.any(forcing.values):
-            forced.add(sigma)
-        return trajectory(sigma, phi_c, forcing, *args)
+            forced.add(id(pieces))
+        return trajectory(phi_c, forcing, pieces, grid)
 
     def convolving(g, table):
         used.append(id(table))
@@ -351,8 +352,37 @@ def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
     assert set(built) == set(used)
 
 
+def _piece_bits(pieces):
+    table = pieces.table
+    return (
+        None if pieces.relaxation is None else pieces.relaxation.tobytes(),
+        None if table is None else (table.moments.tobytes(), table.gap),
+    )
+
+
 def test_one_pass_set_up_equals_per_mode_set_up(monkeypatch):
+    # the set-up of all a solve's eigenvalues at once equals that of one
+    # eigenvalue at a time, bit for bit, piece by piece and in the solve
+    set_up, built = forward.eigen_kernels, []
+
+    def one_at_a_time(op, grid, relaxed, tabled):
+        kernels = {}
+        for sigma in relaxed | tabled:
+            kernels.update(set_up(op, grid, relaxed & {sigma}, tabled & {sigma}))
+        return kernels
+
+    def recording(build):
+        def recorded(*args):
+            built.append(build(*args))
+            return built[-1]
+        return recorded
+
+    monkeypatch.setattr(forward, "eigen_kernels", recording(set_up))
     batched = solve_forward(_box_problem()).coeffs.values
-    monkeypatch.setattr(forward, "eigen_kernels", lambda *args: {})
+    monkeypatch.setattr(forward, "eigen_kernels", recording(one_at_a_time))
     alone = solve_forward(_box_problem()).coeffs.values
+    together, single = built
+    assert 0.0 in together and together.keys() == single.keys()
+    for sigma, pieces in together.items():
+        assert _piece_bits(pieces) == _piece_bits(single[sigma])
     assert batched.tobytes() == alone.tobytes()

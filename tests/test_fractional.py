@@ -49,6 +49,11 @@ class TestTimeGridAndSeries:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_refuses_non_finite_horizon(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(bad, 4)
+
     def test_series_shape_check(self):
         with pytest.raises(ValueError):
             TimeSeries(TimeGrid(1.0, 4), np.zeros(3))
@@ -75,6 +80,14 @@ class TestOperatorSpec:
     def test_rejects_negative_weight(self):
         with pytest.raises(InvalidSpec):
             FractionalOperatorSpec(0.8, ((-1.0, 0.4),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(InvalidSpec, match="finite"):
+            FractionalOperatorSpec(0.8, ((bad, 0.4),))
+        for alpha, terms in ((bad, ()), (0.8, ((0.5, bad),))):
+            with pytest.raises(InvalidSpec):
+                FractionalOperatorSpec(alpha, terms)
 
     def test_rejects_order_out_of_range(self):
         with pytest.raises(InvalidSpec):

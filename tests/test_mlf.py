@@ -143,6 +143,19 @@ class TestParameterValidation:
         with pytest.raises(InvalidParameters):
             MLParameters(1.0, ())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        # NaN passes every sign test, and reduced() would drop a NaN rate
+        for make in (
+            lambda: MLParameters(bad, (0.5,)),
+            lambda: MLParameters(1.0, (0.5, bad)),
+            lambda: RelaxationKernelSpec(bad, ((1.0, 0.5),)),
+            lambda: RelaxationKernelSpec(1.0, ((bad, 0.5),)),
+            lambda: RelaxationKernelSpec(1.0, ((1.0, bad),)),
+        ):
+            with pytest.raises(InvalidParameters, match="finite"):
+                make()
+
 
 class TestSeries:
     def test_zero_arguments_give_reciprocal_gamma(self):

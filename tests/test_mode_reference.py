@@ -6,7 +6,8 @@ P(s) = s^alpha + sum psi_i s^alpha_i is the operator's symbol (Luchko &
 Gorenflo, Acta Math. Vietnam. 24 (1999)).  mpmath's Talbot inversion of that
 transform at 30 digits is the reference; it uses none of the package's
 kernels.  The forced cases take the forcing a h(t) with catalog time laws
-whose transforms are closed, and the solve's one-pass kernel set-up.
+whose transforms are closed.  Every trajectory reads its kernel pieces from
+the solve's one-pass set-up, ``eigen_kernels``, sigma = 0's included.
 """
 
 import math
@@ -50,9 +51,10 @@ def test_homogeneous_trajectory_against_laplace_reference(name, N):
     grid = TimeGrid(1.0, N)
     # seven nodes from tau to T, spread evenly in log t
     nodes = np.unique(np.geomspace(1, N, 7).round().astype(int))
+    kernels = eigen_kernels(op, grid, set(SIGMAS), set())
     worst = 0.0
     for sigma in SIGMAS:
-        traj = _mode_trajectory(sigma, PHI_C, None, op, grid, {}).values
+        traj = _mode_trajectory(PHI_C, None, kernels[sigma], grid).values
         want = np.array([laplace_reference(op, sigma, PHI_C, grid.nodes[i]) for i in nodes])
         # the scale is the largest value at t >= tau, not phi_c at t = 0:
         # at sigma = 1e8 the trajectory has fallen below 1e-6 of phi_c by tau
@@ -72,7 +74,7 @@ FORCINGS = {
     ),
     "exp_t": (make_time_fn("exp_t", {"rate": -3.0}), lambda s: A / (s + 3.0)),
 }
-# Zero and Even modes with n <= 2: sigma = 0 (built on demand), 97, 1559, 25033
+# Zero and Even modes with n <= 2: sigma = 0, 97, 1559, 25033
 FORCED_MODES = (
     ModeIndex(Family.Zero, 0, 0),
     ModeIndex(Family.Zero, 0, 1),
@@ -87,12 +89,12 @@ def forced_errors(op, law, N, want):
     h, _ = FORCINGS[law]
     grid = TimeGrid(1.0, N)
     sigmas = [eigen(index).sigma_nk for index in FORCED_MODES]
-    kernels = eigen_kernels(op, grid, [(index, PHI_C, True) for index in FORCED_MODES])
+    kernels = eigen_kernels(op, grid, set(sigmas), set(sigmas))
     forcing = TimeSeries(grid, A * h(grid.nodes))
     nodes = (N // 128) * np.array([1, 3, 9, 27, 64, 128])
     worst = 0.0
     for sigma, ref in zip(sigmas, want):
-        traj = _mode_trajectory(sigma, PHI_C, forcing, op, grid, kernels).values
+        traj = _mode_trajectory(PHI_C, forcing, kernels[sigma], grid).values
         worst = max(worst, np.max(np.abs(traj[nodes] - ref)) / np.max(np.abs(traj[1:])))
     return worst
 

@@ -51,6 +51,11 @@ class TestFDGrid:
         with pytest.raises(ValueError):
             FDGrid(32, 32, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_horizon(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FDGrid(32, 32, 16, T=bad)
+
     def test_spacings(self):
         g = FDGrid(16, 32, 10, T=2.0)
         assert g.hx == pytest.approx(1.0 / 16)

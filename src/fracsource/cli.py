@@ -35,6 +35,7 @@ from .fractional import (
     QuadratureFailure,
     TimeGrid,
     TimeSeries,
+    whole_number,
 )
 from .inverse import (
     CompatibilityViolation,
@@ -128,18 +129,6 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _count(section: dict, key: str, where: str, default=None) -> int:
-    """The whole number ``section[key]`` (``default`` when absent, required
-    when None): a JSON integer, or a float with no fractional part.  Anything
-    else, 8.7, true or "8", is a ConfigError rather than a truncated count."""
-    value = _require(section, key, where) if default is None else section.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
-    return value
-
-
 def _parse_operator(cfg: dict) -> FractionalOperatorSpec:
     section = _require(cfg, "operator")
     alpha = float(_require(section, "alpha", "operator"))
@@ -151,7 +140,7 @@ def _parse_operator(cfg: dict) -> FractionalOperatorSpec:
 
 def _parse_grid(cfg: dict) -> TimeGrid:
     section = _require(cfg, "grid")
-    return TimeGrid(float(section.get("T", 1.0)), _count(section, "N", "grid"))
+    return TimeGrid(float(section.get("T", 1.0)), _require(section, "N", "grid"))
 
 
 def _parse_field(section, where: str) -> Field2D:
@@ -205,7 +194,7 @@ def _parse_times(cfg: dict) -> np.ndarray:
     else:
         start = float(_require(section, "start", "times"))
         stop = float(_require(section, "stop", "times"))
-        count = _count(section, "count", "times", 50)
+        count = whole_number(section.get("count", 50), "times.count")
         spacing = section.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise ConfigError(f"times.spacing must be 'linear' or 'log', got {spacing!r}")
@@ -309,8 +298,8 @@ def _build_problem(cfg: dict) -> ProblemData:
         source=source,
         grid=grid,
         amplitude=_parse_amplitude(cfg, grid) or TimeSeries(grid, np.ones(grid.N + 1)),
-        n_max=_count(modes, "n_max", "modes", 16),
-        k_max=_count(modes, "k_max", "modes", 16),
+        n_max=modes.get("n_max", 16),
+        k_max=modes.get("k_max", 16),
     )
 
 
@@ -342,7 +331,7 @@ def cmd_inverse(cfg: dict, out: Path) -> int:
             energy = _read_series_csv(esec["csv"], grid)
         elif "synthesize" in esec:
             syn = esec["synthesize"]
-            gen_grid = TimeGrid(grid.T, _count(syn, "N", "energy.synthesize", 2 * grid.N))
+            gen_grid = TimeGrid(grid.T, syn.get("N", 2 * grid.N))
             stride = gen_grid.N // grid.N
             if stride * grid.N != gen_grid.N:
                 raise ConfigError("synthesis N must be a multiple of the recovery N")
@@ -546,9 +535,9 @@ def cmd_oracle_compare(cfg: dict, out: Path, tol: float | None) -> int:
     with _parsing():
         fd = cfg.get("fd", {})
         fd_grid = FDGrid(
-            Mx=_count(fd, "Mx", "fd", 32),
-            My=_count(fd, "My", "fd", 32),
-            N=_count(fd, "N", "fd", problem.grid.N),
+            Mx=fd.get("Mx", 32),
+            My=fd.get("My", 32),
+            N=fd.get("N", problem.grid.N),
             T=problem.grid.T,
         )
         times = cfg.get("times", [problem.grid.T / 2.0, problem.grid.T])

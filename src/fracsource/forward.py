@@ -25,6 +25,7 @@ from .fractional import (
     TimeSeries,
     caputo_multiterm,
     singular_convolve,
+    whole_number,
 )
 from .mlf import RelaxationKernelSpec, _kernel_sum
 from .spectral import (
@@ -53,6 +54,8 @@ class ProblemData:
     k_max: int = 16
 
     def __post_init__(self) -> None:
+        self.n_max = whole_number(self.n_max, "n_max")
+        self.k_max = whole_number(self.k_max, "k_max")
         if self.n_max < 0 or self.k_max < 0:
             raise ValueError(
                 f"truncation must be nonnegative, got n_max={self.n_max}, "

@@ -8,11 +8,13 @@ convolution is product integration: the signal's not-a-knot cubic spline
 integrated exactly against the kernel through a table of kernel moments
 over one grid interval, exact on the singular first interval and by the
 15-point Gauss-Kronrod rule on the smooth later ones, whose embedded 7-point
-Gauss rule checks it.  The kernel values at the Kronrod nodes come from
-Chebyshev interpolants on dyadic panels, one kernel call per table, with the
+Gauss rule checks it.  The first interval's moments are the kernel's
+antiderivatives at the step, the contour's 48-node values certified by its
+24-node ones.  The kernel values at the Kronrod nodes come from Chebyshev
+interpolants on dyadic panels, one kernel call per table, with the
 interpolation error checked too.  The tables of kernels that differ only in
 their last rate, a solve's eigenvalues, are built together, their
-first-interval moments in one pointwise call.
+first-interval moments from one contour set-up.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .mlf import RelaxationKernelSpec, _kernel_values, _own_rate, eval_kernel_grid
+from .mlf import RelaxationKernelSpec, _kernel_sum, _own_rate, eval_kernel_grid
 
 
 class GridTooCoarse(ValueError):
@@ -45,6 +47,16 @@ class QuadratureFailure(RuntimeError):
     values it skips."""
 
 
+def whole_number(value, name: str) -> int:
+    """``value`` as an int if it is a whole number (an int, a numpy integer
+    or an integral float), else ValueError: 8.7, True or "8" is no count."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < t_1 < ... < t_N = T."""
@@ -53,6 +65,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "N", whole_number(self.N, "N"))
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.T}")
         if self.N < 1:
@@ -279,27 +292,26 @@ _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])  # k!, k = 0..3
 
 
 def _first_moments(spec: RelaxationKernelSpec, tau: float, rates) -> np.ndarray:
-    """The exact first-interval moments I_k(1) = k! e_(eta+k+1)(tau),
-    k = 0..3, of the reduced ``spec`` with each of the ``rates`` in place of
-    its last term's rate, in one pointwise (series-first) kernel call: shape
-    (rates, 4).  One kernel is the family of ``_own_rate(spec)``."""
+    """The first-interval moments I_k(1) = k! e_(eta+k+1)(tau), k = 0..3, of
+    the reduced ``spec`` with each of the ``rates`` in place of its last
+    term's rate, shape (rates, 4), from one contour set-up with the index
+    given per time: the 48-node values, certified by their agreement with
+    the 24-node ones, and the series for the points the contour refuses.
+    One kernel is the family of ``_own_rate(spec)``."""
     etas = spec.eta + np.arange(4) + 1.0
-    count = len(rates)
-    values = _kernel_values(
-        spec, np.full(4 * count, tau), np.tile(etas, count), np.repeat(rates, 4)
-    )
-    return values.reshape(count, 4) * _FACTORIALS
+    return _kernel_sum(spec, np.full(4, tau), ((1.0, etas),), rates, finer=True) * _FACTORIALS
 
 
 class KernelMoments:
     """Moments I_k(p) = int_0^tau u^k e(p tau - u) du, k = 0..3, p = 1..N,
     of one relaxation kernel ``e`` on one uniform grid.
 
-    The first interval holds the weak singularity and is exact:
-    I_k(1) = k! e_{eta+k+1}(tau) by the kernel's antiderivative identity,
-    the four orders in one pointwise (series-first) kernel call, or
-    ``first`` when :meth:`family` has them from its call for many kernels.  Every
-    later interval is at least tau away from the singularity and takes the
+    The first interval holds the weak singularity and takes the kernel's
+    antiderivative identity I_k(1) = k! e_{eta+k+1}(tau), which is exact.
+    Its four values are ``_first_moments``' 48-node contour values,
+    certified by the 24-node ones (about 1e-13 relative), or ``first`` when
+    :meth:`family` has them from its set-up for many kernels.  Every later
+    interval is at least tau away from the singularity and takes the
     15-point Gauss-Kronrod rule; the embedded 7-point Gauss rule on the same
     kernel values fills ``moments[1]`` for the refusal check in
     :func:`singular_convolve`.
@@ -344,8 +356,8 @@ class KernelMoments:
     ) -> list["KernelMoments"]:
         """The tables of ``spec``'s kernel with each of the positive ``rates``
         in place of its last term's rate, as ``KernelMoments`` builds them
-        one at a time: the first-interval moments of all of them in one
-        pointwise call, the panel values one kernel call per table."""
+        one at a time: the first-interval moments of all of them from one
+        contour set-up, the panel values one kernel call per table."""
         spec = spec.reduced()
         firsts = _first_moments(spec, grid.tau, rates)
         return [cls(spec.with_rate(r), grid, first) for r, first in zip(rates, firsts)]

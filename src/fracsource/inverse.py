@@ -36,6 +36,7 @@ from .fractional import (
     TimeSeries,
     caputo_multiterm,
     caputo_power,
+    whole_number,
 )
 from .mlf import NonConvergence
 from .spectral import Family, Field2D, SpectralCoefficients, eigen, mode_mean
@@ -155,6 +156,7 @@ def recover_source(
     k = 0 box n <= ``flux_modes``; the kernels of phi's trajectories and of
     the flux's tables are set up in one pass, as the forward solver's are.
     """
+    flux_modes = whole_number(flux_modes, "flux_modes")
     if flux_modes < 0:
         raise ValueError(f"flux_modes must be nonnegative, got {flux_modes}")
     if grid is None:

@@ -1,24 +1,24 @@
 """Multinomial Mittag-Leffler function and the derived relaxation kernel.
 
 Two evaluation routes are provided: direct summation of the defining double
-series, one shell march for a whole grid of points (the more accurate for
-moderate arguments), and numerical inversion of the closed-form Laplace
-transform on a deformed Bromwich contour (uniformly valid, a fraction of the
-series' cost).  ``eval_kernel_grid`` and ``_kernel_sum`` try the contour
-first; the latter inverts a weighted sum of kernels that share their rates
-and orders, such as a mode's initial-state trajectory, in one pass.
-``_kernel_values``, which serves only a kernel table's first-interval moments
-directly, tries the series first; ``eval_kernel`` and ``ml_series`` are
-``eval_kernel_grid``'s and the shell sum's one-point forms.  Both routes
-accept the kernel index eta as one value per point.
+series, one shell march for a whole grid of points, and numerical inversion
+of the closed-form Laplace transform on a deformed Bromwich contour
+(uniformly valid, a fraction of the series' cost).  Every kernel point goes
+to the contour first, on 24 nodes checked against 48, and only the points
+it refuses go to the series (``_kernel_values``); a point both refuse raises
+:class:`ContourFailure`.  ``_kernel_sum`` inverts a weighted sum of kernels
+that share their rates and orders, such as a mode's initial-state
+trajectory, in one pass, and serves ``eval_kernel_grid`` and a kernel
+table's first-interval moments, the latter at 48 nodes; ``eval_kernel`` and
+``ml_series`` are ``eval_kernel_grid``'s and the shell sum's one-point
+forms.  Both routes accept the kernel index eta as one value per point.
 
 A solve's modes differ only in the eigenvalue, the rate of the kernel's last
 term.  The contour's nodes and weights do not depend on the transform, so
 ``_kernel_sum`` inverts a whole family of such kernels in one pass, building
 everything the rate does not enter once; ``_kernel_values`` takes the last
-rate per point, so the first-interval moments of many kernels take one
-series pass and one contour pass.  The two routes are cross-checked in an
-overlap band by the test suite.
+rate per point, so the refused points of many kernels take one series pass.
+The two routes are cross-checked in an overlap band by the test suite.
 """
 
 from __future__ import annotations
@@ -263,9 +263,14 @@ _TALBOT_MU = 0.5017
 _TALBOT_NU = 0.2645
 
 # In double precision the truncation error is already below roundoff at 24
-# nodes, while roundoff grows exponentially with the node count; 24 nodes
-# validated against 48 beats larger counts across t in [1e-6, 10T].  Node
-# counts must be even: only the upper half of the contour is summed.
+# nodes at panel and trajectory times (eta up to about 2.3), while roundoff
+# grows exponentially with the node count; there 24 nodes validated against
+# 48 beats larger counts across t in [1e-6, 10T].  At the first-interval
+# moments' eta + 1 .. eta + 4, t = tau, 24 nodes still truncate (3e-9 to
+# 4e-8 relative) and 48 reach about 1e-13, so those take the 48-node value
+# (Weideman & Trefethen, Math. Comp. 76, 2007; Garrappa, SIAM J. Numer.
+# Anal. 53, 2015).  Node counts must be even: only the upper half of the
+# contour is summed.
 _TALBOT_NODES = 24
 
 
@@ -364,21 +369,15 @@ def _contour_values(
     return base, check, ok
 
 
-def _certified_contour(
-    spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray, rate=None
-) -> np.ndarray:
-    """``_contour_values``' kernel with index ``eta`` and, if given, last
-    rate ``rate`` (each one value or one per time), or
-    :class:`ContourFailure` naming the first refused time with its 24- and
-    48-node values."""
-    rates = _own_rate(spec) if rate is None else (rate,)
-    base, check, ok = (a[0] for a in _contour_values(spec, ts, ((1.0, eta),), rates))
+def _raise_unserved(ts: np.ndarray, base: np.ndarray, check: np.ndarray, ok: np.ndarray):
+    """Raise :class:`ContourFailure` naming the first time that ``ok`` leaves
+    unserved, with its 24-node value ``base`` and 48-node value ``check``
+    (one row per rate each)."""
     if not np.all(ok):
-        i = int(np.argmin(ok))
+        row, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise ContourFailure(
-            f"quadrature unstable at t={ts[i]:g}: {base[i]:.15g} vs {check[i]:.15g}"
+            f"quadrature unstable at t={ts[i]:g}: {base[row, i]:.15g} vs {check[row, i]:.15g}"
         )
-    return base
 
 
 def ml_contour_grid(
@@ -389,34 +388,27 @@ def ml_contour_grid(
     ``eta``, one value or one per time, replaces ``spec.eta``."""
     ts = _valid_times(ts)
     spec = spec.reduced()
-    return _certified_contour(spec, ts, spec.eta if eta is None else eta)
+    powers = ((1.0, spec.eta if eta is None else eta),)
+    base, check, ok = _contour_values(spec, ts, powers, _own_rate(spec))
+    _raise_unserved(ts, base, check, ok)
+    return base[0]
 
 
-# routing kernel evaluation -------------------------------------------------
-
-_REGIME_THRESHOLD = 2.0
+# series fallback and routing -----------------------------------------------
 
 
 def _kernel_values(
     spec: RelaxationKernelSpec, ts: np.ndarray, eta: float | np.ndarray, rate=None
 ) -> np.ndarray:
-    """The reduced ``spec``'s kernel at the valid times ``ts`` with index
-    ``eta``, one value or one per time, in place of ``spec.eta``, and, if
-    given, ``rate``, one positive value or one per time, in place of its
-    last term's rate: the points of many kernels that differ only there
-    take one call.
-
-    Each point takes the more accurate certified route, the shell sum
-    (about 1e-16 relative) where its largest argument m_j t^xi_j is at most
-    ``_REGIME_THRESHOLD``, else the contour (about 1e-14), which also serves
-    the points the series refuses and raises :class:`ContourFailure`.  A
-    kernel table's first-interval moments, at eta up to alpha + 4 where the
-    24-node contour loses digits, take this route directly; the contour-first
-    routes send it only the points they refuse.
-    """
+    """The reduced ``spec``'s kernel at the valid times ``ts`` by the shell
+    sum, NaN where the sum refuses, with index ``eta``, one value or one per
+    time, in place of ``spec.eta``, and, if given, ``rate``, one positive
+    value or one per time, in place of its last term's rate: the points of
+    many kernels that differ only there take one call.  The sum's
+    convergence forecast refuses a point beyond its reach before any shell
+    is summed."""
     if not spec.terms:
         return ts ** (eta - 1.0) / _gamma(eta)
-    out = np.empty_like(ts)
     xis = np.asarray(spec.orders)
     # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
     log_rates = np.log(spec.rates)[:, None]
@@ -424,20 +416,12 @@ def _kernel_values(
         log_rates = np.repeat(log_rates, ts.size, axis=1)
         log_rates[-1] = np.log(rate)
     logz = log_rates + xis[:, None] * np.log(ts)[None, :]
-    ok = logz.max(axis=0) <= math.log(_REGIME_THRESHOLD)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        values, ok[idx] = _shell_sum(
-            _at(eta, idx), xis, logz[:, idx], np.ones(xis.size, dtype=bool)
-        )
-        out[idx] = ts[idx] ** (_at(eta, idx) - 1.0) * values
-    if not np.all(ok):
-        out[~ok] = _certified_contour(spec, ts[~ok], _at(eta, ~ok), _at(rate, ~ok))
-    return out
+    values, ok = _shell_sum(eta, xis, logz, np.ones(xis.size, dtype=bool))
+    return np.where(ok, ts ** (eta - 1.0) * values, np.nan)
 
 
 def _kernel_sum(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates: tuple
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates: tuple, finer=False
 ) -> np.ndarray:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``
     for the weighted ``powers`` ((w_1, eta_1), (w_2, eta_2), ...), one row
@@ -445,27 +429,33 @@ def _kernel_sum(
     one inversion of the whole sum, whose transform has the common
     denominator.  A family of kernels that differ only in that rate, such as
     a solve's modes, shares one contour set-up; one kernel is the family of
-    ``_own_rate(spec)``.  Only the points it refuses take their own kernel's
-    per-eta route, ``sum_i w_i _kernel_values``, so a point both routes
-    refuse raises :class:`ContourFailure`."""
+    ``_own_rate(spec)``.  A point takes the 24-node value, or with ``finer``
+    the 48-node one, where the two agree; the points they refuse, of every
+    row, take their own kernel's shell sum, ``sum_i w_i _kernel_values``, in
+    one call, and a point both routes refuse raises :class:`ContourFailure`."""
     if spec.terms:
-        out, _, ok = _contour_values(spec, ts, powers, rates)
-    else:  # pure powers of t: the per-eta route is exact
-        out = np.empty((len(rates), ts.size))
-        ok = np.zeros(out.shape, dtype=bool)
-    for row, row_ok, rate in zip(out, ok, rates):
-        if not np.all(row_ok):
-            bad = ~row_ok
-            per_eta = [w * _kernel_values(spec, ts[bad], eta, rate) for w, eta in powers]
-            row[bad] = sum(per_eta[1:], per_eta[0])
+        base, check, ok = _contour_values(spec, ts, powers, rates)
+    else:  # pure powers of t: the series is exact
+        base = check = np.empty((len(rates), ts.size))
+        ok = np.zeros(base.shape, dtype=bool)
+    out = check if finer else base
+    rows, cols = np.nonzero(~ok)
+    if rows.size:
+        rate = np.asarray(rates, dtype=float)[rows]
+        per_eta = [w * _kernel_values(spec, ts[cols], _at(eta, cols), rate) for w, eta in powers]
+        served = sum(per_eta[1:], per_eta[0])
+        ok[rows, cols] = ~np.isnan(served)
+        _raise_unserved(ts, base, check, ok)
+        out[rows, cols] = served
     return out
 
 
 def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
     """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of finite
-    times t > 0 on the contour first: where it certifies, it costs a fraction
-    of the shell sum.  Only the points it refuses take ``_kernel_values``'
-    route, so a point both routes refuse raises :class:`ContourFailure`."""
+    times t > 0 on the contour first, its 24-node value: where it certifies,
+    it costs a fraction of the shell sum.  Only the points it refuses take
+    the series, so a point both routes refuse raises
+    :class:`ContourFailure`."""
     ts = _valid_times(ts)
     spec = spec.reduced()
     return _kernel_sum(spec, ts, ((1.0, spec.eta),), _own_rate(spec))[0]

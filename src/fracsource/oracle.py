@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forward import ProblemData, SolutionBundle
-from .fractional import TimeGrid, TimeSeries, l1_weights
+from .fractional import TimeGrid, TimeSeries, l1_weights, whole_number
 from .spectral import synthesize
 
 
@@ -54,6 +54,8 @@ class FDGrid:
     T: float = 1.0
 
     def __post_init__(self):
+        for name in ("Mx", "My", "N"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.Mx < 8 or self.My < 8:
             raise ValueError("need at least 8 intervals per spatial axis")
         if self.N < 1 or not 0.0 < self.T < math.inf:

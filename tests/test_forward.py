@@ -23,6 +23,7 @@ from fracsource.forward import (
 )
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
 from fracsource.mlf import RelaxationKernelSpec
+from fracsource.oracle import FDGrid
 from fracsource.spectral import Family, Field2D, ModeIndex, eigen
 
 
@@ -32,6 +33,38 @@ def _zero_source():
 
 def _amp(grid, fn):
     return TimeSeries.from_function(grid, fn)
+
+
+class TestCounts:
+    """TimeGrid, FDGrid and ProblemData take their counts by one rule: a
+    whole number is stored as an int, anything else is refused rather than
+    truncated."""
+
+    @staticmethod
+    def _count(kind, value):
+        if kind == "TimeGrid":
+            return TimeGrid(1.0, value).N
+        if kind == "FDGrid":
+            return FDGrid(Mx=value, My=16, N=4).Mx
+        return ProblemData(
+            op=FractionalOperatorSpec(0.8),
+            phi=Field2D.constant(0.0),
+            source=_zero_source(),
+            grid=TimeGrid(1.0, 4),
+            n_max=value,
+        ).n_max
+
+    @pytest.mark.parametrize("value", [16, np.int64(16), 16.0, np.float64(16.0)])
+    @pytest.mark.parametrize("kind", ["TimeGrid", "FDGrid", "ProblemData"])
+    def test_whole_numbers_stored_as_int(self, kind, value):
+        count = self._count(kind, value)
+        assert count == 16 and type(count) is int
+
+    @pytest.mark.parametrize("value", [16.5, True, "16", math.nan, math.inf, None])
+    @pytest.mark.parametrize("kind", ["TimeGrid", "FDGrid", "ProblemData"])
+    def test_others_refused(self, kind, value):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            self._count(kind, value)
 
 
 class TestModeKernelSpec:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from fracsource import fractional
+from test_mlf import mpmath_talbot
+
+from fracsource import fractional, mlf
 from fracsource.fractional import (
     FractionalOperatorSpec,
     GridTooCoarse,
@@ -31,7 +33,8 @@ from fracsource.fractional import (
 )
 from fracsource.mlf import (
     RelaxationKernelSpec,
-    _kernel_values,
+    _kernel_sum,
+    _own_rate,
     eval_kernel_grid,
     kernel_antiderivative,
 )
@@ -306,33 +309,67 @@ class TestLocalCoefficients:
                 fractional._local_coefficients(grid, values)
 
 
+# mode kernels of the forward-sweep operators: e_(m xi),alpha of
+# D^alpha + sum psi_i D^alpha_i + sigma, terms (psi_i, alpha - alpha_i), (sigma, alpha)
+_MODE_KERNELS = {
+    "one-term": lambda s: RelaxationKernelSpec(0.55, ((s, 0.55),)),
+    "two-term": lambda s: RelaxationKernelSpec(0.75, ((0.5, 0.32), (s, 0.75))),
+    "three-term": lambda s: RelaxationKernelSpec(0.92, ((0.8, 0.32), (0.3, 0.6), (s, 0.92))),
+}
+
+
 class TestFirstIntervalMoments:
     @pytest.mark.parametrize(
         "spec, grid",
         [
-            # series route: largest argument 0.27 at tau
+            # largest argument 0.27 at tau
             (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), TimeGrid(1.0, 20)),
-            # contour route: largest argument 5.2 at tau
+            # largest argument 5.2 at tau
             (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), TimeGrid(4.0, 2)),
             # no term: the power kernel in closed form
             (RelaxationKernelSpec(0.4, ()), TimeGrid(1.0, 8)),
-            # argument 1.5: the series refuses eta + 1 and serves the rest
+            # argument 1.5, which the series refuses at eta + 1
             (RelaxationKernelSpec(0.1, ((1.5, 0.15),)), TimeGrid(2.0, 2)),
         ],
         ids=["series", "contour", "power", "series-refuses"],
     )
     def test_one_call_equals_four_one_point_calls(self, spec, grid):
-        # the first interval takes the pointwise route, series first
+        # the first interval takes the pointwise route, contour first at 48
+        # nodes, its four indices in one call
         table = KernelMoments(spec, grid)
         tau = np.array([grid.tau])
         want = np.array(
             [
-                math.factorial(k) * _kernel_values(spec, tau, spec.eta + k + 1.0)[0]
-                for k in range(4)
+                math.factorial(k)
+                * _kernel_sum(spec, tau, ((1.0, eta),), _own_rate(spec), finer=True)[0, 0]
+                for k, eta in enumerate(spec.eta + np.arange(4) + 1.0)
             ]
         )
         for rule in (0, 1):
             np.testing.assert_allclose(table.moments[rule, :, 0], want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS))
+    def test_family_matches_mpmath(self, kernel, n):
+        # the contour's 48-node values, certified by the 24-node ones, against
+        # a 30-digit inversion: within 2e-13 relative; the 48-node rule's
+        # roundoff reaches 1.2e-13 at eta + 1 for the two-term kernel at
+        # sigma = 25033, N = 128.  The 24-node values are off by up to 3.5e-8
+        sigmas = (97.4, 1e4, 25033.0, 1e6, 1e8)
+        tau = 1.0 / n
+        got = fractional._first_moments(_MODE_KERNELS[kernel](1.0), tau, sigmas)
+        for row, sigma in zip(got, sigmas):
+            spec = _MODE_KERNELS[kernel](sigma)
+            want = [
+                math.factorial(k) * mpmath_talbot(spec.with_eta(spec.eta + k + 1.0), tau, 30)
+                for k in range(4)
+            ]
+            np.testing.assert_allclose(row, want, rtol=2e-13, atol=0.0)
+        if (kernel, n) == ("three-term", 1024):
+            # the contour refuses e_(eta+4)(tau) at sigma = 97.4: the series serves it
+            spec = _MODE_KERNELS[kernel](sigmas[0])
+            powers = ((1.0, spec.eta + 4.0),)
+            assert not mlf._contour_values(spec, np.array([tau]), powers, (sigmas[0],))[2].any()
 
 
 def direct_moments(spec, grid):
@@ -346,15 +383,6 @@ def direct_moments(spec, grid):
     e = eval_kernel_grid(spec, (p[:, None] * tau - u).ravel()).reshape(n - 1, u.size)
     powers = u[:, None] ** np.arange(4)
     return np.stack([((w * tau)[:, None] * powers).T @ e.T for w in (wk, wg)])
-
-
-# mode kernels of the forward-sweep operators: e_(m xi),alpha of
-# D^alpha + sum psi_i D^alpha_i + sigma, terms (psi_i, alpha - alpha_i), (sigma, alpha)
-_MODE_KERNELS = {
-    "one-term": lambda s: RelaxationKernelSpec(0.55, ((s, 0.55),)),
-    "two-term": lambda s: RelaxationKernelSpec(0.75, ((0.5, 0.32), (s, 0.75))),
-    "three-term": lambda s: RelaxationKernelSpec(0.92, ((0.8, 0.32), (0.3, 0.6), (s, 0.92))),
-}
 
 
 class TestPanelTables:

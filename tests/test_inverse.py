@@ -104,6 +104,14 @@ class TestValidation:
                 _unit_source(), datum, FractionalOperatorSpec(0.5), flux_modes=-1
             )
 
+    @pytest.mark.parametrize("flux_modes", [2.5, True, "2"])
+    def test_non_integral_flux_modes_rejected(self, flux_modes):
+        datum = EnergyDatum(TimeSeries.from_function(TimeGrid(1.0, 64), lambda t: t))
+        with pytest.raises(ValueError, match="flux_modes must be a whole number"):
+            recover_source(
+                _unit_source(), datum, FractionalOperatorSpec(0.5), flux_modes=flux_modes
+            )
+
 
 class TestRoundTrip:
     def _round_trip(self, op, source, amp_fn, n_gen=512, n_rec=256, n_max=4):

@@ -422,8 +422,9 @@ class TestKernelEvaluation:
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_is_one_point_grid_at_random_draws(self, seed):
         # a point's value does not depend on the other points of its call,
-        # on either route: random 1-3-term kernels on grids reaching from
-        # the series' reach into the contour's
+        # on either route: the contour-first grid and the series it falls
+        # back to (NaN where the series refuses), for random 1-3-term
+        # kernels on grids reaching from the series' reach into the contour's
         rng = np.random.default_rng(seed)
         for _ in range(8):
             n = int(rng.integers(1, 4))
@@ -433,10 +434,11 @@ class TestKernelEvaluation:
             spec = RelaxationKernelSpec(float(rng.uniform(0.3, 4.5)), terms)
             ts = np.sort(rng.uniform(1e-4, 2.0, int(rng.integers(2, 20))))
             grid_vals = eval_kernel_grid(spec, ts)
-            series_first = _kernel_values(spec, ts, spec.eta)
+            series = _kernel_values(spec, ts, spec.eta)
             for j, t in enumerate(ts):
                 assert eval_kernel(spec, t) == grid_vals[j]
-                assert _kernel_values(spec, ts[j : j + 1], spec.eta)[0] == series_first[j]
+                alone = _kernel_values(spec, ts[j : j + 1], spec.eta)
+                np.testing.assert_array_equal(alone, series[j : j + 1])
 
     def test_fallback_point_refused_by_series(self):
         with pytest.raises(NonConvergence):
@@ -463,16 +465,17 @@ class TestKernelEvaluation:
             eval_kernel_grid(_CONTOUR_REFUSED, np.array([0.5, 1.0 / 128.0]))
 
     def test_contour_refusal_beyond_series_reach_raises(self, monkeypatch):
-        # largest argument 5.2: a point the contour refuses is not summed
+        # largest argument 5.2: a point the contour refuses is not summed,
+        # the series' convergence forecast refuses it before any shell
         def refused(spec, ts, powers, rates):
             shape = (len(rates), ts.size)
             return np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
 
         def unreachable(*args):
-            raise AssertionError("the series was asked beyond its reach")
+            raise AssertionError("a shell was summed beyond the series' reach")
 
         monkeypatch.setattr(mlf, "_contour_values", refused)
-        monkeypatch.setattr(mlf, "_shell_sum", unreachable)
+        monkeypatch.setattr(mlf, "_composition_matrix", unreachable)
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4)))
         with pytest.raises(ContourFailure, match="0 vs 1"):
             eval_kernel_grid(spec, np.array([2.0]))
@@ -532,7 +535,7 @@ _MODE_RATE = mlf._own_rate(_MODE_SPEC)
 
 class TestKernelSum:
     """One contour inversion for a weighted sum of kernels sharing their
-    rates and orders, and the per-eta route for what it refuses."""
+    rates and orders, and the per-eta series for what it refuses."""
 
     def test_one_pair_is_ml_contour_grid(self):
         ts = np.linspace(1.0 / 128.0, 1.0, 128)
@@ -550,14 +553,16 @@ class TestKernelSum:
             assert one.tobytes() == two.tobytes()
 
     def test_refused_points_take_per_eta_route(self, monkeypatch):
-        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        # largest argument 1e4 t^0.8 up to 0.16: within the series' reach,
+        # so the points the combined inversion refuses take the per-eta
+        # series sum
+        ts = np.geomspace(1e-8, 1e-6, 128)
         contour_values = mlf._contour_values
         combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS, _MODE_RATE)[0][0]
 
         def refusing_sums(spec, ts, powers, rates):
             base, check, ok = contour_values(spec, ts, powers, rates)
-            if len(powers) > 1:
-                ok[:, ::3] = False
+            ok[:, ::3] = False
             return base, check, ok
 
         monkeypatch.setattr(mlf, "_contour_values", refusing_sums)
@@ -566,6 +571,7 @@ class TestKernelSum:
         want = _kernel_values(_MODE_SPEC, refused, 1.0) + 0.5 * _kernel_values(
             _MODE_SPEC, refused, 1.4
         )
+        assert np.all(np.isfinite(want))
         assert got[::3].tobytes() == want.tobytes()
         kept = np.ones(ts.size, dtype=bool)
         kept[::3] = False
@@ -621,14 +627,17 @@ class TestKernelFamily:
 
     @pytest.mark.parametrize("name", sorted(_FAMILIES))
     def test_pointwise_rates_are_one_kernel_calls(self, name):
-        # a kernel table's first-interval moments: four indices at t = tau
-        # per rate, series first, in one call
+        # a kernel table's first-interval moments: four indices at t = tau,
+        # one row per rate, at 48 nodes, in one call; the contour refuses
+        # e_(eta+3.8) at rate 0.5, which the series serves
         spec = _FAMILIES[name][0].reduced()
-        etas = spec.eta + 0.8 + np.arange(4)
-        ts = np.full(4 * len(_RATES), 1.0 / 128.0)
-        got = _kernel_values(spec, ts, np.tile(etas, len(_RATES)), np.repeat(_RATES, 4))
-        for values, rate in zip(got.reshape(-1, 4), _RATES):
-            want = _kernel_values(spec.with_rate(rate), ts[:4], etas)
+        powers = ((1.0, spec.eta + 0.8 + np.arange(4)),)
+        ts = np.full(4, 1.0 / 128.0)
+        got = mlf._kernel_sum(spec, ts, powers, _RATES, finer=True)
+        refused = ~mlf._contour_values(spec, ts, powers, _RATES)[2]
+        assert refused.any() and not refused.all()
+        for values, rate in zip(got, _RATES):
+            want = mlf._kernel_sum(spec.with_rate(rate), ts, powers, (rate,), finer=True)[0]
             assert values.tobytes() == want.tobytes()
 
     @staticmethod
@@ -649,8 +658,9 @@ class TestKernelFamily:
         monkeypatch.setattr(mlf, "_contour_values", refusing)
 
     def test_refused_points_take_their_kernels_per_eta_route(self, monkeypatch):
+        # largest argument 1558.5 t^0.92 up to 0.33: within the series' reach
         spec, powers = _FAMILIES["three-term"]
-        ts = np.linspace(1.0 / 128.0, 1.0, 128)
+        ts = np.geomspace(1e-7, 1e-4, 128)
         plain = mlf._kernel_sum(spec, ts, powers, _RATES)
         refused = ts[::5]
         self._refusing(monkeypatch, _RATES[2], refused)
@@ -663,16 +673,18 @@ class TestKernelFamily:
 
         monkeypatch.setattr(mlf, "_kernel_values", recording)
         got = mlf._kernel_sum(spec, ts, powers, _RATES)
-        # one per-eta call per numerator term, for the refused points of
-        # that kernel only; a repeated rate is refused in both its rows
-        assert len(calls) == 2 * len(powers)
+        # one per-eta series call per numerator term, for the refused points
+        # of that kernel only, with its rate per point; a repeated rate is
+        # refused in both its rows
+        assert len(calls) == len(powers)
         for call_ts, rate in calls:
-            assert rate == _RATES[2]
-            np.testing.assert_array_equal(call_ts, refused)
+            np.testing.assert_array_equal(rate, _RATES[2])
+            np.testing.assert_array_equal(call_ts, np.tile(refused, 2))
         monkeypatch.setattr(mlf, "_kernel_values", kernel_values)
         one = spec.with_rate(_RATES[2])
         per_eta = [w * kernel_values(one, refused, eta) for w, eta in powers]
         want = sum(per_eta[1:], per_eta[0])
+        assert np.all(np.isfinite(want))
         for row in (2, 3):
             assert got[row, ::5].tobytes() == want.tobytes()
             kept = np.ones(ts.size, dtype=bool)

@@ -100,24 +100,23 @@ _NUMERICAL_ERRORS = (
 
 @contextmanager
 def _parsing():
-    """Report a malformed config value met inside the block (a non-numeric
-    order, a grid TimeGrid refuses, a section that is not an object) as a
-    ConfigError, exit 2."""
+    """Report a malformed config value or input file met inside the block (a
+    non-numeric order, a grid TimeGrid refuses, a section that is not an
+    object, a data path that cannot be read) as a ConfigError, exit 2."""
     try:
         yield
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        with open(p) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}:{exc.lineno}): {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     return cfg

@@ -6,15 +6,14 @@ with the Riemann-Liouville integral as its power-kernel case.  The
 convolution is product integration: the signal's not-a-knot cubic spline
 (one tridiagonal solve for its slopes, against a factor kept per grid) is
 integrated exactly against the kernel through a table of kernel moments
-over one grid interval, exact on the singular first interval and by the
-15-point Gauss-Kronrod rule on the smooth later ones, whose embedded 7-point
-Gauss rule checks it.  The first interval's moments are the kernel's
+over one grid interval.  The first interval's moments are the kernel's
 antiderivatives at the step, the contour's 48-node values certified by its
-24-node ones.  The kernel values at the Kronrod nodes come from Chebyshev
-interpolants on dyadic panels, one kernel call per table, with the
-interpolation error checked too.  The tables of kernels that differ only in
-their last rate, a solve's eigenvalues, are built together, their
-first-interval moments from one contour set-up.
+24-node ones.  On the smooth later intervals the kernel is a Chebyshev
+interpolant on dyadic panels, from one kernel call per table, and a
+Gauss-Legendre rule integrates that interpolant times u^k exactly; the only
+error left is the interpolation error, which the table checks.  The tables
+of kernels that differ only in their last rate, a solve's eigenvalues, are
+built together, their first-interval moments from one contour set-up.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ class InvalidOrder(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Convolution quadrature disagrees between the Kronrod rule and its
-    embedded Gauss rule, or the kernel's panel interpolant misses the kernel
-    values it skips."""
+    """The kernel's panel interpolant misses the kernel values it skips by
+    more than the convolution can tolerate."""
 
 
 def whole_number(value, name: str) -> int:
@@ -183,53 +181,6 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-# The 15-point Gauss-Kronrod rule on (-1, 1) and its embedded 7-point Gauss
-# rule (Piessens et al., QUADPACK, 1983), nonnegative half: Kronrod nodes
-# from the end inward, the last one 0; the Gauss nodes are every second one,
-# starting from the second.
-_KRONROD_X = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_KRONROD_W = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_GAUSS7_W = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-
-def _kronrod01() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of the 15-point Kronrod rule on (0, 1) in increasing order, its
-    weights, and the embedded 7-point Gauss weights on the same nodes (zero
-    at the eight Kronrod-only nodes)."""
-    half = np.asarray(_KRONROD_X)
-    x = np.concatenate([-half, half[-2::-1]])
-    wk = np.concatenate([_KRONROD_W, _KRONROD_W[-2::-1]])
-    wg = np.zeros(15)
-    wg[1::2] = _GAUSS7_W + _GAUSS7_W[-2::-1]
-    return (x + 1.0) / 2.0, wk / 2.0, wg / 2.0
-
-
-_KRONROD01 = _kronrod01()
-
-
 # Chebyshev-Lobatto nodes on each panel of the later intervals' kernel
 # arguments.  Their every-other subset is the 17-node interpolant whose
 # disagreement with the skipped nodes bounds the interpolation error.
@@ -262,29 +213,31 @@ _PANEL_X = _lobatto(_PANEL_NODES - 1)
 _HALF_PANEL = _lobatto_interp((_PANEL_NODES - 1) // 2, _PANEL_X[1::2])
 
 
-# Four grids: an entry holds 2.1 kB per interval (2.2 MB at n = 1024), and a
-# run uses one or two (the solve's, and an inverse run's synthesis grid).
+# Four grids: an entry holds about 1.1 kB per interval (1.1 MB at n = 1024),
+# and a run uses one or two (the solve's, and an inverse run's synthesis grid).
 @lru_cache(maxsize=4)
 def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Panels of the later intervals' kernel arguments on n >= 2 intervals
     and the weights taking panel values to moments, all in units of tau.
 
     Returns the panel edges 1, 2, 4, ..., n (the last panel clipped at n),
-    each later interval's panel, and the (rule, k, interval, panel node)
-    weights: the Kronrod and embedded Gauss weights times x^k, folded into
-    the barycentric interpolation from the interval's panel to its Kronrod
-    nodes.  Built one panel at a time, so the interpolation matrices never
-    all exist at once.  Cached: treat as read-only."""
+    each later interval's panel, and the (k, interval, panel node) weights:
+    the exact integrals of u^k times the interval's panel interpolant.  The
+    interpolant has degree _PANEL_NODES - 1 and the integrand at most 3
+    more, so the Gauss-Legendre rule with (_PANEL_NODES + 3) // 2 nodes,
+    folded into the barycentric interpolation to those nodes, is exact.
+    Built one panel at a time, so the interpolation matrices never all
+    exist at once.  Cached: treat as read-only."""
     edges = np.minimum(2 ** np.arange((n - 1).bit_length() + 1), n)
-    x, wk, wg = _KRONROD01
-    rule = np.stack([w * x ** np.arange(4)[:, None] for w in (wk, wg)])
-    weights = np.empty((2, 4, n - 1, _PANEL_NODES))
+    x, w = _gauss01((_PANEL_NODES + 3) // 2)
+    rule = w * x ** np.arange(4)[:, None]
+    weights = np.empty((4, n - 1, _PANEL_NODES))
     for a, b in zip(edges[:-1], edges[1:]):
         # intervals (j + 1, j + 2) in the panel [a, b]; node x sits at j + 2 - x
         j = np.arange(a - 1, b - 1)
         ref = (2.0 * (j[:, None] + 2.0 - x) - a - b) / (b - a)
         interp = _lobatto_interp(_PANEL_NODES - 1, ref.ravel()).reshape(j.size, x.size, -1)
-        weights[:, :, j] = np.einsum("rkq,jqc->rkjc", rule, interp)
+        weights[:, j] = np.einsum("kq,jqc->kjc", rule, interp)
     return edges, np.repeat(np.arange(edges.size - 1), np.diff(edges)), weights
 
 
@@ -310,20 +263,20 @@ class KernelMoments:
     antiderivative identity I_k(1) = k! e_{eta+k+1}(tau), which is exact.
     Its four values are ``_first_moments``' 48-node contour values,
     certified by the 24-node ones (about 1e-13 relative), or ``first`` when
-    :meth:`family` has them from its set-up for many kernels.  Every later
-    interval is at least tau away from the singularity and takes the
-    15-point Gauss-Kronrod rule; the embedded 7-point Gauss rule on the same
-    kernel values fills ``moments[1]`` for the refusal check in
-    :func:`singular_convolve`.
+    :meth:`family` has them from its set-up for many kernels.  ``moments``
+    has shape (4, N): row k, column p - 1.
 
-    The kernel values at those Kronrod nodes come from a piecewise-Chebyshev
-    interpolant: the later intervals' arguments (tau, T] split into dyadic
-    panels [2^i tau, 2^(i+1) tau], the last one ending at T, where the kernel
-    is analytic, and one kernel call gives it at 33 Chebyshev-Lobatto nodes
-    per panel, contour first (the interpolant tolerates its accuracy).
-    ``gap`` bounds the interpolation error's effect on a convolution per unit
-    of max|g|: the sum over panels of the width times the largest gap between
-    the 17-node interpolant on every other node and the 16 nodes it skips.
+    Every later interval is at least tau away from the singularity, where
+    the kernel is a piecewise-Chebyshev interpolant: the later intervals'
+    arguments (tau, T] split into dyadic panels [2^i tau, 2^(i+1) tau], the
+    last one ending at T, where the kernel is analytic, and one kernel call
+    gives it at 33 Chebyshev-Lobatto nodes per panel, contour first (the
+    interpolant tolerates its accuracy).  Those moments integrate the
+    interpolant exactly (:func:`_panel_rule`), so their only error is the
+    interpolation error.  ``gap`` bounds its effect on a convolution per
+    unit of max|g|: the sum over panels of the width times the largest gap
+    between the 17-node interpolant on every other node and the 16 nodes it
+    skips.
     """
 
     def __init__(
@@ -333,11 +286,11 @@ class KernelMoments:
         self.grid = grid
         tau, n = grid.tau, grid.N
         k = np.arange(4)
-        # (rule, k, p - 1)
-        self.moments = np.empty((2, 4, n))
+        # (k, p - 1)
+        self.moments = np.empty((4, n))
         if first is None:
             first = _first_moments(spec, tau, _own_rate(spec))[0]
-        self.moments[:, :, 0] = first
+        self.moments[:, 0] = first
         self.gap = 0.0
         if n == 1:
             return
@@ -347,8 +300,8 @@ class KernelMoments:
         e = eval_kernel_grid(spec, (nodes * tau).ravel()).reshape(nodes.shape)
         miss = np.abs(e[:, 1::2] - e[:, ::2] @ _HALF_PANEL.T).max(axis=1)
         self.gap = float(miss @ (2.0 * half)) * tau
-        self.moments[:, :, 1:] = np.einsum("rkjc,jc->rkj", weights, e[panel])
-        self.moments[:, :, 1:] *= (tau ** (k + 1.0))[:, None]
+        self.moments[:, 1:] = np.einsum("kjc,jc->kj", weights, e[panel])
+        self.moments[:, 1:] *= (tau ** (k + 1.0))[:, None]
 
     @classmethod
     def family(
@@ -429,12 +382,12 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
 
     The signal's cubic spline is integrated exactly against the kernel
     through the table: each power of the local spline coefficients is one
-    discrete convolution with a row of the table.  The table's embedded
-    7-point Gauss moments are convolved too, and node values that move by
-    more than 1e-7 relative from the 15-point Kronrod ones raise
-    :class:`QuadratureFailure`; so does a table whose interpolation ``gap``
-    exceeds 1e-10 of the kernel's integral over (0, T], the absolute floor
-    that check accepts.  Non-finite samples raise ``ValueError``.
+    discrete convolution with a row of the table.  A table whose
+    interpolation ``gap`` exceeds 1e-10 of the kernel's integral over (0, T]
+    raises :class:`QuadratureFailure`: below that, the interpolation error,
+    by the gap's estimate, moves no node value by more than 1e-10 of the
+    a-priori bound max|g| int_0^T e.  Non-finite samples raise
+    ``ValueError``.
     """
     grid = g.grid
     if table.grid != grid:
@@ -443,29 +396,17 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     if not np.any(g.values):
         return TimeSeries(grid, out)
     c = _local_coefficients(grid, g.values)
-    # A-priori bound on the convolution, max|g| * int_0^T e: node values more
-    # than 10 digits below it are accepted on absolute accuracy grounds
-    # (relative digits are unrecoverable that far down in doubles).  The
-    # table's interpolation gap, times max|g|, must stay under that floor.
-    integral = abs(float(np.sum(table.moments[0, 0])))
+    # The table's interpolation gap, times max|g|, bounds the kernel's share
+    # of the error at every node; it must stay 10 digits below the a-priori
+    # bound max|g| * int_0^T e (relative digits are unrecoverable that far
+    # down in doubles).
+    integral = abs(float(np.sum(table.moments[0])))
     if table.gap > 1e-10 * integral:
         raise QuadratureFailure(
             f"kernel interpolation gap {table.gap:g} exceeds 1e-10 of the "
             f"kernel's integral {integral:g}"
         )
-    fine, coarse = (
-        sum(np.convolve(c[k], m[k])[: grid.N] for k in range(4))
-        for m in table.moments
-    )
-    bound = integral * np.max(np.abs(g.values))
-    bad = np.abs(coarse - fine) > np.maximum(1e-7 * np.abs(fine), 1e-10 * bound)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise QuadratureFailure(
-            f"convolution quadrature unstable at t={grid.nodes[j + 1]:g}: "
-            f"{coarse[j]:g} vs {fine[j]:g}"
-        )
-    out[1:] = fine
+    out[1:] = sum(np.convolve(c[k], table.moments[k])[: grid.N] for k in range(4))
     return TimeSeries(grid, out)
 
 

@@ -208,6 +208,8 @@ class Field2D:
             raise ValueError(f"{path}: empty field file")
         header = [c.strip().lower() for c in rows[0]]
         if header == ["x", "y", "value"]:
+            if len(rows) == 1 or any(len(r) != 3 for r in rows[1:]):
+                raise ValueError(f"{path}: expected rows of x, y and value")
             data = np.array([[float(c) for c in r] for r in rows[1:]])
             xs = np.unique(data[:, 0])
             ys = np.unique(data[:, 1])

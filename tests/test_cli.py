@@ -370,6 +370,45 @@ class TestMalformedConfig:
         assert main([command, cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
 
+class TestUnreadableInput:
+    """An input file that cannot be read or parsed exits 2 with a one-line
+    message, like any other invalid input."""
+
+    def _refused(self, capsys, command, cfg, tmp_path):
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert "Traceback" not in err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "c.json").mkdir()
+        self._refused(capsys, "forward", str(tmp_path / "c.json"), tmp_path)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"operator": {"alpha": "\xe9"}}')
+        self._refused(capsys, "forward", str(path), tmp_path)
+
+    @pytest.mark.parametrize("command, section", [("forward", "phi"), ("inverse", "energy")])
+    def test_data_csv_path_is_a_directory(self, tmp_path, capsys, command, section):
+        (tmp_path / "data.csv").mkdir()
+        payload = _forward_cfg()
+        payload[section] = {"csv": str(tmp_path / "data.csv")}
+        if section == "energy":
+            del payload["amplitude"]
+        self._refused(capsys, command, _write_cfg(tmp_path, "c.json", payload), tmp_path)
+
+    @pytest.mark.parametrize("lines", [
+        ["x,y,value"],
+        ["x,y,value", "0,0", "0,1", "1,0", "1,1"],  # no value column
+    ], ids=["no-rows", "short-rows"])
+    def test_field_csv_rows_malformed(self, tmp_path, capsys, lines):
+        (tmp_path / "phi.csv").write_text("\n".join(lines) + "\n")
+        payload = _forward_cfg()
+        payload["phi"] = {"csv": str(tmp_path / "phi.csv")}
+        self._refused(capsys, "forward", _write_cfg(tmp_path, "c.json", payload), tmp_path)
+
+
 _SYNTH = {"N": 128, "amplitude": {"name": "poly_t", "params": {"coeffs": [1.0, 1.0]}}}
 _NAN_AMP = {"name": "constant", "params": {"value": math.nan}}
 _OVERFLOWING_AMP = {"name": "exp_t", "params": {"rate": 800.0}}  # exp(800) is inf

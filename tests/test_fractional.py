@@ -226,28 +226,6 @@ class TestRLIntegral:
             rl_integral(sig, 0.0)
 
 
-class TestKronrodRule:
-    def test_kronrod_exact_to_degree_22(self):
-        x, wk, _ = fractional._KRONROD01
-        for d in range(23):
-            assert abs(wk @ x**d - 1.0 / (d + 1)) <= 1e-15
-
-    def test_gauss_exact_to_degree_13(self):
-        x, _, wg = fractional._KRONROD01
-        for d in range(14):
-            assert abs(wg @ x**d - 1.0 / (d + 1)) <= 1e-15
-        # and no further: degree 14 is where the 7-point rule stops
-        assert abs(wg @ x**14 - 1.0 / 15) > 1e-12
-
-    def test_gauss_nodes_are_the_odd_kronrod_nodes(self):
-        x, _, wg = fractional._KRONROD01
-        assert np.all(np.diff(x) > 0.0) and 0.0 < x[0] and x[-1] < 1.0
-        np.testing.assert_array_equal(np.nonzero(wg)[0], np.arange(1, 15, 2))
-        gx, gw = np.polynomial.legendre.leggauss(7)
-        np.testing.assert_allclose(x[1::2], (gx + 1.0) / 2.0, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(wg[1::2], gw / 2.0, rtol=0.0, atol=1e-15)
-
-
 class TestLocalCoefficients:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 128, 1024])
     def test_matches_cubic_spline(self, n):
@@ -345,8 +323,7 @@ class TestFirstIntervalMoments:
                 for k, eta in enumerate(spec.eta + np.arange(4) + 1.0)
             ]
         )
-        for rule in (0, 1):
-            np.testing.assert_allclose(table.moments[rule, :, 0], want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(table.moments[:, 0], want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n", [128, 1024])
     @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS))
@@ -373,16 +350,15 @@ class TestFirstIntervalMoments:
 
 
 def direct_moments(spec, grid):
-    """Later-interval moments by the rule the panels replace: the K15 and
-    G7 sums over the kernel evaluated directly at every Kronrod node.
-    Shape (rule, k, p - 2)."""
+    """Later-interval moments without the panels: a 24-point Gauss-Legendre
+    rule on the kernel evaluated directly at its nodes in every interval.
+    Shape (k, p - 2)."""
     tau, n = grid.tau, grid.N
-    x, wk, wg = fractional._KRONROD01
+    x, w = fractional._gauss01(24)
     u = x * tau
     p = np.arange(2, n + 1, dtype=float)
     e = eval_kernel_grid(spec, (p[:, None] * tau - u).ravel()).reshape(n - 1, u.size)
-    powers = u[:, None] ** np.arange(4)
-    return np.stack([((w * tau)[:, None] * powers).T @ e.T for w in (wk, wg)])
+    return ((w * tau)[:, None] * u[:, None] ** np.arange(4)).T @ e.T
 
 
 class TestPanelTables:
@@ -393,12 +369,37 @@ class TestPanelTables:
         for sigma in (0.0, 40.0, 1.0e4, 1.0e8):
             spec = _MODE_KERNELS[kernel](sigma)
             table = KernelMoments(spec, grid)
-            assert table.moments.shape == (2, 4, n)
-            scale = np.max(np.abs(table.moments), axis=2, keepdims=True)
-            gap = np.abs(table.moments[:, :, 1:] - direct_moments(spec, grid))
+            assert table.moments.shape == (4, n)
+            scale = np.max(np.abs(table.moments), axis=1, keepdims=True)
+            gap = np.abs(table.moments[:, 1:] - direct_moments(spec, grid))
             assert np.all(gap <= 1e-12 * scale), (sigma, np.max(gap / scale))
             # and the table passes the interpolation check
-            assert table.gap <= 1e-10 * abs(np.sum(table.moments[0, 0]))
+            assert table.gap <= 1e-10 * abs(np.sum(table.moments[0]))
+
+    def test_panel_interpolant_is_integrated_exactly(self, monkeypatch):
+        # kernel values T_32 of each panel's own coordinate: the panel
+        # interpolant is that degree-32 polynomial, and the moments must be
+        # its exact integrals against u^k, whatever the kernel was
+        grid = TimeGrid(1.0, 4)
+        edges = np.array([1.0, 2.0, 4.0])
+
+        def chebyshev(spec, ts):
+            t = np.asarray(ts) / grid.tau
+            i = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
+            a, b = edges[i], edges[i + 1]
+            return np.cos(32.0 * np.arccos(np.clip((2.0 * t - a - b) / (b - a), -1.0, 1.0)))
+
+        monkeypatch.setattr(fractional, "eval_kernel_grid", chebyshev)
+        table = KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), grid)
+        # the same integrals in units of tau by a 64-point Gauss rule, exact
+        # to degree 127, over the interval [p - 1, p] of t / tau that
+        # interval p reads
+        x, w = fractional._gauss01(64)
+        k = np.arange(4)
+        for p in range(2, grid.N + 1):
+            want = (w[:, None] * x[:, None] ** k).T @ chebyshev(None, (p - x) * grid.tau)
+            got = table.moments[:, p - 1] / grid.tau ** (k + 1.0)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("n, edges", [
         (2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 4, 5]), (128, [1, 2, 4, 8, 16, 32, 64, 128]),
@@ -418,7 +419,7 @@ class TestPanelTables:
     def test_one_interval_has_no_panel(self, monkeypatch):
         monkeypatch.setattr(fractional, "eval_kernel_grid", None)
         table = KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), TimeGrid(1.0, 1))
-        assert table.moments.shape == (2, 4, 1) and table.gap == 0.0
+        assert table.moments.shape == (4, 1) and table.gap == 0.0
 
     @pytest.mark.parametrize("n", [1, 5, 128])
     @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS) + ["zero-weight"])
@@ -448,7 +449,7 @@ class TestPanelTables:
         table = KernelMoments(spec, grid)
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
         got = singular_convolve(g, table).values
-        table.moments[:, :, 1:] = direct_moments(spec, grid)
+        table.moments[:, 1:] = direct_moments(spec, grid)
         want = singular_convolve(g, table).values
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
@@ -523,10 +524,10 @@ class TestSingularConvolve:
             got[8:], (1.0 + grid.nodes[8:]) / 2.0e4, rtol=1e-2
         )
 
-    def test_disagreeing_rules_refuse(self, monkeypatch):
-        # relative noise of 1e-5 on the kernel values of the later intervals
-        # makes the Kronrod rule and its embedded Gauss rule disagree far
-        # past 1e-7
+    def test_noisy_kernel_values_refuse(self, monkeypatch):
+        # relative noise of 1e-5 on the kernel values of the later intervals:
+        # the 17-node interpolant misses the nodes it skips far past 1e-10
+        # of the kernel's integral
         grid = TimeGrid(1.0, 32)
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
@@ -539,13 +540,12 @@ class TestSingularConvolve:
 
         monkeypatch.setattr(fractional, "eval_kernel_grid", noisy)
         table = KernelMoments(spec, grid)
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(QuadratureFailure, match="interpolation gap"):
             singular_convolve(g, table)
 
     def test_interpolation_gap_refuses(self, monkeypatch):
         # relative noise of 1e-6 on the panel nodes the 17-node interpolant
-        # skips: the Kronrod and Gauss rules still agree to 1e-7, but the
-        # interpolant misses the skipped nodes by 1e-6 of each panel's kernel
+        # skips: the interpolant misses them by 1e-6 of each panel's kernel
         grid = TimeGrid(1.0, 32)
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)

@@ -590,8 +590,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        out = Path(args.out or cfg.get("out", "out"))
-        out.mkdir(parents=True, exist_ok=True)
+        with _parsing():  # an out path that names a file cannot be a directory
+            out = Path(args.out or cfg.get("out", "out"))
+            out.mkdir(parents=True, exist_ok=True)
         options = {"tol": args.tol} if "tol" in args else {}
         return _COMMANDS[args.command](cfg, out, **options)
     except CompatibilityViolation as exc:

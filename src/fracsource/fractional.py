@@ -9,11 +9,13 @@ integrated exactly against the kernel through a table of kernel moments
 over one grid interval.  The first interval's moments are the kernel's
 antiderivatives at the step, the contour's 48-node values certified by its
 24-node ones.  On the smooth later intervals the kernel is a Chebyshev
-interpolant on dyadic panels, from one kernel call per table, and a
-Gauss-Legendre rule integrates that interpolant times u^k exactly; the only
-error left is the interpolation error, which the table checks.  The tables
-of kernels that differ only in their last rate, a solve's eigenvalues, are
-built together, their first-interval moments from one contour set-up.
+interpolant on dyadic panels, and a Gauss-Legendre rule integrates that
+interpolant times u^k exactly; the only error left is the interpolation
+error, which the table checks.  The tables of kernels that differ only in
+their last rate, a solve's eigenvalues, are built together: the
+first-interval moments of all of them from one contour set-up and their
+panel values from one ``eval_kernel_grid`` call, one row per table.  One
+table alone is such a family of one.
 """
 
 from __future__ import annotations
@@ -255,6 +257,21 @@ def _first_moments(spec: RelaxationKernelSpec, tau: float, rates) -> np.ndarray:
     return _kernel_sum(spec, np.full(4, tau), ((1.0, etas),), rates, finer=True) * _FACTORIALS
 
 
+def _table_values(spec: RelaxationKernelSpec, grid: TimeGrid, rates) -> list[tuple]:
+    """Per entry of ``rates`` in place of the reduced ``spec``'s last rate,
+    its table's first-interval moments and its values at the panel nodes,
+    (panels, _PANEL_NODES), None on one interval: the first from one
+    contour set-up, the second from one kernel call for all of them."""
+    firsts = _first_moments(spec, grid.tau, rates)
+    if grid.N == 1:
+        return [(first, None) for first in firsts]
+    edges = _panel_rule(grid.N)[0]
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    nodes = mid[:, None] + half[:, None] * _PANEL_X
+    e = eval_kernel_grid(spec, (nodes * grid.tau).ravel(), rates)
+    return list(zip(firsts, e.reshape(len(rates), *nodes.shape)))
+
+
 class KernelMoments:
     """Moments I_k(p) = int_0^tau u^k e(p tau - u) du, k = 0..3, p = 1..N,
     of one relaxation kernel ``e`` on one uniform grid.
@@ -262,44 +279,43 @@ class KernelMoments:
     The first interval holds the weak singularity and takes the kernel's
     antiderivative identity I_k(1) = k! e_{eta+k+1}(tau), which is exact.
     Its four values are ``_first_moments``' 48-node contour values,
-    certified by the 24-node ones (about 1e-13 relative), or ``first`` when
-    :meth:`family` has them from its set-up for many kernels.  ``moments``
-    has shape (4, N): row k, column p - 1.
+    certified by the 24-node ones (about 1e-13 relative).  ``moments`` has
+    shape (4, N): row k, column p - 1.
 
     Every later interval is at least tau away from the singularity, where
     the kernel is a piecewise-Chebyshev interpolant: the later intervals'
     arguments (tau, T] split into dyadic panels [2^i tau, 2^(i+1) tau], the
-    last one ending at T, where the kernel is analytic, and one kernel call
-    gives it at 33 Chebyshev-Lobatto nodes per panel, contour first (the
-    interpolant tolerates its accuracy).  Those moments integrate the
-    interpolant exactly (:func:`_panel_rule`), so their only error is the
-    interpolation error.  ``gap`` bounds its effect on a convolution per
-    unit of max|g|: the sum over panels of the width times the largest gap
-    between the 17-node interpolant on every other node and the 16 nodes it
-    skips.
+    last one ending at T, where the kernel is analytic, and the kernel's
+    values at 33 Chebyshev-Lobatto nodes per panel come from one
+    ``eval_kernel_grid`` call, contour first (the interpolant tolerates its
+    accuracy).  Those moments integrate the interpolant exactly
+    (:func:`_panel_rule`), so their only error is the interpolation error.
+    ``gap`` bounds its effect on a convolution per unit of max|g|: the sum
+    over panels of the width times the largest gap between the 17-node
+    interpolant on every other node and the 16 nodes it skips.
+
+    A table is built from ``values``, its first-interval moments and panel
+    values as :meth:`family` sets them up for many kernels at once; one
+    kernel alone is the family of ``_own_rate(spec)``.
     """
 
-    def __init__(
-        self, spec: RelaxationKernelSpec, grid: TimeGrid, first: np.ndarray | None = None
-    ):
+    def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid, values: tuple | None = None):
         spec = spec.reduced()
+        if values is None:
+            (values,) = _table_values(spec, grid, _own_rate(spec))
+        first, e = values
         self.grid = grid
         tau, n = grid.tau, grid.N
         k = np.arange(4)
         # (k, p - 1)
         self.moments = np.empty((4, n))
-        if first is None:
-            first = _first_moments(spec, tau, _own_rate(spec))[0]
         self.moments[:, 0] = first
         self.gap = 0.0
         if n == 1:
             return
         edges, panel, weights = _panel_rule(n)
-        mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-        nodes = mid[:, None] + half[:, None] * _PANEL_X
-        e = eval_kernel_grid(spec, (nodes * tau).ravel()).reshape(nodes.shape)
         miss = np.abs(e[:, 1::2] - e[:, ::2] @ _HALF_PANEL.T).max(axis=1)
-        self.gap = float(miss @ (2.0 * half)) * tau
+        self.gap = float(miss @ np.diff(edges)) * tau
         self.moments[:, 1:] = np.einsum("kjc,jc->kj", weights, e[panel])
         self.moments[:, 1:] *= (tau ** (k + 1.0))[:, None]
 
@@ -308,12 +324,15 @@ class KernelMoments:
         cls, spec: RelaxationKernelSpec, rates, grid: TimeGrid
     ) -> list["KernelMoments"]:
         """The tables of ``spec``'s kernel with each of the positive ``rates``
-        in place of its last term's rate, as ``KernelMoments`` builds them
-        one at a time: the first-interval moments of all of them from one
-        contour set-up, the panel values one kernel call per table."""
+        in place of its last term's rate, bit for bit as ``KernelMoments``
+        builds each alone: every table's first-interval moments from one
+        contour set-up and its panel values from one kernel call, then each
+        table's moments and ``gap`` from its own row."""
         spec = spec.reduced()
-        firsts = _first_moments(spec, grid.tau, rates)
-        return [cls(spec.with_rate(r), grid, first) for r, first in zip(rates, firsts)]
+        return [
+            cls(spec.with_rate(rate), grid, values)
+            for rate, values in zip(rates, _table_values(spec, grid, rates))
+        ]
 
 
 def _not_a_knot_band(n: int) -> np.ndarray:

@@ -16,8 +16,10 @@ forms.  Both routes accept the kernel index eta as one value per point.
 A solve's modes differ only in the eigenvalue, the rate of the kernel's last
 term.  The contour's nodes and weights do not depend on the transform, so
 ``_kernel_sum`` inverts a whole family of such kernels in one pass, building
-everything the rate does not enter once; ``_kernel_values`` takes the last
-rate per point, so the refused points of many kernels take one series pass.
+everything the rate does not enter once, and ``eval_kernel_grid`` with
+``rates`` returns such a family's values one row per rate; ``_kernel_values``
+takes the last rate per point, so the refused points of many kernels take
+one series pass.
 The two routes are cross-checked in an overlap band by the test suite.
 """
 
@@ -450,15 +452,24 @@ def _kernel_sum(
     return out
 
 
-def eval_kernel_grid(spec: RelaxationKernelSpec, ts: np.ndarray) -> np.ndarray:
+def eval_kernel_grid(
+    spec: RelaxationKernelSpec, ts: np.ndarray, rates: tuple | None = None
+) -> np.ndarray:
     """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of finite
     times t > 0 on the contour first, its 24-node value: where it certifies,
     it costs a fraction of the shell sum.  Only the points it refuses take
     the series, so a point both routes refuse raises
-    :class:`ContourFailure`."""
+    :class:`ContourFailure`.
+
+    With ``rates``, the family of kernels with each of them in place of the
+    reduced ``spec``'s last rate, one row per rate, from one contour set-up
+    (``_kernel_sum``); a row equals its own kernel's values bit for bit.
+    Without, the kernel's own values, one per time."""
     ts = _valid_times(ts)
     spec = spec.reduced()
-    return _kernel_sum(spec, ts, ((1.0, spec.eta),), _own_rate(spec))[0]
+    own = rates is None
+    rows = _kernel_sum(spec, ts, ((1.0, spec.eta),), _own_rate(spec) if own else rates)
+    return rows[0] if own else rows
 
 
 def eval_kernel(spec: RelaxationKernelSpec, t: float) -> float:

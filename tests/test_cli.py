@@ -409,6 +409,22 @@ class TestUnreadableInput:
         self._refused(capsys, "forward", _write_cfg(tmp_path, "c.json", payload), tmp_path)
 
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_out_path_is_a_file(self, tmp_path, capsys, where):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        payload = {"suites": ["biorthonormality"]}
+        argv = ["verify"]
+        if where == "config":
+            payload["out"] = str(afile)
+            argv.append(_write_cfg(tmp_path, "c.json", payload))
+        else:
+            argv += [_write_cfg(tmp_path, "c.json", payload), "--out", str(afile)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and err.count("\n") == 1
+        assert afile.read_text() == ""
+
 _SYNTH = {"N": 128, "amplitude": {"name": "poly_t", "params": {"coeffs": [1.0, 1.0]}}}
 _NAN_AMP = {"name": "constant", "params": {"value": math.nan}}
 _OVERFLOWING_AMP = {"name": "exp_t", "params": {"rate": 800.0}}  # exp(800) is inf

@@ -14,7 +14,7 @@ import pytest
 from test_mlf import mpmath_kernel
 
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
-from fracsource import forward
+from fracsource import forward, fractional
 from fracsource.forward import (
     ProblemData,
     mode_kernel_spec,
@@ -383,6 +383,23 @@ def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
     assert (len(forced), len(used)) == counts
     assert len(built) == len(forced)
     assert set(built) == set(used)
+
+
+def test_panel_values_in_two_kernel_calls(monkeypatch):
+    # the forward-sweep-shaped box tables 15 eigenvalues: the 14 nonzero
+    # ones' panel values come from the family's one call, and sigma = 0's,
+    # whose kernel lacks the eigenvalue's term, from its own
+    calls, evaluate = [], fractional.eval_kernel_grid
+
+    def counting(spec, ts, rates):
+        rows = evaluate(spec, ts, rates)
+        calls.append((np.asarray(ts).size, rows.shape))
+        return rows
+
+    monkeypatch.setattr(fractional, "eval_kernel_grid", counting)
+    solve_forward(_box_problem())
+    points = 5 * fractional._PANEL_NODES  # panels [1, 2], ..., [16, 32]
+    assert sorted(calls) == [(points, (1, points)), (points, (14, points))]
 
 
 def _piece_bits(pieces):

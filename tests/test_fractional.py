@@ -389,7 +389,10 @@ class TestPanelTables:
             a, b = edges[i], edges[i + 1]
             return np.cos(32.0 * np.arccos(np.clip((2.0 * t - a - b) / (b - a), -1.0, 1.0)))
 
-        monkeypatch.setattr(fractional, "eval_kernel_grid", chebyshev)
+        monkeypatch.setattr(
+            fractional, "eval_kernel_grid",
+            lambda spec, ts, rates: np.tile(chebyshev(spec, ts), (len(rates), 1)),
+        )
         table = KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), grid)
         # the same integrals in units of tau by a 64-point Gauss rule, exact
         # to degree 127, over the interval [p - 1, p] of t / tau that
@@ -407,9 +410,9 @@ class TestPanelTables:
     def test_dyadic_panels_in_one_kernel_call(self, monkeypatch, n, edges):
         calls = []
 
-        def counting(spec, ts):
+        def counting(spec, ts, rates):
             calls.append(np.asarray(ts).size)
-            return eval_kernel_grid(spec, ts)
+            return eval_kernel_grid(spec, ts, rates)
 
         monkeypatch.setattr(fractional, "eval_kernel_grid", counting)
         KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), TimeGrid(1.0, n))
@@ -437,6 +440,40 @@ class TestPanelTables:
             assert table.grid == grid
             assert table.moments.tobytes() == want.moments.tobytes()
             assert table.gap == want.gap
+
+    def test_family_panel_values_in_one_kernel_call(self, monkeypatch):
+        # three rates, one of them repeated: one call over the 7 panels'
+        # nodes at N = 128, one row per rate
+        calls = []
+
+        def counting(spec, ts, rates):
+            rows = eval_kernel_grid(spec, ts, rates)
+            calls.append((np.asarray(ts).size, rows.shape))
+            return rows
+
+        monkeypatch.setattr(fractional, "eval_kernel_grid", counting)
+        rates = (40.0, 1.0e4, 1.0e4, 1.0e8)
+        tables = KernelMoments.family(_MODE_KERNELS["two-term"](1.0), rates, TimeGrid(1.0, 128))
+        points = 7 * fractional._PANEL_NODES
+        assert calls == [(points, (len(rates), points))]
+        assert len(tables) == len(rates)
+
+    def test_family_point_both_routes_refuse_raises(self, monkeypatch):
+        # the contour refuses one rate's panel node at t = T = 1 and the
+        # series, whose largest argument there is 1e8, refuses it too: the
+        # family names that time, though its other rates' nodes are served
+        contour_values = mlf._contour_values
+
+        def refusing(spec, ts, powers, rates):
+            base, check, ok = contour_values(spec, ts, powers, rates)
+            ok[np.logical_and.outer(np.asarray(rates) == 1.0e8, ts == 1.0)] = False
+            return base, check, ok
+
+        monkeypatch.setattr(mlf, "_contour_values", refusing)
+        make, grid = _MODE_KERNELS["one-term"], TimeGrid(1.0, 128)
+        KernelMoments.family(make(1.0), (40.0, 1.0e4), grid)
+        with pytest.raises(mlf.ContourFailure, match=r"at t=1: "):
+            KernelMoments.family(make(1.0), (40.0, 1.0e8, 1.0e4), grid)
 
     def test_series_noise_is_not_an_interpolation_gap(self):
         # D^0.8 + 2 D^0.56 + 1: near t = 0.5 the shell sum's roundoff reached
@@ -533,8 +570,8 @@ class TestSingularConvolve:
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
         rng = np.random.default_rng(0)
 
-        def noisy(spec, ts):
-            values = eval_kernel_grid(spec, ts)
+        def noisy(spec, ts, rates):
+            values = eval_kernel_grid(spec, ts, rates)
             later = np.asarray(ts) > grid.tau
             return values * np.where(later, 1.0 + 1e-5 * rng.standard_normal(values.shape), 1.0)
 
@@ -550,8 +587,8 @@ class TestSingularConvolve:
         spec = RelaxationKernelSpec(0.8, ((3.0, 0.8),))
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
 
-        def noisy(spec, ts):
-            values = eval_kernel_grid(spec, ts)
+        def noisy(spec, ts, rates):
+            values = eval_kernel_grid(spec, ts, rates)
             skipped = np.arange(values.size) % fractional._PANEL_NODES % 2 == 1
             return values * np.where(skipped, 1.0 + 1e-6, 1.0)
 

@@ -3,19 +3,22 @@
 Provides the L1 approximation of the multi-term Caputo derivative and the
 weakly singular Laplace convolution of a signal against a relaxation kernel,
 with the Riemann-Liouville integral as its power-kernel case.  The
-convolution is product integration: the signal's not-a-knot cubic spline
-(one tridiagonal solve for its slopes, against a factor kept per grid) is
-integrated exactly against the kernel through a table of kernel moments
-over one grid interval.  The first interval's moments are the kernel's
-antiderivatives at the step, the contour's 48-node values certified by its
-24-node ones.  On the smooth later intervals the kernel is a Chebyshev
-interpolant on dyadic panels, and a Gauss-Legendre rule integrates that
-interpolant times u^k exactly; the only error left is the interpolation
-error, which the table checks.  The tables of kernels that differ only in
-their last rate, a solve's eigenvalues, are built together: the
-first-interval moments of all of them from one contour set-up and their
-panel values from one ``eval_kernel_grid`` call, one row per table.  One
-table alone is such a family of one.
+convolution is product integration: the signal's not-a-knot cubic spline is
+integrated exactly against the kernel.  A cubic spline is fixed by its node
+values and node slopes (its Hermite form; one tridiagonal solve for the
+slopes, against a factor kept per grid), so the convolution is two discrete
+convolutions, of the values and of the slopes, against weights each kernel
+table derives once from its moments over one grid interval.  The first
+interval's moments are the kernel's antiderivatives at the step, the
+contour's 48-node values certified by its 32-node ones.  On the smooth later
+intervals the kernel is a Chebyshev interpolant on dyadic panels, and a
+Gauss-Legendre rule integrates that interpolant times u^k exactly; the only
+error left is the interpolation error, which the table checks.  The tables
+of kernels that differ only in their last rate, a solve's eigenvalues, are
+built together in one assembly: the first-interval moments of all of them
+from one contour set-up, their panel values from one ``eval_kernel_grid``
+call, and their moments, gaps and weights as arrays with a row per table.
+One table alone is such a family of one.
 """
 
 from __future__ import annotations
@@ -257,29 +260,64 @@ def _first_moments(spec: RelaxationKernelSpec, tau: float, rates) -> np.ndarray:
     return _kernel_sum(spec, np.full(4, tau), ((1.0, etas),), rates, finer=True) * _FACTORIALS
 
 
-def _table_values(spec: RelaxationKernelSpec, grid: TimeGrid, rates) -> list[tuple]:
+def _hermite_weights(moments: np.ndarray, tau: float) -> np.ndarray:
+    """The weights taking a cubic spline's node values and node slopes
+    straight to its convolution with the kernel whose moment table on steps
+    of ``tau`` is ``moments``, shape (..., 4, N) to (..., 4, N).
+
+    Against the moments of interval p, the Hermite basis of its left and
+    right values and slopes integrates to A = I_0 - B, B = 3 I_2/h^2 -
+    2 I_3/h^3, C = I_1 - I_2/h + D and D = I_3/h^2 - I_2/h, h = tau.  Grouped
+    by node: for output j, node m >= 1, d = j - m steps back, starts the
+    interval of moments p = d and ends that of p = d + 1, so column d of
+    rows 0 and 1 holds A(d) + B(d + 1) and C(d) + D(d + 1), with A(0) =
+    C(0) = 0, for its value and its slope; node 0 only starts the interval
+    of p = j, so column j - 1 of rows 2 and 3 holds A(j) and C(j)."""
+    i0, i1, i2, i3 = np.moveaxis(moments, -2, 0)
+    right = 3.0 * i2 / tau**2 - 2.0 * i3 / tau**3
+    right_slope = i3 / tau**2 - i2 / tau
+    left = i0 - right
+    left_slope = i1 - i2 / tau + right_slope
+    weights = np.stack([right, right_slope, left, left_slope], axis=-2)
+    weights[..., :2, 1:] += weights[..., 2:, :-1]
+    return weights
+
+
+def _tables(spec: RelaxationKernelSpec, grid: TimeGrid, rates) -> list[tuple]:
     """Per entry of ``rates`` in place of the reduced ``spec``'s last rate,
-    its table's first-interval moments and its values at the panel nodes,
-    (panels, _PANEL_NODES), None on one interval: the first from one
-    contour set-up, the second from one kernel call for all of them."""
-    firsts = _first_moments(spec, grid.tau, rates)
-    if grid.N == 1:
-        return [(first, None) for first in firsts]
-    edges = _panel_rule(grid.N)[0]
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-    nodes = mid[:, None] + half[:, None] * _PANEL_X
-    e = eval_kernel_grid(spec, (nodes * grid.tau).ravel(), rates)
-    return list(zip(firsts, e.reshape(len(rates), *nodes.shape)))
+    its table's read-only moments (4, N), ``gap`` and Hermite weights
+    (4, N), all rates in one pass: the first-interval moments from one
+    contour set-up, the panel values from one kernel call, and the
+    later-interval moments, gaps and weights as arrays with a row per
+    rate."""
+    tau, n = grid.tau, grid.N
+    moments = np.empty((len(rates), 4, n))
+    moments[:, :, 0] = _first_moments(spec, tau, rates)
+    gaps = np.zeros(len(rates))
+    if n > 1:
+        edges, panel, weights = _panel_rule(n)
+        mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+        nodes = mid[:, None] + half[:, None] * _PANEL_X
+        e = eval_kernel_grid(spec, (nodes * tau).ravel(), rates).reshape(-1, *nodes.shape)
+        miss = np.abs(e[:, :, 1::2] - e[:, :, ::2] @ _HALF_PANEL.T).max(axis=2)
+        gaps = (miss @ np.diff(edges)) * tau
+        later = moments[:, :, 1:]
+        np.einsum("kjc,rjc->rkj", weights, e[:, panel], out=later)
+        later *= (tau ** np.arange(1.0, 5.0))[:, None]
+    hermite = _hermite_weights(moments, tau)
+    moments.flags.writeable = hermite.flags.writeable = False
+    return list(zip(moments, gaps.tolist(), hermite))
 
 
 class KernelMoments:
     """Moments I_k(p) = int_0^tau u^k e(p tau - u) du, k = 0..3, p = 1..N,
-    of one relaxation kernel ``e`` on one uniform grid.
+    of one relaxation kernel ``e`` on one uniform grid, and the Hermite
+    weights a convolution takes from them.
 
     The first interval holds the weak singularity and takes the kernel's
     antiderivative identity I_k(1) = k! e_{eta+k+1}(tau), which is exact.
     Its four values are ``_first_moments``' 48-node contour values,
-    certified by the 24-node ones (about 1e-13 relative).  ``moments`` has
+    certified by the 32-node ones (about 1e-13 relative).  ``moments`` has
     shape (4, N): row k, column p - 1.
 
     Every later interval is at least tau away from the singularity, where
@@ -294,44 +332,35 @@ class KernelMoments:
     over panels of the width times the largest gap between the 17-node
     interpolant on every other node and the 16 nodes it skips.
 
-    A table is built from ``values``, its first-interval moments and panel
-    values as :meth:`family` sets them up for many kernels at once; one
-    kernel alone is the family of ``_own_rate(spec)``.
+    ``weights`` (:func:`_hermite_weights`, shape (4, N)) regroup the moments
+    by spline node, so a convolution takes the signal's node values and
+    slopes with two discrete convolutions.  ``moments`` and ``weights`` are
+    read-only: the weights are derived once, from the moments as built.
+
+    A table is built from ``parts``, its moments, gap and weights as
+    :meth:`family` assembles them for many kernels at once; one kernel
+    alone is the family of ``_own_rate(spec)``.
     """
 
-    def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid, values: tuple | None = None):
-        spec = spec.reduced()
-        if values is None:
-            (values,) = _table_values(spec, grid, _own_rate(spec))
-        first, e = values
+    def __init__(self, spec: RelaxationKernelSpec, grid: TimeGrid, parts: tuple | None = None):
+        if parts is None:
+            spec = spec.reduced()
+            (parts,) = _tables(spec, grid, _own_rate(spec))
         self.grid = grid
-        tau, n = grid.tau, grid.N
-        k = np.arange(4)
-        # (k, p - 1)
-        self.moments = np.empty((4, n))
-        self.moments[:, 0] = first
-        self.gap = 0.0
-        if n == 1:
-            return
-        edges, panel, weights = _panel_rule(n)
-        miss = np.abs(e[:, 1::2] - e[:, ::2] @ _HALF_PANEL.T).max(axis=1)
-        self.gap = float(miss @ np.diff(edges)) * tau
-        self.moments[:, 1:] = np.einsum("kjc,jc->kj", weights, e[panel])
-        self.moments[:, 1:] *= (tau ** (k + 1.0))[:, None]
+        self.moments, self.gap, self.weights = parts
 
     @classmethod
     def family(
         cls, spec: RelaxationKernelSpec, rates, grid: TimeGrid
     ) -> list["KernelMoments"]:
-        """The tables of ``spec``'s kernel with each of the positive ``rates``
-        in place of its last term's rate, bit for bit as ``KernelMoments``
-        builds each alone: every table's first-interval moments from one
-        contour set-up and its panel values from one kernel call, then each
-        table's moments and ``gap`` from its own row."""
+        """The tables of ``spec``'s kernel with each of the ``rates`` in
+        place of its last term's rate, bit for bit as ``KernelMoments``
+        builds each alone, from one assembly (:func:`_tables`).  A rate that
+        is negative or not finite raises ``InvalidParameters``."""
         spec = spec.reduced()
         return [
-            cls(spec.with_rate(rate), grid, values)
-            for rate, values in zip(rates, _table_values(spec, grid, rates))
+            cls(spec.with_rate(rate), grid, parts)
+            for rate, parts in zip(rates, _tables(spec, grid, rates))
         ]
 
 
@@ -361,38 +390,28 @@ def _not_a_knot_factor(n: int) -> tuple:
     return tuple(factor)
 
 
-def _local_coefficients(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    """Power coefficients of the signal's not-a-knot cubic spline on each
-    interval, shape (4, N): row k multiplies (t - t_i)^k.
+def _node_slopes(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """Slopes of the signal's not-a-knot cubic spline at the N + 1 nodes:
+    with the samples, they fix its Hermite form on every interval.
 
-    On N >= 3 intervals the node slopes come from one banded solve of the
-    not-a-knot system, and each interval's cubic is the Hermite one of its
-    end values and slopes.  On one or two intervals that system is singular
-    and the spline is the line or the parabola through the samples.  Refuses
-    non-finite samples with ``ValueError``."""
+    On N >= 3 intervals they come from one banded solve of the not-a-knot
+    system.  On one or two intervals that system is singular and the spline
+    is the line or the parabola through the samples.  Refuses non-finite
+    samples with ``ValueError``."""
     if not np.all(np.isfinite(values)):
         raise ValueError("signal samples must be finite")
-    n, h = grid.N, grid.tau
-    slope = np.diff(values) / h
-    c = np.zeros((4, n))
-    c[0] = values[:-1]
+    n = grid.N
+    slope = np.diff(values) / grid.tau
     if n == 1:
-        c[1] = slope
-        return c
+        return np.repeat(slope, 2)
     if n == 2:
-        c[2] = (slope[1] - slope[0]) / (2.0 * h)
-        c[1] = slope - c[2] * h
-        return c
+        bend = (slope[1] - slope[0]) / 2.0
+        return np.array([slope[0] - bend, slope[0] + bend, slope[1] + bend])
     rhs = np.empty(n + 1)
     rhs[1:-1] = 3.0 * (slope[:-1] + slope[1:])
     rhs[0] = (5.0 * slope[0] + slope[1]) / 2.0
     rhs[-1] = (slope[-2] + 5.0 * slope[-1]) / 2.0
-    s, _ = dgttrs(*_not_a_knot_factor(n), rhs)
-    t = (s[:-1] + s[1:] - 2.0 * slope) / h
-    c[1] = s[:-1]
-    c[2] = (slope - s[:-1]) / h - t
-    c[3] = t / h
-    return c
+    return dgttrs(*_not_a_knot_factor(n), rhs)[0]
 
 
 def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
@@ -400,13 +419,13 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     moment table on ``g.grid`` is ``table``.
 
     The signal's cubic spline is integrated exactly against the kernel
-    through the table: each power of the local spline coefficients is one
-    discrete convolution with a row of the table.  A table whose
-    interpolation ``gap`` exceeds 1e-10 of the kernel's integral over (0, T]
-    raises :class:`QuadratureFailure`: below that, the interpolation error,
-    by the gap's estimate, moves no node value by more than 1e-10 of the
-    a-priori bound max|g| int_0^T e.  Non-finite samples raise
-    ``ValueError``.
+    through the table's Hermite weights: its node values and its node
+    slopes, one not-a-knot solve, each make one discrete convolution, and
+    node 0 adds its own column.  A table whose interpolation ``gap``
+    exceeds 1e-10 of the kernel's integral over (0, T] raises
+    :class:`QuadratureFailure`: below that, the interpolation error, by the
+    gap's estimate, moves no node value by more than 1e-10 of the a-priori
+    bound max|g| int_0^T e.  Non-finite samples raise ``ValueError``.
     """
     grid = g.grid
     if table.grid != grid:
@@ -414,7 +433,7 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     out = np.zeros(grid.N + 1)
     if not np.any(g.values):
         return TimeSeries(grid, out)
-    c = _local_coefficients(grid, g.values)
+    s = _node_slopes(grid, g.values)
     # The table's interpolation gap, times max|g|, bounds the kernel's share
     # of the error at every node; it must stay 10 digits below the a-priori
     # bound max|g| * int_0^T e (relative digits are unrecoverable that far
@@ -425,7 +444,10 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
             f"kernel interpolation gap {table.gap:g} exceeds 1e-10 of the "
             f"kernel's integral {integral:g}"
         )
-    out[1:] = sum(np.convolve(c[k], table.moments[k])[: grid.N] for k in range(4))
+    value, slope, first_value, first_slope = table.weights
+    out[1:] = np.convolve(g.values[1:], value)[: grid.N]
+    out[1:] += np.convolve(s[1:], slope)[: grid.N]
+    out[1:] += g.values[0] * first_value + s[0] * first_slope
     return TimeSeries(grid, out)
 
 

@@ -9,9 +9,10 @@ it refuses go to the series (``_kernel_values``); a point both refuse raises
 :class:`ContourFailure`.  ``_kernel_sum`` inverts a weighted sum of kernels
 that share their rates and orders, such as a mode's initial-state
 trajectory, in one pass, and serves ``eval_kernel_grid`` and a kernel
-table's first-interval moments, the latter at 48 nodes; ``eval_kernel`` and
-``ml_series`` are ``eval_kernel_grid``'s and the shell sum's one-point
-forms.  Both routes accept the kernel index eta as one value per point.
+table's first-interval moments, the latter at 48 nodes checked against 32,
+where 24 nodes still truncate; ``eval_kernel`` and ``ml_series`` are
+``eval_kernel_grid``'s and the shell sum's one-point forms.  Both routes
+accept the kernel index eta as one value per point.
 
 A solve's modes differ only in the eigenvalue, the rate of the kernel's last
 term.  The contour's nodes and weights do not depend on the transform, so
@@ -269,11 +270,19 @@ _TALBOT_NU = 0.2645
 # grows exponentially with the node count; there 24 nodes validated against
 # 48 beats larger counts across t in [1e-6, 10T].  At the first-interval
 # moments' eta + 1 .. eta + 4, t = tau, 24 nodes still truncate (3e-9 to
-# 4e-8 relative) and 48 reach about 1e-13, so those take the 48-node value
-# (Weideman & Trefethen, Math. Comp. 76, 2007; Garrappa, SIAM J. Numer.
-# Anal. 53, 2015).  Node counts must be even: only the upper half of the
-# contour is summed.
+# 5e-8 relative, so that at eta + 4 they miss the 2e-8 agreement by up to
+# 2.65 times) and 48 reach about 1e-13, so those take the 48-node value,
+# certified by 32 nodes: on the mode kernels of 1-3-term operators, sigma
+# from 0.5 to 1e8 and sigma = 0, N from 64 to 2048, the two agree within
+# 1.6e-4 of that tolerance (Weideman & Trefethen, Math. Comp. 76, 2007;
+# Garrappa, SIAM J. Numer. Anal. 53, 2015).  A pair names the two node
+# counts ``_contour_values`` compares: panel values and trajectories take
+# the 24-node value of (24, 48), first-interval moments the 48-node value of
+# (32, 48).  Node counts must be even: only the upper half of the contour is
+# summed.
 _TALBOT_NODES = 24
+_TALBOT_PAIR = (_TALBOT_NODES, 2 * _TALBOT_NODES)
+_FINER_PAIR = (32, 2 * _TALBOT_NODES)
 
 
 @lru_cache(maxsize=64)
@@ -342,6 +351,15 @@ def _own_rate(spec: RelaxationKernelSpec) -> tuple:
     return spec.rates[-1:] or (0.0,)
 
 
+def _check_rates(rates) -> None:
+    """Refuse a family whose ``rates`` are not all nonnegative and finite:
+    each is a kernel's last rate."""
+    r = np.asarray(rates, dtype=float)
+    bad = ~((r >= 0.0) & (r < math.inf))
+    if np.any(bad):
+        raise InvalidParameters(f"rates must be nonnegative and finite, got {r[bad][0]}")
+
+
 def _valid_times(ts) -> np.ndarray:
     """``ts`` as a float array, refused unless every time is finite and > 0."""
     ts = np.asarray(ts, dtype=float)
@@ -354,14 +372,14 @@ def _valid_times(ts) -> np.ndarray:
 
 
 def _contour_values(
-    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates: tuple
+    spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, rates: tuple, nodes: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``,
     for ``_talbot_invert``'s weighted ``powers`` and ``rates``, by one Talbot
-    inversion on 24 nodes, one on 48, and whether they agree:
-    (values, check, ok), one row per rate each."""
-    base = _talbot_invert(spec, ts, powers, _TALBOT_NODES, rates)
-    check = _talbot_invert(spec, ts, powers, 2 * _TALBOT_NODES, rates)
+    inversion on each of the ``nodes`` pair's two node counts (24 and 48, or
+    32 and 48), and whether they agree: (base, check, ok), one row per rate
+    each, ``base`` on the first count."""
+    base, check = (_talbot_invert(spec, ts, powers, m, rates) for m in nodes)
     # Relative agreement to 2e-8, with an absolute floor at 1e-12 of the
     # natural scale sum_i |w_i| t^(eta_i-1)/Gamma(eta_i): once the kernels
     # have decayed that far below their envelope, double-precision quadrature
@@ -373,8 +391,8 @@ def _contour_values(
 
 def _raise_unserved(ts: np.ndarray, base: np.ndarray, check: np.ndarray, ok: np.ndarray):
     """Raise :class:`ContourFailure` naming the first time that ``ok`` leaves
-    unserved, with its 24-node value ``base`` and 48-node value ``check``
-    (one row per rate each)."""
+    unserved, with its values ``base`` and ``check`` on the pair's two node
+    counts (one row per rate each)."""
     if not np.all(ok):
         row, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise ContourFailure(
@@ -391,7 +409,7 @@ def ml_contour_grid(
     ts = _valid_times(ts)
     spec = spec.reduced()
     powers = ((1.0, spec.eta if eta is None else eta),)
-    base, check, ok = _contour_values(spec, ts, powers, _own_rate(spec))
+    base, check, ok = _contour_values(spec, ts, powers, _own_rate(spec), _TALBOT_PAIR)
     _raise_unserved(ts, base, check, ok)
     return base[0]
 
@@ -431,12 +449,18 @@ def _kernel_sum(
     one inversion of the whole sum, whose transform has the common
     denominator.  A family of kernels that differ only in that rate, such as
     a solve's modes, shares one contour set-up; one kernel is the family of
-    ``_own_rate(spec)``.  A point takes the 24-node value, or with ``finer``
-    the 48-node one, where the two agree; the points they refuse, of every
-    row, take their own kernel's shell sum, ``sum_i w_i _kernel_values``, in
-    one call, and a point both routes refuse raises :class:`ContourFailure`."""
+    ``_own_rate(spec)``.  A point takes the 24-node value where it agrees
+    with the 48-node one, or with ``finer`` the 48-node value where it
+    agrees with the 32-node one (a kernel table's first-interval moments);
+    the points refused, of every row, take their own kernel's shell sum,
+    ``sum_i w_i _kernel_values``, in one call, and a point both routes
+    refuse raises :class:`ContourFailure`.  Every rate must be nonnegative
+    and finite (``InvalidParameters``)."""
+    _check_rates(rates)
     if spec.terms:
-        base, check, ok = _contour_values(spec, ts, powers, rates)
+        base, check, ok = _contour_values(
+            spec, ts, powers, rates, _FINER_PAIR if finer else _TALBOT_PAIR
+        )
     else:  # pure powers of t: the series is exact
         base = check = np.empty((len(rates), ts.size))
         ok = np.zeros(base.shape, dtype=bool)
@@ -463,7 +487,8 @@ def eval_kernel_grid(
 
     With ``rates``, the family of kernels with each of them in place of the
     reduced ``spec``'s last rate, one row per rate, from one contour set-up
-    (``_kernel_sum``); a row equals its own kernel's values bit for bit.
+    (``_kernel_sum``); a row equals its own kernel's values bit for bit, and
+    a rate that is negative or not finite raises ``InvalidParameters``.
     Without, the kernel's own values, one per time."""
     ts = _valid_times(ts)
     spec = spec.reduced()

@@ -14,7 +14,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -121,13 +121,21 @@ def mode_mean(index: ModeIndex) -> float:
 def enumerate_modes(n_max: int, k_max: int) -> list[ModeIndex]:
     """All mode indices in the truncation box: the Zero family, then per
     (n, k) each Even mode right before the Odd mode it couples to, which is
-    the order the forward solver needs."""
-    out = [ModeIndex(Family.Zero, 0, k) for k in range(k_max + 1)]
+    the order the forward solver needs.  A fresh list of the box's one
+    tuple (:func:`_box`)."""
+    return list(_box(n_max, k_max)[0])
+
+
+# A run uses one or two boxes (the solve's, and an inverse run's flux box).
+@lru_cache(maxsize=16)
+def _box(n_max: int, k_max: int) -> tuple[tuple[ModeIndex, ...], dict]:
+    """The truncation box's modes in ``enumerate_modes`` order, and the row
+    of each.  Cached: treat as read-only."""
+    modes = [ModeIndex(Family.Zero, 0, k) for k in range(k_max + 1)]
     for n in range(1, n_max + 1):
         for k in range(k_max + 1):
-            out.append(ModeIndex(Family.Even, n, k))
-            out.append(ModeIndex(Family.Odd, n, k))
-    return out
+            modes += [ModeIndex(Family.Even, n, k), ModeIndex(Family.Odd, n, k)]
+    return tuple(modes), {index: r for r, index in enumerate(modes)}
 
 
 # fields ----------------------------------------------------------------------
@@ -319,7 +327,7 @@ class SpectralCoefficients:
 
     def __init__(self, N_max: int, K_max: int, values, grid: TimeGrid | None = None):
         self.N_max, self.K_max, self.grid = N_max, K_max, grid
-        self.modes = enumerate_modes(N_max, K_max)
+        self.modes, self._rows = _box(N_max, K_max)
         self.values = np.asarray(values, dtype=float)
         shape = (len(self.modes),) + (() if grid is None else (grid.N + 1,))
         if self.values.shape != shape:
@@ -327,7 +335,6 @@ class SpectralCoefficients:
                 f"expected coefficients of shape {shape} for the box "
                 f"({N_max}, {K_max}), got {self.values.shape}"
             )
-        self._rows = {index: r for r, index in enumerate(self.modes)}
 
     def __getitem__(self, index: ModeIndex):
         """The coefficient of ``index``: a float, or a TimeSeries viewing its row."""

@@ -14,7 +14,7 @@ import pytest
 from test_mlf import mpmath_kernel
 
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
-from fracsource import forward, fractional
+from fracsource import forward, fractional, mlf
 from fracsource.forward import (
     ProblemData,
     mode_kernel_spec,
@@ -400,6 +400,30 @@ def test_panel_values_in_two_kernel_calls(monkeypatch):
     solve_forward(_box_problem())
     points = 5 * fractional._PANEL_NODES  # panels [1, 2], ..., [16, 32]
     assert sorted(calls) == [(points, (1, points)), (points, (14, points))]
+
+
+@pytest.mark.parametrize("op", [
+    FractionalOperatorSpec(0.75, ((0.5, 0.43),)),
+    FractionalOperatorSpec(0.92, ((0.8, 0.6), (0.3, 0.32))),
+], ids=["two-term", "three-term"])
+def test_forward_sweep_box_needs_no_series(monkeypatch, op):
+    # a forward-sweep-shaped solve, N = 128 and n = k = 4: the contour
+    # certifies every kernel point, sigma = 0's e_(alpha+4)(tau) included,
+    # which its 24-node rule refused, so the shell sum is never called
+    def unreachable(*args):
+        raise AssertionError("the series was called")
+
+    monkeypatch.setattr(mlf, "_kernel_values", unreachable)
+    grid = TimeGrid(1.0, 128)
+    solve_forward(ProblemData(
+        op=op,
+        phi=make_field("cos_exp"),
+        source=SpaceTimeField.static(make_field("poly", _XY)),
+        grid=grid,
+        amplitude=_amp(grid, lambda t: 1.0 + 0.3 * t - 0.1 * t**2),
+        n_max=4,
+        k_max=4,
+    ))
 
 
 def _piece_bits(pieces):

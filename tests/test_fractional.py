@@ -195,6 +195,24 @@ class TestRLIntegral:
             want = grid.nodes ** (1.0 + xi) / math.gamma(2.0 + xi)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-16)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_exact_on_cubic(self, n):
+        # not-a-knot reproduces a cubic (cut to the line or parabola on one
+        # or two intervals), and its Hermite form, values and slopes at
+        # every node, node 0's included, is integrated exactly:
+        # I^xi t^p = Gamma(p + 1) / Gamma(p + 1 + xi) t^(p + xi)
+        poly = np.array([0.7, -1.3, 2.1, 0.9])
+        poly[min(n, 3) + 1 :] = 0.0
+        grid = TimeGrid(1.0, n)
+        sig = TimeSeries(grid, np.polynomial.polynomial.polyval(grid.nodes, poly))
+        for xi in (0.3, 0.75, 1.5):
+            got = rl_integral(sig, xi).values
+            want = sum(
+                c * math.gamma(p + 1.0) / math.gamma(p + 1.0 + xi) * grid.nodes ** (p + xi)
+                for p, c in enumerate(poly)
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
     def test_order_one_is_plain_integral(self):
         grid = TimeGrid(2.0, 128)
         sig = TimeSeries.from_function(grid, lambda t: np.exp(-t))
@@ -227,16 +245,21 @@ class TestRLIntegral:
 
 
 class TestLocalCoefficients:
+    """The spline's node slopes, which with its samples fix its Hermite form
+    on every interval."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 128, 1024])
     def test_matches_cubic_spline(self, n):
         grid = TimeGrid(1.0, n)
         values = np.random.default_rng(n).standard_normal(n + 1)
-        got = fractional._local_coefficients(grid, values)
-        want = CubicSpline(grid.nodes, values).c[::-1]
-        # row k in units of the interval: coefficient of ((t - t_i)/tau)^k
+        got = fractional._node_slopes(grid, values)
+        spline = CubicSpline(grid.nodes, values)
+        want = spline(grid.nodes, 1)
+        # in units of the interval, against the spline's largest power
+        # coefficient of ((t - t_i)/tau)^k
         scale = grid.tau ** np.arange(4)[:, None]
-        gap = np.max(np.abs(got - want) * scale)
-        assert gap <= 1e-14 * np.max(np.abs(want) * scale)
+        gap = np.max(np.abs(got - want)) * grid.tau
+        assert gap <= 1e-14 * np.max(np.abs(spline.c[::-1]) * scale)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17])
     def test_reproduces_a_cubic(self, n):
@@ -246,20 +269,10 @@ class TestLocalCoefficients:
         poly = np.array([0.7, -1.3, 2.1, 0.9])
         poly[min(n, 3) + 1 :] = 0.0
         grid = TimeGrid(2.0, n)
-        got = fractional._local_coefficients(
-            grid, np.polynomial.polynomial.polyval(grid.nodes, poly)
-        )
-        # row k holds the k-th Taylor coefficient at each left node; compared
-        # in interval units, as the coefficient of ((t - t_i)/tau)^k
-        for k in range(4):
-            deriv = np.polynomial.polynomial.polyder(poly, k)
-            want = np.polynomial.polynomial.polyval(grid.nodes[:-1], deriv)
-            np.testing.assert_allclose(
-                got[k] * grid.tau**k,
-                want / math.factorial(k) * grid.tau**k,
-                rtol=0.0,
-                atol=1e-13,
-            )
+        got = fractional._node_slopes(grid, np.polynomial.polynomial.polyval(grid.nodes, poly))
+        # the derivative at every node, compared in interval units
+        want = np.polynomial.polynomial.polyval(grid.nodes, np.polynomial.polynomial.polyder(poly))
+        np.testing.assert_allclose(got * grid.tau, want * grid.tau, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [3, 16, 128, 1024])
     def test_factored_solve_is_the_banded_solve(self, n):
@@ -275,8 +288,8 @@ class TestLocalCoefficients:
                 [(slope[-2] + 5.0 * slope[-1]) / 2.0],
             ])
             want = solve_banded((1, 1), fractional._not_a_knot_band(n), rhs)
-            got = fractional._local_coefficients(grid, values)[1]
-            assert got.tobytes() == want[:-1].tobytes()
+            got = fractional._node_slopes(grid, values)
+            assert got.tobytes() == want.tobytes()
 
     def test_non_finite_samples_refused(self):
         grid = TimeGrid(1.0, 8)
@@ -284,7 +297,7 @@ class TestLocalCoefficients:
             values = np.ones(grid.N + 1)
             values[3] = bad
             with pytest.raises(ValueError):
-                fractional._local_coefficients(grid, values)
+                fractional._node_slopes(grid, values)
 
 
 # mode kernels of the forward-sweep operators: e_(m xi),alpha of
@@ -343,10 +356,13 @@ class TestFirstIntervalMoments:
             ]
             np.testing.assert_allclose(row, want, rtol=2e-13, atol=0.0)
         if (kernel, n) == ("three-term", 1024):
-            # the contour refuses e_(eta+4)(tau) at sigma = 97.4: the series serves it
+            # the 24-node rule refuses e_(eta+4)(tau) at sigma = 97.4, and the
+            # 32-node rule certifies the 48-node value there
             spec = _MODE_KERNELS[kernel](sigmas[0])
             powers = ((1.0, spec.eta + 4.0),)
-            assert not mlf._contour_values(spec, np.array([tau]), powers, (sigmas[0],))[2].any()
+            at = (spec, np.array([tau]), powers, (sigmas[0],))
+            assert not mlf._contour_values(*at, mlf._TALBOT_PAIR)[2].any()
+            assert mlf._contour_values(*at, mlf._FINER_PAIR)[2].all()
 
 
 def direct_moments(spec, grid):
@@ -441,6 +457,16 @@ class TestPanelTables:
             assert table.moments.tobytes() == want.moments.tobytes()
             assert table.gap == want.gap
 
+    @pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf])
+    def test_family_refuses_a_rate_outside_the_kernels(self, monkeypatch, bad):
+        # before any contour work: the first-interval moments come first
+        def unreachable(*args):
+            raise AssertionError("contour work began")
+
+        monkeypatch.setattr(mlf, "_talbot_invert", unreachable)
+        with pytest.raises(mlf.InvalidParameters, match=f"got {bad}"):
+            KernelMoments.family(_MODE_KERNELS["one-term"](1.0), (40.0, bad), TimeGrid(1.0, 16))
+
     def test_family_panel_values_in_one_kernel_call(self, monkeypatch):
         # three rates, one of them repeated: one call over the 7 panels'
         # nodes at N = 128, one row per rate
@@ -464,8 +490,8 @@ class TestPanelTables:
         # family names that time, though its other rates' nodes are served
         contour_values = mlf._contour_values
 
-        def refusing(spec, ts, powers, rates):
-            base, check, ok = contour_values(spec, ts, powers, rates)
+        def refusing(spec, ts, powers, rates, nodes):
+            base, check, ok = contour_values(spec, ts, powers, rates, nodes)
             ok[np.logical_and.outer(np.asarray(rates) == 1.0e8, ts == 1.0)] = False
             return base, check, ok
 
@@ -480,14 +506,21 @@ class TestPanelTables:
         # ~2e-8 of the kernel, above 1e-10 of its integral, while it served
         # the panel nodes there.  The contour serves those nodes now, so the
         # table passes its unexempted gap check and convolves as the direct
-        # rule does to near roundoff
+        # rule does to near roundoff: a table of the direct moments, whose
+        # weights are derived from them as every table's are
         grid = TimeGrid(1.0, 128)
         spec = RelaxationKernelSpec(0.8, ((2.0, 0.24), (1.0, 0.8)))
         table = KernelMoments(spec, grid)
         g = TimeSeries.from_function(grid, lambda t: 1.0 + t)
         got = singular_convolve(g, table).values
-        table.moments[:, 1:] = direct_moments(spec, grid)
-        want = singular_convolve(g, table).values
+        with pytest.raises(ValueError, match="read-only"):
+            table.moments[:, 1:] = 0.0
+        moments = table.moments.copy()
+        moments[:, 1:] = direct_moments(spec, grid)
+        weights = fractional._hermite_weights(moments, grid.tau)
+        direct = KernelMoments(spec, grid, (moments, table.gap, weights))
+        want = singular_convolve(g, direct).values
+        assert not np.array_equal(weights, table.weights)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 

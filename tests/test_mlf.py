@@ -467,7 +467,7 @@ class TestKernelEvaluation:
     def test_contour_refusal_beyond_series_reach_raises(self, monkeypatch):
         # largest argument 5.2: a point the contour refuses is not summed,
         # the series' convergence forecast refuses it before any shell
-        def refused(spec, ts, powers, rates):
+        def refused(spec, ts, powers, rates, nodes):
             shape = (len(rates), ts.size)
             return np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
 
@@ -558,10 +558,10 @@ class TestKernelSum:
         # series sum
         ts = np.geomspace(1e-8, 1e-6, 128)
         contour_values = mlf._contour_values
-        combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS, _MODE_RATE)[0][0]
+        combined = contour_values(_MODE_SPEC, ts, _MODE_POWERS, _MODE_RATE, mlf._TALBOT_PAIR)[0][0]
 
-        def refusing_sums(spec, ts, powers, rates):
-            base, check, ok = contour_values(spec, ts, powers, rates)
+        def refusing_sums(spec, ts, powers, rates, nodes):
+            base, check, ok = contour_values(spec, ts, powers, rates, nodes)
             ok[:, ::3] = False
             return base, check, ok
 
@@ -578,7 +578,7 @@ class TestKernelSum:
         assert got[kept].tobytes() == combined[kept].tobytes()
 
     def test_point_both_routes_refuse_raises(self, monkeypatch):
-        def refused(spec, ts, powers, rates):
+        def refused(spec, ts, powers, rates, nodes):
             shape = (len(rates), ts.size)
             return np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
 
@@ -626,19 +626,36 @@ class TestKernelFamily:
             assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(_FAMILIES))
-    def test_pointwise_rates_are_one_kernel_calls(self, name):
+    def test_pointwise_rates_are_one_kernel_calls(self, name, monkeypatch):
         # a kernel table's first-interval moments: four indices at t = tau,
-        # one row per rate, at 48 nodes, in one call; the contour refuses
-        # e_(eta+3.8) at rate 0.5, which the series serves
+        # one row per rate, at 48 nodes certified by 32, in one call.  The
+        # 32-node rule certifies e_(eta+3.8) at rate 0.5, which the 24-node
+        # rule refuses; refused there by a stand-in, the series serves that
+        # rate's row
         spec = _FAMILIES[name][0].reduced()
         powers = ((1.0, spec.eta + 0.8 + np.arange(4)),)
         ts = np.full(4, 1.0 / 128.0)
+        for pair, certified in ((mlf._TALBOT_PAIR, False), (mlf._FINER_PAIR, True)):
+            ok = mlf._contour_values(spec, ts, powers, _RATES, pair)[2]
+            assert ok[1:].all() and ok[0].all() == certified
+        self._refusing(monkeypatch, _RATES[0], ts, alone=True)
         got = mlf._kernel_sum(spec, ts, powers, _RATES, finer=True)
-        refused = ~mlf._contour_values(spec, ts, powers, _RATES)[2]
-        assert refused.any() and not refused.all()
         for values, rate in zip(got, _RATES):
             want = mlf._kernel_sum(spec.with_rate(rate), ts, powers, (rate,), finer=True)[0]
             assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-2.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rate_outside_the_kernels_refused(self, monkeypatch, bad):
+        # no spec admits a negative or non-finite rate; eval_kernel_grid
+        # refuses one in the family before any contour work (rate -2 once
+        # returned values, and a NaN rate a RuntimeWarning)
+        def unreachable(*args):
+            raise AssertionError("contour work began")
+
+        monkeypatch.setattr(mlf, "_talbot_invert", unreachable)
+        spec = _FAMILIES["two-term"][0]
+        with pytest.raises(InvalidParameters, match=f"got {bad}"):
+            eval_kernel_grid(spec, np.array([0.1, 0.5]), rates=(40.0, bad))
 
     @staticmethod
     def _refusing(monkeypatch, rate, times, alone=False):
@@ -647,8 +664,8 @@ class TestKernelFamily:
         ``alone`` in that kernel's own inversion too."""
         contour_values = mlf._contour_values
 
-        def refusing(spec, ts, powers, rates):
-            base, check, ok = contour_values(spec, ts, powers, rates)
+        def refusing(spec, ts, powers, rates, nodes):
+            base, check, ok = contour_values(spec, ts, powers, rates, nodes)
             if alone or len(rates) > 1:
                 for row_ok, r in zip(ok, rates):
                     if np.all(r == rate):

@@ -57,6 +57,17 @@ class TestModeIndex:
         assert [(e.family, o.family) for e, o in pairs] == [(Family.Even, Family.Odd)] * 8
         assert all((e.n, e.k) == (o.n, o.k) for e, o in pairs)
 
+    def test_box_built_once_per_size(self):
+        # every list is fresh, so a caller's edit stays its own, while the
+        # coefficient arrays of one box share its modes and row map
+        edited = enumerate_modes(2, 3)
+        edited.pop()
+        assert len(enumerate_modes(2, 3)) == len(edited) + 1
+        a, b = (SpectralCoefficients(2, 3, np.zeros(20)) for _ in range(2))
+        assert a.modes is b.modes and a._rows is b._rows
+        assert list(a.modes) == enumerate_modes(2, 3)
+        assert [a._rows[i] for i in a.modes] == list(range(20))
+
     def test_eigenvalues_closed_form(self):
         assert eigen(ModeIndex(Family.Zero, 0, 0)).sigma_nk == 0.0
         assert eigen(ModeIndex(Family.Zero, 0, 2)).sigma_nk == pytest.approx(

@@ -455,6 +455,7 @@ class TestPanelTables:
             want = KernelMoments(make(rate), grid)
             assert table.grid == grid
             assert table.moments.tobytes() == want.moments.tobytes()
+            assert table.weights.tobytes() == want.weights.tobytes()
             assert table.gap == want.gap
 
     @pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf])

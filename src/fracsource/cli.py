@@ -14,6 +14,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +236,12 @@ def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    arr = np.column_stack(columns)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="", fmt="%.17g")
+    """The columns as CSV rows of %.17g values under ``header``, byte for
+    byte what ``np.savetxt`` writes, in one formatting of the whole table."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -321,7 +326,11 @@ def cmd_forward(cfg: dict, out: Path) -> int:
 
 
 def cmd_inverse(cfg: dict, out: Path) -> int:
-    problem = _build_problem(cfg)
+    # The energy is carried by the k = 0 modes alone, and none of them
+    # couples to a k > 0 mode, so both forward solves below, the synthesis
+    # and solve_inverse's, solve the k = 0 box: modes.k_max (still
+    # validated) changes nothing this command writes.
+    problem = replace(_build_problem(cfg), k_max=0)
     grid = problem.grid
     with _parsing():
         esec = _require(cfg, "energy")
@@ -567,6 +576,7 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)  # once per process: a parser is a web of reference cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsource",

@@ -6,7 +6,9 @@ homogeneous terms carry the initial coefficient, the forcing enters through a
 weakly singular Laplace convolution, and the Odd family picks up an extra
 convolution against its paired Even trajectory.  The modes' kernels differ
 only in the eigenvalue, so a solve sets up those of all its eigenvalues in
-one pass before it solves the modes.
+one pass before it solves the modes, and ``eigen_kernels`` is the only code
+that builds them.  Solves that share a kernel dict build each piece once
+between them.
 """
 
 from __future__ import annotations
@@ -125,30 +127,40 @@ def _kernel_needs(modes) -> tuple[set, set]:
 
 
 def eigen_kernels(
-    op: FractionalOperatorSpec, grid: TimeGrid, relaxed, tabled
+    op: FractionalOperatorSpec, grid: TimeGrid, relaxed, tabled, kernels: dict | None = None
 ) -> dict[float, EigenKernels]:
     """The kernel pieces of the sets of eigenvalues ``relaxed`` (initial-state
     trajectories) and ``tabled`` (moment tables) in one pass: the nonzero
     eigenvalues' trajectories by one contour set-up, their tables'
     first-interval moments in one call.  At sigma = 0 the trajectory is
     phi_c / s, all ones per unit phi_c, and the table's kernel lacks the
-    eigenvalue's term, so it is built alone."""
-    kernels = {sigma: EigenKernels() for sigma in relaxed | tabled}
+    eigenvalue's term, so it is built alone.
+
+    ``kernels`` holds the pieces built so far, keyed by (op, grid) and then
+    by eigenvalue; None is a fresh dict.  Only the pieces it lacks are built,
+    piece by piece (an eigenvalue may hold its table and lack its
+    trajectory), and they are added to it.  Returns the dict of (op, grid).
+    A piece is bit for bit the same whichever pass builds it."""
+    pieces = ({} if kernels is None else kernels).setdefault((op, grid), {})
+    for sigma in relaxed | tabled:
+        pieces.setdefault(sigma, EigenKernels())
+    relaxed = {sigma for sigma in relaxed if pieces[sigma].relaxation is None}
+    tabled = {sigma for sigma in tabled if pieces[sigma].table is None}
     if 0.0 in relaxed:
-        kernels[0.0].relaxation = np.ones(grid.N)
+        pieces[0.0].relaxation = np.ones(grid.N)
     if 0.0 in tabled:
-        kernels[0.0].table = KernelMoments(mode_kernel_spec(op, 0.0).with_eta(op.alpha), grid)
+        pieces[0.0].table = KernelMoments(mode_kernel_spec(op, 0.0).with_eta(op.alpha), grid)
     family = mode_kernel_spec(op, 1.0)
     relaxed, tabled = sorted(relaxed - {0.0}), sorted(tabled - {0.0})
     if relaxed:
         rows = _kernel_sum(family.reduced(), grid.nodes[1:], _initial_state(op), relaxed)
         for sigma, row in zip(relaxed, rows):
-            kernels[sigma].relaxation = row
+            pieces[sigma].relaxation = row
     if tabled:
         tables = KernelMoments.family(family.with_eta(op.alpha), tabled, grid)
         for sigma, table in zip(tabled, tables):
-            kernels[sigma].table = table
-    return kernels
+            pieces[sigma].table = table
+    return pieces
 
 
 def _mode_trajectory(
@@ -209,7 +221,7 @@ def mode_odd(
     )
 
 
-def solve_forward(problem: ProblemData) -> SolutionBundle:
+def solve_forward(problem: ProblemData, *, kernels: dict | None = None) -> SolutionBundle:
     """Project the data, form the forcing a(t) f_nk(t) of every mode, solve
     every mode ODE in closed form (each Even mode before its Odd partner),
     and assemble coefficients and energy.  The kernel pieces are set up
@@ -217,7 +229,9 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
     eigenvalues (``eigen_kernels``): the initial-state trajectories of the
     modes with phi_c != 0, and the moment tables of the modes with forcing
     or an Odd coupling, sigma = 0's included; the mode solves only read
-    them.  They are dropped on return."""
+    them.  ``kernels`` is the dict ``eigen_kernels`` reads and fills: pieces
+    an earlier call left in it (``solve_inverse``'s recovery) are not built
+    again.  None, a fresh dict, drops them on return."""
     t0 = time.perf_counter()
     grid = problem.grid
     n_max, k_max = problem.n_max, problem.k_max
@@ -232,18 +246,18 @@ def solve_forward(problem: ProblemData) -> SolutionBundle:
 
     # storage order solves each Even mode right before the Odd mode it couples to
     modes = coeffs.modes
-    kernels = eigen_kernels(problem.op, grid, *_kernel_needs(
+    pieces = eigen_kernels(problem.op, grid, *_kernel_needs(
         zip(modes, phi_coeffs.values, np.any(forcing_coeffs.values, axis=1))
-    ))
+    ), kernels)
     for r, index in enumerate(modes):
         phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
         if index.family is Family.Zero:
-            traj = mode_zero(index.k, problem, phi_c, forcing, kernels)
+            traj = mode_zero(index.k, problem, phi_c, forcing, pieces)
         elif index.family is Family.Even:
-            traj = mode_even(index.n, index.k, problem, phi_c, forcing, kernels)
+            traj = mode_even(index.n, index.k, problem, phi_c, forcing, pieces)
         else:
             even = coeffs[ModeIndex(Family.Even, index.n, index.k)]
-            traj = mode_odd(index.n, index.k, problem, phi_c, forcing, even, kernels)
+            traj = mode_odd(index.n, index.k, problem, phi_c, forcing, even, pieces)
         coeffs.values[r] = traj.values
 
     energy = coeffs.mean()

@@ -335,7 +335,8 @@ class KernelMoments:
     ``weights`` (:func:`_hermite_weights`, shape (4, N)) regroup the moments
     by spline node, so a convolution takes the signal's node values and
     slopes with two discrete convolutions.  ``moments`` and ``weights`` are
-    read-only: the weights are derived once, from the moments as built.
+    read-only: the weights are derived once, from the moments as built, and
+    so is ``integral``, |int_0^T e|, the scale of the ``gap`` check.
 
     A table is built from ``parts``, its moments, gap and weights as
     :meth:`family` assembles them for many kernels at once; one kernel
@@ -348,6 +349,7 @@ class KernelMoments:
             (parts,) = _tables(spec, grid, _own_rate(spec))
         self.grid = grid
         self.moments, self.gap, self.weights = parts
+        self.integral = abs(float(np.sum(self.moments[0])))
 
     @classmethod
     def family(
@@ -438,11 +440,10 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     # of the error at every node; it must stay 10 digits below the a-priori
     # bound max|g| * int_0^T e (relative digits are unrecoverable that far
     # down in doubles).
-    integral = abs(float(np.sum(table.moments[0])))
-    if table.gap > 1e-10 * integral:
+    if table.gap > 1e-10 * table.integral:
         raise QuadratureFailure(
             f"kernel interpolation gap {table.gap:g} exceeds 1e-10 of the "
-            f"kernel's integral {integral:g}"
+            f"kernel's integral {table.integral:g}"
         )
     value, slope, first_value, first_slope = table.weights
     out[1:] = np.convolve(g.values[1:], value)[: grid.N]

@@ -12,6 +12,10 @@ The discrete Caputo operator carries a startup error on the t^alpha
 component that every solution of a fractional ODE has near t = 0; that
 component is identified from the early nodes and its discretization defect
 subtracted in closed form.
+
+Only the k = 0 modes carry the energy.  The recovery therefore solves the
+k = 0 box alone, and ``solve_inverse``'s forward solve over the whole box
+reads the kernel pieces the recovery built rather than building them again.
 """
 
 from __future__ import annotations
@@ -127,6 +131,8 @@ def recover_source(
     grid: TimeGrid | None = None,
     phi: Field2D | None = None,
     flux_modes: int = 8,
+    *,
+    kernels: dict | None = None,
 ) -> SourceAmplitude:
     """Per-node amplitude a(t_j) = (multi-term Caputo of E)(t_j) / f-mean(t_j),
     plus the boundary-flux closure when f excites mean-bearing associated
@@ -155,6 +161,9 @@ def recover_source(
     Projections and trajectories are the forward solver's own, over the
     k = 0 box n <= ``flux_modes``; the kernels of phi's trajectories and of
     the flux's tables are set up in one pass, as the forward solver's are.
+    ``kernels`` is the dict that set-up reads and fills (``eigen_kernels``):
+    a caller passes one dict to several solves so that each piece is built
+    once between them.  None is a fresh dict.
     """
     flux_modes = whole_number(flux_modes, "flux_modes")
     if flux_modes < 0:
@@ -186,13 +195,12 @@ def recover_source(
         )
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     excited = [i for i in associated if np.any(f_coeffs[i].values)]
-    kernels = eigen_kernels(op, grid, *_kernel_needs(
+    pieces = eigen_kernels(op, grid, *_kernel_needs(
         (i, 0.0 if phi_coeffs is None else phi_coeffs[i], i in excited) for i in associated
-    ))
+    ), kernels)
 
     def trajectory(index, phi_c, forcing=None) -> np.ndarray:
-        pieces = kernels.get(eigen(index).sigma_nk)
-        return _mode_trajectory(phi_c, forcing, pieces, grid).values
+        return _mode_trajectory(phi_c, forcing, pieces.get(eigen(index).sigma_nk), grid).values
 
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)
@@ -239,13 +247,18 @@ def solve_inverse(
     problem: ProblemData, datum: EnergyDatum
 ) -> tuple[SourceAmplitude, SolutionBundle]:
     """Recover a(t) from the energy datum, then run the forward solver with
-    it; the sup-norm mismatch between the reproduced energy and the datum is
-    the amplitude's ``energy_residual``, a self-consistency residual."""
+    it over the problem's whole (n_max, k_max) box; the sup-norm mismatch
+    between the reproduced energy and the datum is the amplitude's
+    ``energy_residual``, a self-consistency residual.  The two solves share
+    one kernel dict, made for this call, so each eigenvalue's table and
+    initial-state trajectory is built once: the forward solve builds only
+    the pieces the recovery's k = 0 modes did not need."""
+    kernels = {}
     amplitude = recover_source(
         problem.source, datum, problem.op, problem.grid, phi=problem.phi,
-        flux_modes=problem.n_max,
+        flux_modes=problem.n_max, kernels=kernels,
     )
-    bundle = solve_forward(problem.with_amplitude(amplitude.a))
+    bundle = solve_forward(problem.with_amplitude(amplitude.a), kernels=kernels)
     residual = float(np.max(np.abs(bundle.energy.values - datum.E.values)))
     amplitude.metadata["energy_residual"] = residual
     return amplitude, bundle
@@ -265,11 +278,12 @@ def stability_probe(
     """Perturb the energy datum by d * t / T for each d in ``deltas`` and
     report the sup-norm change of the recovered amplitude; the log-log slope
     quantifies the (linear) stability.  Recovery runs as in ``solve_inverse``:
-    phi's flux closure and ``flux_modes = n_max``."""
+    phi's flux closure and ``flux_modes = n_max``.  The recoveries share one
+    kernel dict, made for this call, so their kernels are set up once."""
     grid = problem.grid
     recover = partial(
         recover_source, problem.source, op=problem.op, grid=grid, phi=problem.phi,
-        flux_modes=problem.n_max,
+        flux_modes=problem.n_max, kernels={},
     )
     base = recover(datum).a
     a_diffs = []

@@ -4,19 +4,25 @@ Every test drives ``fracsource.cli.main`` with a JSON config written to a
 temporary directory and asserts on exit codes and emitted artifacts.
 """
 
+import argparse
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fracsource import forward
 from fracsource.cli import (
     EXIT_COMPATIBILITY,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    _write_csv,
     main,
 )
+from fracsource.catalog import make_field
+from fracsource.spectral import Family, ModeIndex, SpectralCoefficients, eigen
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -329,6 +335,96 @@ class TestInverse:
         }
         cfg = _write_cfg(tmp_path, "c.json", payload)
         assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
+def _inverse_cfg(tmp_path, k_max):
+    # the inverse-cli benchmark's data at N = 32: f = 1 + xy/2 excites the
+    # mean-bearing associated modes, and every mode carries phi = cos_exp;
+    # E(0) is phi's mean over the modes n <= 3 that the recovery keeps
+    e0 = SpectralCoefficients.project_field(make_field("cos_exp"), 3, 0).mean()
+    ts = np.linspace(0.0, 1.0, 33)
+    energy = tmp_path / "energy.csv"
+    lines = ["t,E"] + [f"{t:.17g},{e0 + t + 0.2 * t**2:.17g}" for t in ts]
+    energy.write_text("\n".join(lines) + "\n")
+    payload = {
+        "operator": {"alpha": 0.8, "terms": [[0.5, 0.4]]},
+        "grid": {"T": 1.0, "N": 32},
+        "phi": {"name": "cos_exp"},
+        "source": {"field": {"name": "poly", "params": {"terms": [[1.0, 0, 0], [0.5, 1, 1]]}}},
+        "modes": {"n_max": 3, "k_max": k_max},
+        "energy": {"csv": str(energy)},
+    }
+    return _write_cfg(tmp_path, f"k{k_max}.json", payload)
+
+
+class TestInverseBox:
+    """The energy is carried by the k = 0 modes alone, so the command solves
+    that box whatever modes.k_max says."""
+
+    def test_no_table_for_a_k_positive_eigenvalue(self, tmp_path, monkeypatch):
+        k0 = {0.0} | {eigen(ModeIndex(Family.Even, n, 0)).sigma_nk for n in range(1, 4)}
+        tabled, relaxed = [], []
+        family, kernel_sum = forward.KernelMoments.family, forward._kernel_sum
+
+        def tabling(spec, rates, grid):
+            tabled.extend(rates)
+            return family(spec, rates, grid)
+
+        def relaxing(*args):
+            relaxed.extend(args[-1])
+            return kernel_sum(*args)
+
+        monkeypatch.setattr(forward.KernelMoments, "family", tabling)
+        monkeypatch.setattr(forward, "_kernel_sum", relaxing)
+        cfg = _inverse_cfg(tmp_path, k_max=3)
+        assert main(["inverse", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert tabled and relaxed
+        assert set(tabled) <= k0 and set(relaxed) <= k0
+
+    def test_outputs_do_not_depend_on_k_max(self, tmp_path):
+        written = {}
+        for k_max in (0, 4):
+            out = tmp_path / f"o{k_max}"
+            assert main(["inverse", _inverse_cfg(tmp_path, k_max), "--out", str(out)]) == EXIT_OK
+            meta = json.loads((out / "inverse_metadata.json").read_text())
+            written[k_max] = (out / "amplitude.csv").read_bytes(), meta["energy_residual"]
+        assert written[0][0] == written[4][0]
+        assert written[0][1] == pytest.approx(written[4][1], rel=0.0, abs=1e-15)
+
+
+class TestLeftovers:
+    def test_commands_leave_no_cyclic_parser_or_class(self, tmp_path):
+        # argparse's parser and formatters, and numpy.savetxt's per-call
+        # class, are reference cycles that only a full collection frees
+        cfg = _inverse_cfg(tmp_path, k_max=2)
+        main(["inverse", cfg, "--out", str(tmp_path / "warm")])
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for i in range(3):
+                assert main(["inverse", cfg, "--out", str(tmp_path / f"o{i}")]) == EXIT_OK
+            gc.collect()
+            left = [
+                type(o).__name__ for o in gc.garbage
+                if isinstance(o, (argparse.ArgumentParser, argparse.HelpFormatter, type))
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert left == []
+
+    def test_csv_bytes_are_savetxt_bytes(self, tmp_path):
+        columns = (
+            np.array([-0.0, 1.0, 0.1]),
+            np.array([1e-300, 1.7976931348623157e308, -0.1]),
+        )
+        _write_csv(tmp_path / "ours.csv", "t,value", columns)
+        np.savetxt(
+            tmp_path / "numpy.csv", np.column_stack(columns), delimiter=",",
+            header="t,value", comments="", fmt="%.17g",
+        )
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
 
 class TestMalformedConfig:

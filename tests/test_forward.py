@@ -7,6 +7,7 @@ mean mode.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -439,7 +440,7 @@ def test_one_pass_set_up_equals_per_mode_set_up(monkeypatch):
     # eigenvalue at a time, bit for bit, piece by piece and in the solve
     set_up, built = forward.eigen_kernels, []
 
-    def one_at_a_time(op, grid, relaxed, tabled):
+    def one_at_a_time(op, grid, relaxed, tabled, shared):
         kernels = {}
         for sigma in relaxed | tabled:
             kernels.update(set_up(op, grid, relaxed & {sigma}, tabled & {sigma}))
@@ -460,3 +461,34 @@ def test_one_pass_set_up_equals_per_mode_set_up(monkeypatch):
     for sigma, pieces in together.items():
         assert _piece_bits(pieces) == _piece_bits(single[sigma])
     assert batched.tobytes() == alone.tobytes()
+
+
+def test_kernel_dict_keyed_by_operator_and_grid(monkeypatch):
+    # a dict passed to several solves serves each piece once per (operator,
+    # grid): a repeated solve builds nothing, and pieces built for another
+    # operator or grid are never read
+    shared, built, init = {}, [], forward.KernelMoments.__init__
+
+    def building(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.KernelMoments, "__init__", building)
+    base = _box_problem()
+    first = solve_forward(base, kernels=shared).coeffs.values
+    built.clear()
+    again = solve_forward(base, kernels=shared).coeffs.values
+    assert built == [] and again.tobytes() == first.tobytes()
+    fine = TimeGrid(1.0, 64)
+    for other in (
+        replace(base, op=FractionalOperatorSpec(0.7, ((0.5, 0.4),))),
+        replace(base, grid=fine, amplitude=_amp(fine, lambda t: 1.0 + t)),
+    ):
+        built.clear()
+        alone = solve_forward(other).coeffs.values
+        fresh = len(built)
+        built.clear()
+        together = solve_forward(other, kernels=shared).coeffs.values
+        assert len(built) == fresh > 0
+        assert together.tobytes() == alone.tobytes()
+    assert len(shared) == 3

@@ -614,6 +614,15 @@ class TestSingularConvolve:
         with pytest.raises(QuadratureFailure, match="interpolation gap"):
             singular_convolve(g, table)
 
+    def test_table_integral_is_built_with_the_table(self):
+        # the gap check's scale, |int_0^T e|, is read from the table; it is
+        # the sum of its read-only first moments, bit for bit
+        grid = TimeGrid(1.0, 32)
+        tables = [KernelMoments(RelaxationKernelSpec(0.8, ((3.0, 0.8),)), grid)]
+        tables += KernelMoments.family(_MODE_KERNELS["two-term"](1.0), (40.0, 1.0e4), grid)
+        for table in tables:
+            assert table.integral == abs(float(np.sum(table.moments[0])))
+
     def test_interpolation_gap_refuses(self, monkeypatch):
         # relative noise of 1e-6 on the panel nodes the 17-node interpolant
         # skips: the interpolant misses them by 1e-6 of each panel's kernel

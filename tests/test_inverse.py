@@ -341,6 +341,80 @@ class TestKernelSetUp:
         assert len(inverted) == 1 and len(inverted[0]) == 4
 
 
+def _cos_exp_problem(k_max):
+    """The inverse-cli benchmark's problem at N = 64: phi = cos_exp seeds
+    every mode and f = 1 + xy/2 excites the mean-bearing associated ones."""
+    poly = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
+    return ProblemData(
+        op=FractionalOperatorSpec(0.8, ((0.5, 0.4),)), phi=make_field("cos_exp"),
+        source=SpaceTimeField.static(poly), grid=TimeGrid(1.0, 64), n_max=4, k_max=k_max,
+    )
+
+
+def _forward_datum(prob):
+    a = TimeSeries.from_function(prob.grid, lambda t: 1.0 + t - 0.2 * t**2)
+    return EnergyDatum(solve_forward(prob.with_amplitude(a)).energy)
+
+
+def _count_set_ups(monkeypatch):
+    """Record the rate of every table built and of every initial-state row
+    computed, in the lists returned."""
+    tabled, relaxed = [], []
+    init, kernel_sum = forward.KernelMoments.__init__, forward._kernel_sum
+
+    def building(self, *args, **kwargs):
+        tabled.append(args[0].terms[-1][0])
+        init(self, *args, **kwargs)
+
+    def relaxing(*args):
+        relaxed.extend(args[-1])
+        return kernel_sum(*args)
+
+    monkeypatch.setattr(forward.KernelMoments, "__init__", building)
+    monkeypatch.setattr(forward, "_kernel_sum", relaxing)
+    return tabled, relaxed
+
+
+class TestSharedKernels:
+    """The recovery and the forward solve of one solve_inverse call, and the
+    recoveries of one stability_probe call, set up each kernel piece once."""
+
+    def test_solve_inverse_builds_each_piece_once(self, monkeypatch):
+        prob = _cos_exp_problem(k_max=4)
+        datum = _forward_datum(prob)
+        tabled, relaxed = _count_set_ups(monkeypatch)
+        amp, _ = solve_inverse(prob, datum)
+        assert amp.metadata["flux_modes_excited"] == 4
+        assert len(tabled) == len(set(tabled)) > 4
+        assert len(relaxed) == len(set(relaxed)) > 4
+
+    def test_stability_probe_sets_up_kernels_once(self, monkeypatch):
+        # phi = 1 + xy/2 seeds the associated modes, so each recovery
+        # needs their initial-state trajectories as well as their tables
+        prob = _poly_phi_problem()
+        datum = _forward_datum(prob)
+        tabled, relaxed = _count_set_ups(monkeypatch)
+        stability_probe(prob, datum, deltas=(1e-1, 1e-2))
+        assert sorted(tabled) == sorted(set(tabled)) and len(tabled) == 4
+        assert sorted(relaxed) == sorted(set(relaxed)) and len(relaxed) == 4
+
+    def test_shared_set_up_moves_no_value(self):
+        # invariant: a piece is the same bits whichever solve builds it
+        prob = _cos_exp_problem(k_max=4)
+        datum = _forward_datum(prob)
+        amp, bundle = solve_inverse(prob, datum)
+        alone = recover_source(
+            prob.source, datum, prob.op, prob.grid, phi=prob.phi, flux_modes=prob.n_max
+        )
+        forward_alone = solve_forward(prob.with_amplitude(alone.a))
+        assert amp.a.values.tobytes() == alone.a.values.tobytes()
+        for part in ("coeffs", "phi_coeffs", "forcing_coeffs"):
+            got, want = getattr(bundle, part).values, getattr(forward_alone, part).values
+            assert got.tobytes() == want.tobytes()
+        assert bundle.energy.values.tobytes() == forward_alone.energy.values.tobytes()
+        assert bundle.metadata["truncation_tail"] == forward_alone.metadata["truncation_tail"]
+
+
 class TestSolveInverse:
     def test_accepts_forward_energy_with_truncated_phi_mean(self):
         prob = _poly_phi_problem()

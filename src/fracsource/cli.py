@@ -213,10 +213,12 @@ def _read_series_csv(path: str, grid: TimeGrid) -> np.ndarray:
     must increase strictly and cover [0, T]: the series is never extrapolated."""
     if not Path(path).exists():
         raise ConfigError(f"series file not found: {path}")
+    lines = Path(path).read_text().splitlines()
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        np.array("".join(lines[:1]).split(","), dtype=float)
     except ValueError:  # a first row that is not numeric is a header
-        raw = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        del lines[:1]
+    raw = np.loadtxt(lines, delimiter=",", ndmin=2)
     if raw.shape[1] < 2:
         raise ConfigError(f"{path}: expected two columns, t and the value")
     if not np.all(np.isfinite(raw[:, :2])):

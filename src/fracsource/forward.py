@@ -131,10 +131,10 @@ def eigen_kernels(
 ) -> dict[float, EigenKernels]:
     """The kernel pieces of the sets of eigenvalues ``relaxed`` (initial-state
     trajectories) and ``tabled`` (moment tables) in one pass: the nonzero
-    eigenvalues' trajectories by one contour set-up, their tables'
-    first-interval moments in one call.  At sigma = 0 the trajectory is
-    phi_c / s, all ones per unit phi_c, and the table's kernel lacks the
-    eigenvalue's term, so it is built alone.
+    eigenvalues' trajectories by one contour set-up, and every table,
+    sigma = 0's included, in one family assembly.  At sigma = 0 the
+    trajectory is phi_c / s, all ones per unit phi_c, and the table's
+    kernel, which lacks the eigenvalue's term, is the family's rate 0.
 
     ``kernels`` holds the pieces built so far, keyed by (op, grid) and then
     by eigenvalue; None is a fresh dict.  Only the pieces it lacks are built,
@@ -148,10 +148,8 @@ def eigen_kernels(
     tabled = {sigma for sigma in tabled if pieces[sigma].table is None}
     if 0.0 in relaxed:
         pieces[0.0].relaxation = np.ones(grid.N)
-    if 0.0 in tabled:
-        pieces[0.0].table = KernelMoments(mode_kernel_spec(op, 0.0).with_eta(op.alpha), grid)
     family = mode_kernel_spec(op, 1.0)
-    relaxed, tabled = sorted(relaxed - {0.0}), sorted(tabled - {0.0})
+    relaxed, tabled = sorted(relaxed - {0.0}), sorted(tabled)
     if relaxed:
         rows = _kernel_sum(family.reduced(), grid.nodes[1:], _initial_state(op), relaxed)
         for sigma, row in zip(relaxed, rows):

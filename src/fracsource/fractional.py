@@ -254,7 +254,7 @@ def _first_moments(spec: RelaxationKernelSpec, tau: float, rates) -> np.ndarray:
     the reduced ``spec`` with each of the ``rates`` in place of its last
     term's rate, shape (rates, 4), from one contour set-up with the index
     given per time: the 48-node values, certified by their agreement with
-    the 24-node ones, and the series for the points the contour refuses.
+    the 32-node ones, and the series for the points the contour refuses.
     One kernel is the family of ``_own_rate(spec)``."""
     etas = spec.eta + np.arange(4) + 1.0
     return _kernel_sum(spec, np.full(4, tau), ((1.0, etas),), rates, finer=True) * _FACTORIALS
@@ -356,9 +356,9 @@ class KernelMoments:
         cls, spec: RelaxationKernelSpec, rates, grid: TimeGrid
     ) -> list["KernelMoments"]:
         """The tables of ``spec``'s kernel with each of the ``rates`` in
-        place of its last term's rate, bit for bit as ``KernelMoments``
-        builds each alone, from one assembly (:func:`_tables`).  A rate that
-        is negative or not finite raises ``InvalidParameters``."""
+        place of its last term's rate, from one assembly (:func:`_tables`),
+        bit for bit as ``KernelMoments`` builds each alone (rate 0 within
+        1e-13).  A negative or non-finite rate raises ``InvalidParameters``."""
         spec = spec.reduced()
         return [
             cls(spec.with_rate(rate), grid, parts)

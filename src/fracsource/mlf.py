@@ -4,7 +4,7 @@ Two evaluation routes are provided: direct summation of the defining double
 series, one shell march for a whole grid of points, and numerical inversion
 of the closed-form Laplace transform on a deformed Bromwich contour
 (uniformly valid, a fraction of the series' cost).  Every kernel point goes
-to the contour first, on 24 nodes checked against 48, and only the points
+to the contour first, on 24 nodes checked against 32, and only the points
 it refuses go to the series (``_kernel_values``); a point both refuse raises
 :class:`ContourFailure`.  ``_kernel_sum`` inverts a weighted sum of kernels
 that share their rates and orders, such as a mode's initial-state
@@ -16,11 +16,11 @@ accept the kernel index eta as one value per point.
 
 A solve's modes differ only in the eigenvalue, the rate of the kernel's last
 term.  The contour's nodes and weights do not depend on the transform, so
-``_kernel_sum`` inverts a whole family of such kernels in one pass, building
-everything the rate does not enter once, and ``eval_kernel_grid`` with
-``rates`` returns such a family's values one row per rate; ``_kernel_values``
-takes the last rate per point, so the refused points of many kernels take
-one series pass.
+``_kernel_sum`` inverts a whole family of such kernels in one pass: a rate
+only shifts a real part, all else is built once.  ``eval_kernel_grid`` with
+``rates`` returns such a family's values one row per rate (rate 0 drops the
+last term); ``_kernel_values`` takes the last rate per point, so the refused
+points of many kernels take one series pass.
 The two routes are cross-checked in an overlap band by the test suite.
 """
 
@@ -267,22 +267,18 @@ _TALBOT_NU = 0.2645
 
 # In double precision the truncation error is already below roundoff at 24
 # nodes at panel and trajectory times (eta up to about 2.3), while roundoff
-# grows exponentially with the node count; there 24 nodes validated against
-# 48 beats larger counts across t in [1e-6, 10T].  At the first-interval
-# moments' eta + 1 .. eta + 4, t = tau, 24 nodes still truncate (3e-9 to
-# 5e-8 relative, so that at eta + 4 they miss the 2e-8 agreement by up to
-# 2.65 times) and 48 reach about 1e-13, so those take the 48-node value,
-# certified by 32 nodes: on the mode kernels of 1-3-term operators, sigma
-# from 0.5 to 1e8 and sigma = 0, N from 64 to 2048, the two agree within
-# 1.6e-4 of that tolerance (Weideman & Trefethen, Math. Comp. 76, 2007;
-# Garrappa, SIAM J. Numer. Anal. 53, 2015).  A pair names the two node
-# counts ``_contour_values`` compares: panel values and trajectories take
-# the 24-node value of (24, 48), first-interval moments the 48-node value of
-# (32, 48).  Node counts must be even: only the upper half of the contour is
-# summed.
-_TALBOT_NODES = 24
-_TALBOT_PAIR = (_TALBOT_NODES, 2 * _TALBOT_NODES)
-_FINER_PAIR = (32, 2 * _TALBOT_NODES)
+# grows exponentially with the node count, so those take the 24-node value,
+# checked against 32 nodes, which on 6,000 random 1-3-term kernels refuse
+# exactly the points 48 nodes refuse.  At the first-interval moments' eta +
+# 1 .. eta + 4, t = tau, 24 nodes still truncate (up to 5e-8 relative, past
+# the 2e-8 agreement) and 48 reach about 1e-13, so those take the 48-node
+# value, checked against 32: on the mode kernels of 1-3-term operators,
+# sigma = 0 and 0.5 to 1e8, N from 64 to 2048, they agree within 1.6e-4 of
+# that tolerance (Weideman & Trefethen, Math. Comp. 76, 2007; Garrappa,
+# SIAM J. Numer. Anal. 53, 2015).  A pair's first count serves; counts must
+# be even, as only the upper half of the contour is summed.
+_TALBOT_PAIR = (24, 32)
+_FINER_PAIR = (32, 48)
 
 
 @lru_cache(maxsize=64)
@@ -304,44 +300,44 @@ def _talbot_invert(
     spec: RelaxationKernelSpec, ts: np.ndarray, powers: tuple, m: int, rates: tuple
 ) -> np.ndarray:
     """Invert sum_i w_i s^(-eta_i) / (1 + sum_j m_j s^(-xi_j)) on the m-node
-    contour, one row per entry of ``rates``, each of which in turn replaces
-    the last term's rate m_n, as one value or one per time (the kernel's own
-    is ``_own_rate(spec)``).  ``powers`` holds the numerator's weighted
-    powers ((w_1, eta_1), (w_2, eta_2), ...); eta_1 is one value or one per
-    time, the others one value each.
+    contour, one row per entry of ``rates``, each in turn the last term's
+    rate m_n (the kernel's own is ``_own_rate(spec)``).  ``powers`` holds the
+    numerator's weighted powers ((w_1, eta_1), (w_2, eta_2), ...); eta_1 is
+    one value or one per time, the others one value each.
 
     With s = (m/t) z the exponent is s t = m z, and on the principal branch
-    s^(-xi) = (t/m)^xi z^(-xi) because m/t is real and positive.  So every
-    complex power and exponential depends on the node alone, and the
-    (times x nodes) denominator is 1 plus a real-weighted sum of per-node
-    vectors; so is the numerator over its leading power, w_1 plus
-    w_i (t/m)^(eta_i - eta_1) z^(eta_1 - eta_i), formed only when it is not
-    1.  Nodes theta and -theta contribute equal imaginary parts, so the
-    upper half is summed and doubled.  Only the last term depends on the
-    rate, so the rest of the denominator, the numerator and the weights are
-    formed once for all rates, and no array has a dimension per rate.
+    s^(-xi) = (t/m)^xi z^(-xi) because m/t is real and positive, so every
+    complex power and exponential depends on the node alone.  Times z^alpha
+    (alpha the last order), the denominator is p = z^alpha plus real-weighted
+    per-node vectors, plus m_n (t/m)^alpha, a real shift of Re p alone: a row
+    sums Im(q / (u + i Im p)) = (Im q u - Re q Im p) / (u^2 + (Im p)^2), u =
+    Re p + m_n (t/m)^alpha, in real arithmetic, with p and q (bounded as t
+    goes to 0) formed once for all rates, which pass a block at a time.
+    q is exp(m z) z^(alpha - eta_1) z' times w_1 plus w_i (t/m)^(eta_i -
+    eta_1) z^(eta_1 - eta_i).  Nodes theta and -theta contribute equal
+    imaginary parts, so the upper half is summed and doubled.
     """
     (w1, eta), *rest = powers
     # a power kernel: a zero rate adds exactly nothing to the denominator
     *shared, (_, alpha) = spec.terms or ((0.0, 1.0),)
     z, dz = _talbot_nodes(m)
     x = ts / m
-    denom = np.ones((ts.size, z.size), dtype=complex)
+    p = z**alpha
     for rate, xi in shared:
-        denom += np.multiply.outer(rate * x**xi, z ** (-xi))
+        p = p + np.multiply.outer(rate * x**xi, z ** (alpha - xi))
     per_time = eta if np.ndim(eta) == 0 else eta[:, None]
-    weight = np.exp(m * z) * z ** (-per_time) * dz
-    if rest or w1 != 1.0:
-        numer = w1
-        for w, eta_i in rest:
-            numer = numer + (w * x ** (eta_i - eta))[:, None] * z ** (per_time - eta_i)
-        weight = weight * numer
-    scale = (2.0 / m) * x ** (eta - 1.0)
-    x_alpha, z_alpha = x**alpha, z ** (-alpha)
+    q = np.exp(m * z) * z ** (alpha - per_time) * dz
+    numer = w1
+    for w, eta_i in rest:
+        numer = numer + (w * x ** (eta_i - eta))[:, None] * z ** (per_time - eta_i)
+    q = q * numer
+    cross, p_imag2 = q.real * p.imag, p.imag**2
+    scale, x_alpha = (2.0 / m) * x ** (eta - 1.0), x**alpha
     rows = np.empty((len(rates), ts.size))
-    for row, rate in zip(rows, rates):
-        last = np.multiply.outer(rate * x_alpha, z_alpha)
-        row[:] = scale * (weight / (denom + last)).imag.sum(axis=1)
+    step = 8192 // (ts.size * z.size + 1) + 1  # rates per block: arrays of about 64 kB
+    for i in range(0, len(rates), step):
+        u = p.real + np.multiply.outer(rates[i : i + step], x_alpha)[:, :, None]
+        rows[i : i + step] = scale * ((q.imag * u - cross) / (u * u + p_imag2)).sum(axis=2)
     return rows
 
 
@@ -376,7 +372,7 @@ def _contour_values(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sum_i w_i e_(eta_i) of the reduced ``spec`` at the valid times ``ts``,
     for ``_talbot_invert``'s weighted ``powers`` and ``rates``, by one Talbot
-    inversion on each of the ``nodes`` pair's two node counts (24 and 48, or
+    inversion on each of the ``nodes`` pair's two node counts (24 and 32, or
     32 and 48), and whether they agree: (base, check, ok), one row per rate
     each, ``base`` on the first count."""
     base, check = (_talbot_invert(spec, ts, powers, m, rates) for m in nodes)
@@ -404,7 +400,7 @@ def ml_contour_grid(
     spec: RelaxationKernelSpec, ts: np.ndarray, *, eta: float | np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate the relaxation kernel at finite times ``ts > 0`` by Talbot
-    inversion of its Laplace transform on 24 nodes, validated against 48.
+    inversion of its Laplace transform on 24 nodes, validated against 32.
     ``eta``, one value or one per time, replaces ``spec.eta``."""
     ts = _valid_times(ts)
     spec = spec.reduced()
@@ -422,13 +418,18 @@ def _kernel_values(
 ) -> np.ndarray:
     """The reduced ``spec``'s kernel at the valid times ``ts`` by the shell
     sum, NaN where the sum refuses, with index ``eta``, one value or one per
-    time, in place of ``spec.eta``, and, if given, ``rate``, one positive
-    value or one per time, in place of its last term's rate: the points of
-    many kernels that differ only there take one call.  The sum's
-    convergence forecast refuses a point beyond its reach before any shell
-    is summed."""
+    time, in place of ``spec.eta``, and, if given, ``rate``, one
+    nonnegative value per time, in place of its last term's rate: the points
+    of many kernels that differ only there take one call, and a point whose
+    rate is zero takes the kernel without that term.  The sum's convergence
+    forecast refuses a point beyond its reach before any shell is summed."""
     if not spec.terms:
         return ts ** (eta - 1.0) / _gamma(eta)
+    if rate is not None and np.any(rate == 0.0):
+        out, zero = np.empty(ts.size), rate == 0.0
+        out[zero] = _kernel_values(spec.with_rate(0.0).reduced(), ts[zero], _at(eta, zero))
+        out[~zero] = _kernel_values(spec, ts[~zero], _at(eta, ~zero), rate[~zero])
+        return out
     xis = np.asarray(spec.orders)
     # log |z_j(t)| = log m_j + xi_j log t, rows j, columns t
     log_rates = np.log(spec.rates)[:, None]
@@ -450,7 +451,7 @@ def _kernel_sum(
     denominator.  A family of kernels that differ only in that rate, such as
     a solve's modes, shares one contour set-up; one kernel is the family of
     ``_own_rate(spec)``.  A point takes the 24-node value where it agrees
-    with the 48-node one, or with ``finer`` the 48-node value where it
+    with the 32-node one, or with ``finer`` the 48-node value where it
     agrees with the 32-node one (a kernel table's first-interval moments);
     the points refused, of every row, take their own kernel's shell sum,
     ``sum_i w_i _kernel_values``, in one call, and a point both routes
@@ -482,8 +483,7 @@ def eval_kernel_grid(
     """Evaluate e_(m_1 xi_1, ..., m_n xi_n),eta over an array of finite
     times t > 0 on the contour first, its 24-node value: where it certifies,
     it costs a fraction of the shell sum.  Only the points it refuses take
-    the series, so a point both routes refuse raises
-    :class:`ContourFailure`.
+    the series; a point both routes refuse raises :class:`ContourFailure`.
 
     With ``rates``, the family of kernels with each of them in place of the
     reduced ``spec``'s last rate, one row per rate, from one contour set-up

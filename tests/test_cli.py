@@ -18,10 +18,12 @@ from fracsource.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    _read_series_csv,
     _write_csv,
     main,
 )
 from fracsource.catalog import make_field
+from fracsource.fractional import TimeGrid
 from fracsource.spectral import Family, ModeIndex, SpectralCoefficients, eigen
 
 
@@ -425,6 +427,27 @@ class TestLeftovers:
             header="t,value", comments="", fmt="%.17g",
         )
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+
+    def test_headed_series_csv_parsed_once(self, tmp_path, monkeypatch):
+        # a header row is recognised before parsing, not by a parse that
+        # fails on it and a second one that skips it
+        grid = TimeGrid(1.0, 16)
+        rows = [f"{t:.17g},{1.0 + t * t:.17g}" for t in np.linspace(0.0, 1.0, 33)]
+        parsed, loadtxt = [], np.loadtxt
+
+        def counting(*args, **kwargs):
+            parsed.append(args[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        values = []
+        for name, lines in (("headed", ["t,E"] + rows), ("bare", rows)):
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            parsed.clear()
+            values.append(_read_series_csv(str(tmp_path / f"{name}.csv"), grid))
+            assert len(parsed) == 1
+        assert values[0].tobytes() == values[1].tobytes()
+        np.testing.assert_allclose(values[0], 1.0 + grid.nodes**2, rtol=0.0, atol=1e-3)
 
 
 class TestMalformedConfig:

@@ -386,10 +386,9 @@ def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
     assert set(built) == set(used)
 
 
-def test_panel_values_in_two_kernel_calls(monkeypatch):
-    # the forward-sweep-shaped box tables 15 eigenvalues: the 14 nonzero
-    # ones' panel values come from the family's one call, and sigma = 0's,
-    # whose kernel lacks the eigenvalue's term, from its own
+def test_panel_values_in_one_kernel_call(monkeypatch):
+    # the forward-sweep-shaped box tables 15 eigenvalues, sigma = 0's among
+    # them as the family's rate 0: their panel values come from one call
     calls, evaluate = [], fractional.eval_kernel_grid
 
     def counting(spec, ts, rates):
@@ -400,7 +399,7 @@ def test_panel_values_in_two_kernel_calls(monkeypatch):
     monkeypatch.setattr(fractional, "eval_kernel_grid", counting)
     solve_forward(_box_problem())
     points = 5 * fractional._PANEL_NODES  # panels [1, 2], ..., [16, 32]
-    assert sorted(calls) == [(points, (1, points)), (points, (14, points))]
+    assert calls == [(points, (15, points))]
 
 
 @pytest.mark.parametrize("op", [

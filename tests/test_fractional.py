@@ -341,7 +341,7 @@ class TestFirstIntervalMoments:
     @pytest.mark.parametrize("n", [128, 1024])
     @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS))
     def test_family_matches_mpmath(self, kernel, n):
-        # the contour's 48-node values, certified by the 24-node ones, against
+        # the contour's 48-node values, certified by the 32-node ones, against
         # a 30-digit inversion: within 2e-13 relative; the 48-node rule's
         # roundoff reaches 1.2e-13 at eta + 1 for the two-term kernel at
         # sigma = 25033, N = 128.  The 24-node values are off by up to 3.5e-8
@@ -457,6 +457,18 @@ class TestPanelTables:
             assert table.moments.tobytes() == want.moments.tobytes()
             assert table.weights.tobytes() == want.weights.tobytes()
             assert table.gap == want.gap
+
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("kernel", sorted(_MODE_KERNELS))
+    def test_family_rate_zero_is_the_kernel_without_its_last_term(self, kernel, n):
+        # a solve tables sigma = 0 as its family's rate 0; alone, that kernel
+        # drops its last term (one-term: the power kernel, in closed form)
+        make, grid = _MODE_KERNELS[kernel], TimeGrid(1.0, n)
+        table = KernelMoments.family(make(1.0), (0.0, 40.0, 1.0e4), grid)[0]
+        alone = KernelMoments(make(0.0), grid)
+        np.testing.assert_allclose(table.moments, alone.moments, rtol=1e-13, atol=0.0)
+        scale = np.abs(alone.weights).max()
+        np.testing.assert_allclose(table.weights, alone.weights, rtol=0.0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf])
     def test_family_refuses_a_rate_outside_the_kernels(self, monkeypatch, bad):

@@ -8,6 +8,7 @@ a fallback where the series is impractical.
 
 import math
 import os
+import warnings
 
 import mpmath
 import numpy as np
@@ -344,11 +345,34 @@ class TestContour:
             assert np.all(np.abs(got - want) <= bound)
 
     def test_refuses_unstable_quadrature(self):
-        # a large eta at small t: 24 and 48 nodes disagree by 3.5 times the
+        # a large eta at small t: 24 and 32 nodes disagree by 3.5 times the
         # tolerance, so the contour must refuse rather than pick one
         spec = RelaxationKernelSpec(4.996, ((0.0105, 0.994),))
         with pytest.raises(ContourFailure):
             ml_contour_grid(spec, np.array([1.17e-5]))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_check_on_32_nodes_refuses_what_48_refuse(self, seed):
+        # random 1-3-term kernels, rates 10^U(-2, 8), orders U(0.05, 1), eta
+        # U(0.2, 5), t 10^U(-8, 2): checking the 24-node value against 32
+        # nodes refuses exactly the points a check against 48 refuses, and
+        # serves the same 24-node values
+        assert mlf._TALBOT_PAIR == (24, 32)
+        rng = np.random.default_rng(seed)
+        refused = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            terms = tuple(
+                (float(10.0 ** rng.uniform(-2, 8)), float(rng.uniform(0.05, 1.0)))
+                for _ in range(n)
+            )
+            spec = RelaxationKernelSpec(float(rng.uniform(0.2, 5.0)), terms)
+            at = (spec, np.array([10.0 ** rng.uniform(-8, 2)]), ((1.0, spec.eta),), (terms[-1][0],))
+            base, _, ok = mlf._contour_values(*at, mlf._TALBOT_PAIR)
+            base48, _, ok48 = mlf._contour_values(*at, (24, 48))
+            assert ok.tobytes() == ok48.tobytes() and base.tobytes() == base48.tobytes()
+            refused += int(not ok.all())
+        assert refused >= 2
 
     def test_series_contour_overlap_band(self):
         # both evaluation paths live on max_j m_j t^xi_j in [0.5, 5]
@@ -411,7 +435,7 @@ class TestKernelEvaluation:
             (RelaxationKernelSpec(0.8, ((3.0, 0.8), (0.5, 0.4))), 2.0),
             # argument 1.5, which the series refuses: contour only
             (RelaxationKernelSpec(0.5, ((1.5, 0.05),)), 1.0),
-            # the contour refuses it (24 and 48 nodes differ by 3e-8): series
+            # the contour refuses it (24 and 32 nodes differ by 3e-8): series
             (_CONTOUR_REFUSED, 1.0 / 128.0),
         ],
         ids=["series", "contour", "fallback", "contour-refused"],
@@ -460,7 +484,7 @@ class TestKernelEvaluation:
             return np.zeros(logz.shape[1]), np.zeros(logz.shape[1], dtype=bool)
 
         monkeypatch.setattr(mlf, "_shell_sum", refusing)
-        # the message carries the 24- and 48-node values
+        # the message carries the 24- and 32-node values
         with pytest.raises(ContourFailure, match=r"at t=\S+: \S+ vs \S+"):
             eval_kernel_grid(_CONTOUR_REFUSED, np.array([0.5, 1.0 / 128.0]))
 
@@ -659,7 +683,7 @@ class TestKernelFamily:
 
     @staticmethod
     def _refusing(monkeypatch, rate, times, alone=False):
-        """Patch the 24-vs-48 check to refuse ``times`` of the kernel with
+        """Patch the contour's check to refuse ``times`` of the kernel with
         last rate ``rate`` only: in the family's inversion, and with
         ``alone`` in that kernel's own inversion too."""
         contour_values = mlf._contour_values
@@ -673,6 +697,32 @@ class TestKernelFamily:
             return base, check, ok
 
         monkeypatch.setattr(mlf, "_contour_values", refusing)
+
+    @pytest.mark.parametrize("name", ["one-term", "two-term"])
+    def test_refused_rate_zero_takes_the_kernel_without_its_last_term(self, monkeypatch, name):
+        # a table family's sigma = 0 row: where the contour refuses it, the
+        # series serves the kernel without the last term (the one-term
+        # kernel's is the power kernel), not a log of the zero rate
+        spec, powers = _FAMILIES[name]
+        spec = spec.reduced()
+        head = RelaxationKernelSpec(spec.eta, spec.terms[:-1])
+        ts = np.geomspace(1e-7, 1e-4, 64)
+        rates = (0.0,) + _RATES
+        plain = mlf._kernel_sum(spec, ts, powers, rates)
+        refused = ts[::4]
+        self._refusing(monkeypatch, 0.0, refused)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mlf._kernel_sum(spec, ts, powers, rates)
+        per_eta = [w * _kernel_values(head, refused, eta) for w, eta in powers]
+        want = sum(per_eta[1:], per_eta[0])
+        assert np.all(np.isfinite(want))
+        assert got[0, ::4].tobytes() == want.tobytes()
+        np.testing.assert_allclose(got[0], plain[0], rtol=1e-10, atol=0.0)
+        kept = np.ones(ts.size, dtype=bool)
+        kept[::4] = False
+        assert got[0, kept].tobytes() == plain[0, kept].tobytes()
+        assert got[1:].tobytes() == plain[1:].tobytes()
 
     def test_refused_points_take_their_kernels_per_eta_route(self, monkeypatch):
         # largest argument 1558.5 t^0.92 up to 0.33: within the series' reach

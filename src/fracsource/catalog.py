@@ -162,18 +162,22 @@ class SpaceTimeField:
         refused where it is not finite (see ``time_samples``)."""
         return time_samples({f"source term {i}": h for i, (_, h) in enumerate(self.terms)}, ts)
 
-    def coeff_series(
-        self, grid: TimeGrid, n_max: int, k_max: int
-    ) -> SpectralCoefficients:
-        """Projections f_nk(t) onto the conjugate family, one row per mode:
-        the spatial coefficients of every term times its time factor, each
-        term snapped against the whole source's scale (see ``snap_tiny``)."""
+    def term_coefficients(self, grid: TimeGrid, n_max: int, k_max: int) -> tuple:
+        """Each term's spatial coefficients over the box, snapped against the
+        whole source's scale (see ``snap_tiny``), and its time factor at
+        ``grid.nodes``: two arrays with a row per term."""
         hvals = self.time_factors(grid.nodes)
         modes = enumerate_modes(n_max, k_max)
         spatial = snap_tiny(
             np.array([project_modes(g, modes) for g, _ in self.terms]),
             np.max(np.abs(hvals), axis=1, keepdims=True),
         )
+        return spatial, hvals
+
+    def coeff_series(self, grid: TimeGrid, n_max: int, k_max: int) -> SpectralCoefficients:
+        """Projections f_nk(t) onto the conjugate family, one row per mode:
+        the product of the ``term_coefficients``."""
+        spatial, hvals = self.term_coefficients(grid, n_max, k_max)
         return SpectralCoefficients(n_max, k_max, spatial.T @ hvals, grid)
 
 

@@ -360,6 +360,7 @@ def cmd_inverse(cfg: dict, out: Path) -> int:
     meta = {
         "energy_residual": amplitude.metadata["energy_residual"],
         "flux_iterations": amplitude.metadata["flux_iterations"],
+        "flux_convolutions": amplitude.metadata["flux_convolutions"],
     }
     if true_amp is not None:
         scale = float(np.max(np.abs(true_amp.values)))

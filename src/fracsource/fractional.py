@@ -365,6 +365,32 @@ class KernelMoments:
             for rate, parts in zip(rates, _tables(spec, grid, rates))
         ]
 
+    @classmethod
+    def combine(cls, tables, coefficients) -> "KernelMoments":
+        """The table of sum_i coefficients[i] e_i from the ``tables`` of the
+        e_i, each refused first as ``singular_convolve`` would: the weighted
+        sums of their moments and weights, and the |weighted| sums of their
+        ``gap`` and ``integral``.  Evaluates no kernel."""
+        for table in tables:
+            table.check_gap()
+        out = cls.__new__(cls)
+        out.grid = tables[0].grid
+        out.moments = np.tensordot(coefficients, [t.moments for t in tables], 1)
+        out.weights = np.tensordot(coefficients, [t.weights for t in tables], 1)
+        out.moments.flags.writeable = out.weights.flags.writeable = False
+        out.gap = float(np.abs(coefficients) @ [t.gap for t in tables])
+        out.integral = float(np.abs(coefficients) @ [t.integral for t in tables])
+        return out
+
+    def check_gap(self) -> None:
+        """Raise :class:`QuadratureFailure` when the interpolation gap exceeds
+        1e-10 of the kernel's integral, as ``singular_convolve`` explains."""
+        if self.gap > 1e-10 * self.integral:
+            raise QuadratureFailure(
+                f"kernel interpolation gap {self.gap:g} exceeds 1e-10 of the "
+                f"kernel's integral {self.integral:g}"
+            )
+
 
 def _not_a_knot_band(n: int) -> np.ndarray:
     """Banded (1, 1) matrix of the not-a-knot slope system on n >= 3 uniform
@@ -427,7 +453,8 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     exceeds 1e-10 of the kernel's integral over (0, T] raises
     :class:`QuadratureFailure`: below that, the interpolation error, by the
     gap's estimate, moves no node value by more than 1e-10 of the a-priori
-    bound max|g| int_0^T e.  Non-finite samples raise ``ValueError``.
+    bound max|g| int_0^T e (relative digits are unrecoverable further down
+    in doubles).  Non-finite samples raise ``ValueError``.
     """
     grid = g.grid
     if table.grid != grid:
@@ -436,15 +463,7 @@ def singular_convolve(g: TimeSeries, table: KernelMoments) -> TimeSeries:
     if not np.any(g.values):
         return TimeSeries(grid, out)
     s = _node_slopes(grid, g.values)
-    # The table's interpolation gap, times max|g|, bounds the kernel's share
-    # of the error at every node; it must stay 10 digits below the a-priori
-    # bound max|g| * int_0^T e (relative digits are unrecoverable that far
-    # down in doubles).
-    if table.gap > 1e-10 * table.integral:
-        raise QuadratureFailure(
-            f"kernel interpolation gap {table.gap:g} exceeds 1e-10 of the "
-            f"kernel's integral {table.integral:g}"
-        )
+    table.check_gap()
     value, slope, first_value, first_slope = table.weights
     out[1:] = np.convolve(g.values[1:], value)[: grid.N]
     out[1:] += np.convolve(s[1:], slope)[: grid.N]

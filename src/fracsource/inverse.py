@@ -7,6 +7,8 @@ The flux is a linear Volterra functional of a itself (it is carried by the
 mean-bearing associated modes that f excites), so the amplitude solves a
 second-kind Volterra equation; a short fixed-point iteration resolves it and
 collapses to an explicit per-node ratio whenever f excites no such mode.
+Its kernel is fixed for the whole recovery, so a sweep convolves once per
+separable term of f, against one table combined from the modes' tables.
 
 The discrete Caputo operator carries a startup error on the t^alpha
 component that every solution of a fractional ODE has near t = 0; that
@@ -30,16 +32,17 @@ from .forward import (
     ProblemData,
     SolutionBundle,
     _kernel_needs,
-    _mode_trajectory,
     eigen_kernels,
     solve_forward,
 )
 from .fractional import (
     FractionalOperatorSpec,
+    KernelMoments,
     TimeGrid,
     TimeSeries,
     caputo_multiterm,
     caputo_power,
+    singular_convolve,
     whole_number,
 )
 from .mlf import NonConvergence
@@ -141,14 +144,18 @@ def recover_source(
     bias of order 1/flux_modes.
 
     The spatially integrated equation reads (multi-term Caputo of E) =
-    a * f-mean - sum_n c_n T_n[a F_n], c_n = sigma_n mean(Z_n), with T_n the
-    forward trajectory of the n-th associated mean-bearing mode (Even, k = 0)
-    forced by a times f's coefficient F_n.  The resulting second-kind
-    Volterra equation is solved by fixed-point iteration (the flux-to-mean
-    ratio makes it a strong contraction); when f excites none of these modes
-    the iteration is skipped and the amplitude is the explicit ratio.  Raises
-    :class:`NonConvergence` when the iteration has not settled within
-    ``_MAX_FLUX_ITERATIONS``, and ValueError on a non-finite datum sample.
+    a * f-mean - sum_n c_n e_n * (a F_n), c_n = sigma_n mean(Z_n), with e_n
+    the forcing kernel of the n-th associated mean-bearing mode (Even, k = 0)
+    and F_n = sum_t s_tn h_t f's coefficient of it over f's separable terms.
+    The flux is linear in its kernel: it is sum_t K_t * (a h_t) with
+    K_t = sum_n c_n s_tn e_n, one table per term (``KernelMoments.combine``)
+    and one convolution per term and sweep (``flux_convolutions``).  The
+    resulting second-kind Volterra equation is solved by fixed-point
+    iteration (the flux-to-mean ratio makes it a strong contraction); when f
+    excites none of these modes the iteration is skipped and the amplitude
+    is the explicit ratio.  Raises :class:`NonConvergence` when the
+    iteration has not settled within ``_MAX_FLUX_ITERATIONS``, and
+    ValueError on a non-finite datum sample.
 
     When ``phi`` is supplied, E(0) must equal the mean of phi truncated
     as the forward energy carries it, phi_00 + sum_{n <= flux_modes}
@@ -158,9 +165,10 @@ def recover_source(
     Caputo derivative is that flux, so the L1 scheme never has to resolve
     the stiff T_n.
 
-    Projections and trajectories are the forward solver's own, over the
-    k = 0 box n <= ``flux_modes``; the kernels of phi's trajectories and of
-    the flux's tables are set up in one pass, as the forward solver's are.
+    Projections and kernel pieces are the forward solver's own, over the
+    k = 0 box n <= ``flux_modes``; phi's trajectories and the modes' tables
+    are set up in one pass, as the forward solver's are, and f is projected
+    once (``SpaceTimeField.term_coefficients``).
     ``kernels`` is the dict that set-up reads and fills (``eigen_kernels``):
     a caller passes one dict to several solves so that each piece is built
     once between them.  None is a fresh dict.
@@ -184,7 +192,8 @@ def recover_source(
                 f"E(0) = {E.values[0]:.9g} but the initial datum's mean over "
                 f"the modes n <= {flux_modes} is {truncated:.9g}"
             )
-    f_coeffs = f.coeff_series(grid, flux_modes, 0)
+    spatial, hvals = f.term_coefficients(grid, flux_modes, 0)
+    f_coeffs = SpectralCoefficients(flux_modes, 0, spatial.T @ hvals, grid)
     fmean = f_coeffs.mean().values
     bad = np.abs(fmean) < DEFAULT_MEAN_THRESHOLD
     if np.any(bad):
@@ -199,28 +208,25 @@ def recover_source(
         (i, 0.0 if phi_coeffs is None else phi_coeffs[i], i in excited) for i in associated
     ), kernels)
 
-    def trajectory(index, phi_c, forcing=None) -> np.ndarray:
-        return _mode_trajectory(phi_c, forcing, pieces.get(eigen(index).sigma_nk), grid).values
-
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)
         for index in associated:
             c = phi_coeffs[index]
             if c != 0.0:
-                homog += mode_mean(index) * (trajectory(index, c) - c)
+                homog[1:] += mode_mean(index) * (c * pieces[eigen(index).sigma_nk].relaxation - c)
         E = TimeSeries(grid, E.values - homog)
     deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)
     a[1:] = deriv[1:] / fmean[1:]
     _extrapolate_origin(a, grid.N)
+    c_n = np.array([eigen(i).sigma_nk * mode_mean(i) for i in excited])
+    weights = spatial[:, [f_coeffs.modes.index(i) for i in excited]] * c_n
+    tables = [pieces[eigen(i).sigma_nk].table for i in excited]
+    live = [(h, KernelMoments.combine(tables, w)) for w, h in zip(weights, hvals) if np.any(w)]
     iterations = 0
-    if excited:
+    if live:
         for iterations in range(1, _MAX_FLUX_ITERATIONS + 1):
-            flux = np.zeros(grid.N + 1)
-            for index in excited:
-                forcing = TimeSeries(grid, a * f_coeffs[index].values)
-                c_n = eigen(index).sigma_nk * mode_mean(index)
-                flux += c_n * trajectory(index, 0.0, forcing)
+            flux = sum(singular_convolve(TimeSeries(grid, a * h), k).values for h, k in live)
             new = np.empty(grid.N + 1)
             new[1:] = (deriv[1:] + flux[1:]) / fmean[1:]
             _extrapolate_origin(new, grid.N)
@@ -239,6 +245,7 @@ def recover_source(
         metadata={
             "flux_modes_excited": len(excited),
             "flux_iterations": iterations,
+            "flux_convolutions": iterations * len(live),
         },
     )
 
@@ -277,9 +284,14 @@ def stability_probe(
 ) -> StabilityReport:
     """Perturb the energy datum by d * t / T for each d in ``deltas`` and
     report the sup-norm change of the recovered amplitude; the log-log slope
-    quantifies the (linear) stability.  Recovery runs as in ``solve_inverse``:
-    phi's flux closure and ``flux_modes = n_max``.  The recoveries share one
-    kernel dict, made for this call, so their kernels are set up once."""
+    quantifies the (linear) stability: ``deltas`` without two distinct
+    values, or with one that is not finite and positive, raise ValueError.
+    Recovery runs as in ``solve_inverse``: phi's flux closure and
+    ``flux_modes = n_max``.  The recoveries share one kernel dict, made for
+    this call, so their kernels are set up once."""
+    deltas = [float(d) for d in deltas]
+    if len(set(deltas)) < 2 or not all(0.0 < d < np.inf for d in deltas):
+        raise ValueError(f"deltas must be finite and positive, two distinct at least: {deltas}")
     grid = problem.grid
     recover = partial(
         recover_source, problem.source, op=problem.op, grid=grid, phi=problem.phi,
@@ -290,7 +302,5 @@ def stability_probe(
     for d in deltas:
         tilde = EnergyDatum(TimeSeries(grid, datum.E.values + d * grid.nodes / grid.T))
         a_diffs.append(float(np.max(np.abs(recover(tilde).a.values - base.values))))
-    slope = float(
-        np.polyfit(np.log(np.asarray(deltas)), np.log(np.asarray(a_diffs)), 1)[0]
-    )
-    return StabilityReport(deltas=list(deltas), a_diffs=a_diffs, slope=slope, base=base)
+    slope = float(np.polyfit(np.log(deltas), np.log(a_diffs), 1)[0])
+    return StabilityReport(deltas=deltas, a_diffs=a_diffs, slope=slope, base=base)

@@ -134,6 +134,12 @@ class TestSpaceTimeField:
         assert [i for i in got.indices() if np.any(got[i].values)] == [
             ModeIndex(Family.Zero, 0, 0)
         ]
+        # the per-term parts: the snapped row of each term and its time
+        # factor, whose product coeff_series is, bit for bit
+        spatial, hvals = f.term_coefficients(grid, 4, 0)
+        assert np.any(spatial[0]) and not np.any(spatial[1])
+        np.testing.assert_array_equal(hvals, f.time_factors(grid.nodes))
+        assert got.values.tobytes() == (spatial.T @ hvals).tobytes()
 
 
 class TestManufactured:

@@ -212,6 +212,29 @@ class TestInverse:
         rows = _read_csv(out / "amplitude.csv")
         np.testing.assert_allclose(rows["a"][1:], 1.0 + rows["t"][1:], rtol=1e-2)
 
+    def test_flux_convolutions_written(self, tmp_path):
+        # f = (1 + xy/2) + x^3 t: both terms excite the mean-bearing
+        # associated modes, so each flux sweep makes two convolutions
+        poly = {"name": "poly", "params": {"terms": [[1.0, 0, 0], [0.5, 1, 1]]}}
+        cubic = {"name": "poly", "params": {"terms": [[1.0, 3, 0]]}}
+        law = {"name": "poly_t", "params": {"coeffs": [1.0, 1.0]}}
+        ramp = {"name": "poly_t", "params": {"coeffs": [0.0, 1.0]}}
+        payload = {
+            "operator": {"alpha": 0.8, "terms": [[0.5, 0.4]]},
+            "grid": {"T": 1.0, "N": 32},
+            "phi": {"name": "cos_exp"},
+            "source": [{"field": poly}, {"field": cubic, "time": ramp}],
+            "modes": {"n_max": 2, "k_max": 2},
+            "energy": {"synthesize": {"N": 64, "amplitude": law}},
+            "amplitude_true": law,
+        }
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["inverse", cfg, "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "inverse_metadata.json").read_text())
+        assert meta["flux_convolutions"] == 2 * meta["flux_iterations"] > 0
+        assert meta["round_trip_error"] < 1e-2
+
     def test_energy_from_csv(self, tmp_path):
         # E = t^alpha / Gamma(1 + alpha) with f = 1 recovers a(t) = 1
         alpha = 0.8

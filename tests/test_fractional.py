@@ -668,3 +668,46 @@ class TestSingularConvolve:
         for other in (TimeGrid(1.0, 20), TimeGrid(2.0, 40)):
             with pytest.raises(ValueError):
                 singular_convolve(TimeSeries.from_function(other, np.cos), table)
+
+
+class TestCombinedTable:
+    """``KernelMoments.combine``: the table of a weighted sum of kernels."""
+
+    def _family(self, grid):
+        return KernelMoments.family(_MODE_KERNELS["two-term"](1.0), (40.0, 900.0, 1.0e4), grid)
+
+    def test_convolution_is_the_weighted_sum(self, monkeypatch):
+        grid = TimeGrid(1.0, 64)
+        tables = self._family(grid)
+        w = np.array([0.7, -1.3, 2.1])
+        built = []
+        monkeypatch.setattr(KernelMoments, "__init__", lambda *a: built.append(a))
+        with np.errstate(all="raise"):
+            combined = KernelMoments.combine(tables, w)
+        assert built == []  # no table is built: nothing is evaluated
+        g = TimeSeries.from_function(grid, lambda t: 1.0 + t - 0.4 * t**2)
+        want = sum(c * singular_convolve(g, t).values for c, t in zip(w, tables))
+        got = singular_convolve(g, combined).values
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+        for part in ("moments", "weights"):
+            parts = np.array([getattr(t, part) for t in tables])
+            np.testing.assert_allclose(getattr(combined, part), np.tensordot(w, parts, 1))
+            assert not getattr(combined, part).flags.writeable
+        assert combined.gap == pytest.approx(np.abs(w) @ [t.gap for t in tables])
+        assert combined.integral == pytest.approx(np.abs(w) @ [t.integral for t in tables])
+        assert combined.grid == grid
+
+    def test_each_table_is_refused_in_turn(self):
+        # the first table whose gap exceeds 1e-10 of its integral names the
+        # failure, as singular_convolve would refuse it; the gap-weighted
+        # sum of the combination alone would not show it
+        tables = self._family(TimeGrid(1.0, 32))
+        for table, scale in zip(tables[1:], (2e-10, 5e-10)):
+            table.gap = scale * table.integral
+        with pytest.raises(QuadratureFailure) as exc:
+            KernelMoments.combine(tables, [1.0e6, 1.0, 1.0])
+        first = tables[1]
+        assert str(exc.value) == (
+            f"kernel interpolation gap {first.gap:g} exceeds 1e-10 of the "
+            f"kernel's integral {first.integral:g}"
+        )

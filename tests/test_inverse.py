@@ -12,8 +12,14 @@ import pytest
 
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
 from fracsource.forward import ProblemData, solve_forward
-from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
-from fracsource import forward, inverse
+from fracsource.fractional import (
+    FractionalOperatorSpec,
+    QuadratureFailure,
+    TimeGrid,
+    TimeSeries,
+    caputo_multiterm,
+)
+from fracsource import forward, fractional, inverse
 from fracsource.inverse import (
     CompatibilityViolation,
     EnergyDatum,
@@ -23,7 +29,7 @@ from fracsource.inverse import (
     stability_probe,
 )
 from fracsource.mlf import NonConvergence
-from fracsource.spectral import Field2D
+from fracsource.spectral import Family, Field2D, SpectralCoefficients, eigen, mode_mean
 
 
 def _unit_source():
@@ -415,6 +421,143 @@ class TestSharedKernels:
         assert bundle.metadata["truncation_tail"] == forward_alone.metadata["truncation_tail"]
 
 
+def _two_term_problem():
+    """f = (1 + xy/2) + x^3 (1 + t) under the operator of
+    ``_poly_phi_problem``: the two terms' mean-bearing associated content
+    differs mode by mode, so each weighs the modes' tables its own way."""
+    poly = make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))})
+    cubic = make_field("poly", {"terms": ((1.0, 3, 0),)})
+    f = SpaceTimeField(terms=(
+        (poly, make_time_fn("constant")),
+        (cubic, make_time_fn("poly_t", {"coeffs": (1.0, 1.0)})),
+    ))
+    return ProblemData(
+        op=FractionalOperatorSpec(0.8, ((0.5, 0.4),)), phi=poly, source=f,
+        grid=TimeGrid(1.0, 128), n_max=4, k_max=0,
+    )
+
+
+def _per_mode_closure(prob, datum):
+    """The flux closure with one convolution per excited mode and sweep,
+    a F_n against mode n's own table through the forward solver's mode
+    trajectory: the reference the combined tables must reproduce.  Returns
+    the amplitude and the number of sweeps."""
+    grid, op, n_max = prob.grid, prob.op, prob.n_max
+    f_coeffs = prob.source.coeff_series(grid, n_max, 0)
+    phi_coeffs = SpectralCoefficients.project_field(prob.phi, n_max, 0)
+    fmean = f_coeffs.mean().values
+    associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
+    excited = [i for i in associated if np.any(f_coeffs[i].values)]
+    pieces = forward.eigen_kernels(op, grid, *forward._kernel_needs(
+        (i, phi_coeffs[i], i in excited) for i in associated
+    ))
+
+    def trajectory(index, phi_c, forcing=None):
+        piece = pieces.get(eigen(index).sigma_nk)
+        return forward._mode_trajectory(phi_c, forcing, piece, grid).values
+
+    homog = sum(mode_mean(i) * (trajectory(i, phi_coeffs[i]) - phi_coeffs[i]) for i in associated)
+    E = TimeSeries(grid, datum.E.values - homog)
+    deriv = caputo_multiterm(E, op).values + inverse._startup_correction(E, op)
+
+    def ratio(flux):
+        a = np.empty(grid.N + 1)
+        a[1:] = (deriv[1:] + flux[1:]) / fmean[1:]
+        inverse._extrapolate_origin(a, grid.N)
+        return a
+
+    a = ratio(np.zeros(grid.N + 1))
+    for sweeps in range(1, inverse._MAX_FLUX_ITERATIONS + 1):
+        flux = np.zeros(grid.N + 1)
+        for i in excited:
+            forcing = TimeSeries(grid, a * f_coeffs[i].values)
+            flux += eigen(i).sigma_nk * mode_mean(i) * trajectory(i, 0.0, forcing)
+        new = ratio(flux)
+        change, a = np.max(np.abs(new - a)), new
+        if change <= 1e-12 * max(1.0, np.max(np.abs(a))):
+            return a, sweeps
+    raise AssertionError("the per-mode reference closure did not settle")
+
+
+def _recover(prob, datum):
+    return recover_source(
+        prob.source, datum, prob.op, prob.grid, phi=prob.phi, flux_modes=prob.n_max
+    )
+
+
+def _count_convolutions(monkeypatch):
+    """Count every ``singular_convolve`` call the solvers make, in the
+    list returned."""
+    calls, original = [], fractional.singular_convolve
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    for module in (forward, inverse):
+        monkeypatch.setattr(module, "singular_convolve", counting, raising=False)
+    return calls
+
+
+class TestCombinedFluxTables:
+    """The closure convolves a h_t once per source term and sweep, against
+    the modes' tables combined with that term's weights."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _cos_exp_problem(k_max=0), _poly_phi_problem, _two_term_problem,
+    ], ids=["inverse-cli", "poly-phi", "two-term"])
+    def test_matches_the_per_mode_closure(self, make):
+        # invariant: a convolution is linear in its kernel
+        prob = make()
+        datum = _forward_datum(prob)
+        amp = _recover(prob, datum)
+        want, sweeps = _per_mode_closure(prob, datum)
+        assert amp.metadata["flux_iterations"] == sweeps > 1
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(amp.a.values, want, rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("make, terms", [
+        (_poly_phi_problem, 1), (_two_term_problem, 2),
+    ], ids=["one-term", "two-term"])
+    def test_one_convolution_per_live_term_per_sweep(self, monkeypatch, make, terms):
+        prob = make()
+        datum = _forward_datum(prob)
+        calls = _count_convolutions(monkeypatch)
+        amp = _recover(prob, datum)
+        assert amp.metadata["flux_modes_excited"] == 4
+        assert len(calls) == terms * amp.metadata["flux_iterations"] > 0
+        assert len(calls) == amp.metadata["flux_convolutions"]
+
+    def test_bad_excited_table_refused_before_any_sweep(self, monkeypatch):
+        # the first bad table in the excited modes' order names the failure,
+        # with the message singular_convolve gives
+        prob = _poly_phi_problem()
+        datum = _forward_datum(prob)
+        set_up = inverse.eigen_kernels
+
+        spoiled = []
+
+        def spoiling(*args):
+            pieces = set_up(*args)
+            # the excited modes are Even (n, 0), n = 1..4, in increasing sigma
+            tables = [pieces[sigma].table for sigma in sorted(pieces)]
+            for table, scale in zip(tables[1:3], (1e-9, 1e-8)):
+                table.gap = scale * table.integral
+                spoiled.append(table)
+            return pieces
+
+        monkeypatch.setattr(inverse, "eigen_kernels", spoiling)
+        calls = _count_convolutions(monkeypatch)
+        with pytest.raises(QuadratureFailure) as exc:
+            _recover(prob, datum)
+        assert calls == []
+        first = spoiled[0]
+        assert str(exc.value) == (
+            f"kernel interpolation gap {first.gap:g} exceeds 1e-10 of the "
+            f"kernel's integral {first.integral:g}"
+        )
+
+
 class TestSolveInverse:
     def test_accepts_forward_energy_with_truncated_phi_mean(self):
         prob = _poly_phi_problem()
@@ -474,6 +617,23 @@ class TestStability:
         prob, datum = setup
         rep = stability_probe(prob, datum)
         assert rep.slope == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("deltas", [
+        (), (0.1,), (0.1, 0.1), (0.0, 0.1), (-0.1, 0.1), (float("nan"), 0.1),
+        (float("inf"), 0.1),
+    ], ids=["none", "one", "repeated", "zero", "negative", "nan", "inf"])
+    def test_deltas_without_a_slope_refused_before_any_recovery(self, monkeypatch, deltas):
+        # two distinct finite positive deltas at least, or the log-log fit
+        # is degenerate (one point) or undefined (log of d <= 0)
+        prob = _poly_phi_problem()
+        datum = EnergyDatum(TimeSeries.zeros(prob.grid))
+
+        def recovering(*args, **kwargs):
+            raise AssertionError("recovered before checking the deltas")
+
+        monkeypatch.setattr(inverse, "recover_source", recovering)
+        with pytest.raises(ValueError, match="deltas"):
+            stability_probe(prob, datum, deltas=deltas)
 
     def test_base_amplitude_matches_solve_inverse(self):
         # the probe recovers with phi's flux closure and flux_modes = n_max,

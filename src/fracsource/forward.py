@@ -7,8 +7,9 @@ weakly singular Laplace convolution, and the Odd family picks up an extra
 convolution against its paired Even trajectory.  The modes' kernels differ
 only in the eigenvalue, so a solve sets up those of all its eigenvalues in
 one pass before it solves the modes, and ``eigen_kernels`` is the only code
-that builds them.  Solves that share a kernel dict build each piece once
-between them.
+that builds them.  A ``SetUp`` holds what the solves of one problem share,
+the data's projections and the kernel pieces, so solves given one set-up
+build each once between them.
 """
 
 from __future__ import annotations
@@ -95,14 +96,42 @@ def _initial_state(op: FractionalOperatorSpec) -> tuple:
     return ((1.0, 1.0),) + tuple((psi, op.alpha + 1.0 - a_i) for psi, a_i in op.terms if psi)
 
 
-@dataclass
-class EigenKernels:
-    """What the mode solves of one eigenvalue share: the initial-state
-    trajectory per unit phi_c at ``grid.nodes[1:]`` and the forcing's moment
-    table, each None unless a mode needs it."""
+class SetUp:
+    """What the solves of one problem, made from its ``op``, ``grid``,
+    ``phi`` and ``source``, share; each piece is built the first time a
+    solve needs it.  Per truncation box: phi's coefficients and f's
+    ``term_coefficients`` with their product, f's coefficients.  Per
+    eigenvalue, filled by ``eigen_kernels``: the initial-state trajectory
+    per unit phi_c at ``grid.nodes[1:]`` (``relaxation``) and the forcing's
+    moment table (``tables``).  A piece is bit for bit the same whichever
+    solve builds it."""
 
-    relaxation: np.ndarray | None = None
-    table: KernelMoments | None = None
+    def __init__(self, op: FractionalOperatorSpec, grid: TimeGrid, phi, source):
+        self.op, self.grid, self.phi, self.source = op, grid, phi, source
+        self.relaxation, self.tables, self._phi, self._f = {}, {}, {}, {}
+
+    @classmethod
+    def serving(cls, setup, op, grid, phi, source) -> "SetUp":
+        """``setup``, a fresh set-up when it is None; ValueError when it
+        was made from other data."""
+        if setup is None:
+            return cls(op, grid, phi, source)
+        if (op, grid) != (setup.op, setup.grid) or (phi, source) != (setup.phi, setup.source):
+            raise ValueError("the set-up was made from another problem's data")
+        return setup
+
+    def phi_coeffs(self, n_max: int, k_max: int) -> SpectralCoefficients:
+        if (n_max, k_max) not in self._phi:
+            self._phi[n_max, k_max] = SpectralCoefficients.project_field(self.phi, n_max, k_max)
+        return self._phi[n_max, k_max]
+
+    def source_terms(self, n_max: int, k_max: int) -> tuple:
+        """f's per-term spatial coefficients, time factors and coefficients."""
+        if (n_max, k_max) not in self._f:
+            spatial, hvals = self.source.term_coefficients(self.grid, n_max, k_max)
+            f_coeffs = SpectralCoefficients(n_max, k_max, spatial.T @ hvals, self.grid)
+            self._f[n_max, k_max] = spatial, hvals, f_coeffs
+        return self._f[n_max, k_max]
 
 
 def _kernel_needs(modes) -> tuple[set, set]:
@@ -126,55 +155,44 @@ def _kernel_needs(modes) -> tuple[set, set]:
     return relaxed, tabled
 
 
-def eigen_kernels(
-    op: FractionalOperatorSpec, grid: TimeGrid, relaxed, tabled, kernels: dict | None = None
-) -> dict[float, EigenKernels]:
-    """The kernel pieces of the sets of eigenvalues ``relaxed`` (initial-state
-    trajectories) and ``tabled`` (moment tables) in one pass: the nonzero
-    eigenvalues' trajectories by one contour set-up, and every table,
-    sigma = 0's included, in one family assembly.  At sigma = 0 the
-    trajectory is phi_c / s, all ones per unit phi_c, and the table's
-    kernel, which lacks the eigenvalue's term, is the family's rate 0.
-
-    ``kernels`` holds the pieces built so far, keyed by (op, grid) and then
-    by eigenvalue; None is a fresh dict.  Only the pieces it lacks are built,
-    piece by piece (an eigenvalue may hold its table and lack its
-    trajectory), and they are added to it.  Returns the dict of (op, grid).
-    A piece is bit for bit the same whichever pass builds it."""
-    pieces = ({} if kernels is None else kernels).setdefault((op, grid), {})
-    for sigma in relaxed | tabled:
-        pieces.setdefault(sigma, EigenKernels())
-    relaxed = {sigma for sigma in relaxed if pieces[sigma].relaxation is None}
-    tabled = {sigma for sigma in tabled if pieces[sigma].table is None}
+def eigen_kernels(setup: SetUp, relaxed: set, tabled: set) -> None:
+    """Build into ``setup`` the kernel pieces it lacks of the eigenvalues
+    ``relaxed`` (initial-state trajectories) and ``tabled`` (moment tables),
+    in one pass: the nonzero eigenvalues' trajectories by one contour
+    set-up, and every table, sigma = 0's included, in one family assembly.
+    At sigma = 0 the trajectory is phi_c / s, all ones per unit phi_c, and
+    the table's kernel, which lacks the eigenvalue's term, is the family's
+    rate 0.  Piece by piece: an eigenvalue may hold its table and lack its
+    trajectory."""
+    op, grid = setup.op, setup.grid
+    relaxed, tabled = relaxed - setup.relaxation.keys(), tabled - setup.tables.keys()
     if 0.0 in relaxed:
-        pieces[0.0].relaxation = np.ones(grid.N)
+        setup.relaxation[0.0] = np.ones(grid.N)
     family = mode_kernel_spec(op, 1.0)
     relaxed, tabled = sorted(relaxed - {0.0}), sorted(tabled)
     if relaxed:
         rows = _kernel_sum(family.reduced(), grid.nodes[1:], _initial_state(op), relaxed)
-        for sigma, row in zip(relaxed, rows):
-            pieces[sigma].relaxation = row
+        setup.relaxation.update(zip(relaxed, rows))
     if tabled:
         tables = KernelMoments.family(family.with_eta(op.alpha), tabled, grid)
-        for sigma, table in zip(tabled, tables):
-            pieces[sigma].table = table
-    return pieces
+        setup.tables.update(zip(tabled, tables))
 
 
 def _mode_trajectory(
-    phi_c: float, forcing: TimeSeries | None, pieces: EigenKernels | None, grid: TimeGrid
+    phi_c: float, forcing: TimeSeries | None, sigma: float, setup: SetUp
 ) -> TimeSeries:
     """Solve one mode ODE (D^alpha + sum psi_i D^alpha_i + sigma) T = forcing,
     T(0) = phi_c, via the explicit relaxation-kernel formula, from the
-    eigenvalue's ``pieces`` as ``eigen_kernels`` built them: phi_c times the
-    initial-state trajectory plus the forcing's convolution with the table.
-    A mode with no data reads nothing, so its ``pieces`` may be None."""
+    eigenvalue's pieces in ``setup``: phi_c times the initial-state
+    trajectory plus the forcing's convolution with the table.  A mode with
+    no data reads no piece."""
+    grid = setup.grid
     vals = np.zeros(grid.N + 1)
     if phi_c != 0.0:
         vals[0] = phi_c
-        vals[1:] = phi_c * pieces.relaxation
+        vals[1:] = phi_c * setup.relaxation[sigma]
     if forcing is not None and np.any(forcing.values):
-        vals += singular_convolve(forcing, pieces.table).values
+        vals += singular_convolve(forcing, setup.tables[sigma]).values
     return TimeSeries(grid, vals)
 
 
@@ -184,59 +202,45 @@ def _odd_coupling(n: int) -> float:
     return 4.0 * (2 * n * math.pi) ** 3
 
 
-def mode_zero(
-    k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries, kernels: dict
-) -> TimeSeries:
+def mode_zero(k: int, phi_c: float, forcing: TimeSeries, setup: SetUp) -> TimeSeries:
     """Trajectory of the Zero-family mode (eigenvalue mu_k)."""
-    sigma = eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk
-    return _mode_trajectory(phi_c, forcing, kernels.get(sigma), problem.grid)
+    return _mode_trajectory(phi_c, forcing, eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk, setup)
 
 
-def mode_even(
-    n: int, k: int, problem: ProblemData, phi_c: float, forcing: TimeSeries,
-    kernels: dict,
-) -> TimeSeries:
+def mode_even(n: int, k: int, phi_c: float, forcing: TimeSeries, setup: SetUp) -> TimeSeries:
     """Trajectory of the Even-family mode (eigenvalue sigma_nk)."""
-    sigma = eigen(ModeIndex(Family.Even, n, k)).sigma_nk
-    return _mode_trajectory(phi_c, forcing, kernels.get(sigma), problem.grid)
+    return _mode_trajectory(phi_c, forcing, eigen(ModeIndex(Family.Even, n, k)).sigma_nk, setup)
 
 
 def mode_odd(
-    n: int,
-    k: int,
-    problem: ProblemData,
-    phi_c: float,
-    forcing: TimeSeries,
-    even_traj: TimeSeries,
-    kernels: dict,
+    n: int, k: int, phi_c: float, forcing: TimeSeries, even_traj: TimeSeries, setup: SetUp
 ) -> TimeSeries:
     """Trajectory of the Odd-family mode; couples to the Even trajectory of
     the same index through the forcing term 4 lambda_n^(3/4) T_even."""
     sigma = eigen(ModeIndex(Family.Odd, n, k)).sigma_nk
     coupled = forcing.values + _odd_coupling(n) * even_traj.values
-    return _mode_trajectory(
-        phi_c, TimeSeries(problem.grid, coupled), kernels.get(sigma), problem.grid
-    )
+    return _mode_trajectory(phi_c, TimeSeries(setup.grid, coupled), sigma, setup)
 
 
-def solve_forward(problem: ProblemData, *, kernels: dict | None = None) -> SolutionBundle:
-    """Project the data, form the forcing a(t) f_nk(t) of every mode, solve
-    every mode ODE in closed form (each Even mode before its Odd partner),
-    and assemble coefficients and energy.  The kernel pieces are set up
-    before the mode loop, once per eigenvalue and in one pass over all
-    eigenvalues (``eigen_kernels``): the initial-state trajectories of the
-    modes with phi_c != 0, and the moment tables of the modes with forcing
-    or an Odd coupling, sigma = 0's included; the mode solves only read
-    them.  ``kernels`` is the dict ``eigen_kernels`` reads and fills: pieces
-    an earlier call left in it (``solve_inverse``'s recovery) are not built
-    again.  None, a fresh dict, drops them on return."""
+def solve_forward(problem: ProblemData, *, setup: SetUp | None = None) -> SolutionBundle:
+    """Form the forcing a(t) f_nk(t) of every mode from the projected data,
+    solve every mode ODE in closed form (each Even mode before its Odd
+    partner), and assemble coefficients and energy.  The kernel pieces are
+    set up before the mode loop in one pass over all eigenvalues
+    (``eigen_kernels``): the initial-state trajectories of the modes with
+    phi_c != 0, and the moment tables of the modes with forcing or an Odd
+    coupling, sigma = 0's included; the mode solves only read them.
+    ``setup`` (None: a fresh one) holds the projections and pieces an
+    earlier solve of the problem built (``solve_inverse``'s recovery), which
+    are not built again.  A missing amplitude is refused before any work."""
     t0 = time.perf_counter()
-    grid = problem.grid
-    n_max, k_max = problem.n_max, problem.k_max
-    phi_coeffs = SpectralCoefficients.project_field(problem.phi, n_max, k_max)
-    f_coeffs = problem.source.coeff_series(grid, n_max, k_max)
     if problem.amplitude is None:
         raise ValueError("forward solve needs a known amplitude a(t)")
+    grid = problem.grid
+    n_max, k_max = problem.n_max, problem.k_max
+    setup = SetUp.serving(setup, problem.op, grid, problem.phi, problem.source)
+    phi_coeffs = setup.phi_coeffs(n_max, k_max)
+    f_coeffs = setup.source_terms(n_max, k_max)[2]
     forcing_coeffs = SpectralCoefficients(
         n_max, k_max, problem.amplitude.values * f_coeffs.values, grid
     )
@@ -244,18 +248,18 @@ def solve_forward(problem: ProblemData, *, kernels: dict | None = None) -> Solut
 
     # storage order solves each Even mode right before the Odd mode it couples to
     modes = coeffs.modes
-    pieces = eigen_kernels(problem.op, grid, *_kernel_needs(
+    eigen_kernels(setup, *_kernel_needs(
         zip(modes, phi_coeffs.values, np.any(forcing_coeffs.values, axis=1))
-    ), kernels)
+    ))
     for r, index in enumerate(modes):
         phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
         if index.family is Family.Zero:
-            traj = mode_zero(index.k, problem, phi_c, forcing, pieces)
+            traj = mode_zero(index.k, phi_c, forcing, setup)
         elif index.family is Family.Even:
-            traj = mode_even(index.n, index.k, problem, phi_c, forcing, pieces)
+            traj = mode_even(index.n, index.k, phi_c, forcing, setup)
         else:
             even = coeffs[ModeIndex(Family.Even, index.n, index.k)]
-            traj = mode_odd(index.n, index.k, problem, phi_c, forcing, even, pieces)
+            traj = mode_odd(index.n, index.k, phi_c, forcing, even, setup)
         coeffs.values[r] = traj.values
 
     energy = coeffs.mean()

@@ -360,10 +360,7 @@ class KernelMoments:
         bit for bit as ``KernelMoments`` builds each alone (rate 0 within
         1e-13).  A negative or non-finite rate raises ``InvalidParameters``."""
         spec = spec.reduced()
-        return [
-            cls(spec.with_rate(rate), grid, parts)
-            for rate, parts in zip(rates, _tables(spec, grid, rates))
-        ]
+        return [cls(spec, grid, parts) for parts in _tables(spec, grid, rates)]
 
     @classmethod
     def combine(cls, tables, coefficients) -> "KernelMoments":

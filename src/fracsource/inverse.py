@@ -16,8 +16,9 @@ component is identified from the early nodes and its discretization defect
 subtracted in closed form.
 
 Only the k = 0 modes carry the energy.  The recovery therefore solves the
-k = 0 box alone, and ``solve_inverse``'s forward solve over the whole box
-reads the kernel pieces the recovery built rather than building them again.
+k = 0 box alone.  ``solve_inverse``'s forward solve over the whole box, and
+``stability_probe``'s recoveries, share one ``SetUp`` per call: they read
+the projections and kernel pieces an earlier solve built.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from functools import partial
 import numpy as np
 
 from .catalog import SpaceTimeField
-from .forward import (
-    ProblemData,
-    SolutionBundle,
-    _kernel_needs,
-    eigen_kernels,
-    solve_forward,
-)
+from .forward import ProblemData, SetUp, SolutionBundle, _kernel_needs, eigen_kernels, solve_forward
 from .fractional import (
     FractionalOperatorSpec,
     KernelMoments,
@@ -46,7 +41,7 @@ from .fractional import (
     whole_number,
 )
 from .mlf import NonConvergence
-from .spectral import Family, Field2D, SpectralCoefficients, eigen, mode_mean
+from .spectral import Family, Field2D, eigen, mode_mean
 
 
 class MeanTooSmall(ValueError):
@@ -135,7 +130,7 @@ def recover_source(
     phi: Field2D | None = None,
     flux_modes: int = 8,
     *,
-    kernels: dict | None = None,
+    setup: SetUp | None = None,
 ) -> SourceAmplitude:
     """Per-node amplitude a(t_j) = (multi-term Caputo of E)(t_j) / f-mean(t_j),
     plus the boundary-flux closure when f excites mean-bearing associated
@@ -166,12 +161,10 @@ def recover_source(
     the stiff T_n.
 
     Projections and kernel pieces are the forward solver's own, over the
-    k = 0 box n <= ``flux_modes``; phi's trajectories and the modes' tables
-    are set up in one pass, as the forward solver's are, and f is projected
-    once (``SpaceTimeField.term_coefficients``).
-    ``kernels`` is the dict that set-up reads and fills (``eigen_kernels``):
-    a caller passes one dict to several solves so that each piece is built
-    once between them.  None is a fresh dict.
+    k = 0 box n <= ``flux_modes``, from ``setup`` (None: a fresh one), which
+    a caller passes to several solves of one problem so that each is built
+    once between them; phi's trajectories and the modes' tables are set up
+    in one pass, as the forward solver's are.
     """
     flux_modes = whole_number(flux_modes, "flux_modes")
     if flux_modes < 0:
@@ -183,17 +176,17 @@ def recover_source(
         raise ValueError("energy datum grid does not match the requested grid")
     if not np.all(np.isfinite(E.values)):
         raise ValueError("energy datum samples must be finite")
+    setup = SetUp.serving(setup, op, grid, phi, f)
     phi_coeffs = None
     if phi is not None:
-        phi_coeffs = SpectralCoefficients.project_field(phi, flux_modes, 0)
+        phi_coeffs = setup.phi_coeffs(flux_modes, 0)
         truncated = phi_coeffs.mean()
         if not abs(E.values[0] - truncated) <= COMPATIBILITY_TOL:
             raise CompatibilityViolation(
                 f"E(0) = {E.values[0]:.9g} but the initial datum's mean over "
                 f"the modes n <= {flux_modes} is {truncated:.9g}"
             )
-    spatial, hvals = f.term_coefficients(grid, flux_modes, 0)
-    f_coeffs = SpectralCoefficients(flux_modes, 0, spatial.T @ hvals, grid)
+    spatial, hvals, f_coeffs = setup.source_terms(flux_modes, 0)
     fmean = f_coeffs.mean().values
     bad = np.abs(fmean) < DEFAULT_MEAN_THRESHOLD
     if np.any(bad):
@@ -204,16 +197,16 @@ def recover_source(
         )
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     excited = [i for i in associated if np.any(f_coeffs[i].values)]
-    pieces = eigen_kernels(op, grid, *_kernel_needs(
+    eigen_kernels(setup, *_kernel_needs(
         (i, 0.0 if phi_coeffs is None else phi_coeffs[i], i in excited) for i in associated
-    ), kernels)
+    ))
 
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)
         for index in associated:
             c = phi_coeffs[index]
             if c != 0.0:
-                homog[1:] += mode_mean(index) * (c * pieces[eigen(index).sigma_nk].relaxation - c)
+                homog[1:] += mode_mean(index) * (c * setup.relaxation[eigen(index).sigma_nk] - c)
         E = TimeSeries(grid, E.values - homog)
     deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)
@@ -221,7 +214,7 @@ def recover_source(
     _extrapolate_origin(a, grid.N)
     c_n = np.array([eigen(i).sigma_nk * mode_mean(i) for i in excited])
     weights = spatial[:, [f_coeffs.modes.index(i) for i in excited]] * c_n
-    tables = [pieces[eigen(i).sigma_nk].table for i in excited]
+    tables = [setup.tables[eigen(i).sigma_nk] for i in excited]
     live = [(h, KernelMoments.combine(tables, w)) for w, h in zip(weights, hvals) if np.any(w)]
     iterations = 0
     if live:
@@ -257,15 +250,14 @@ def solve_inverse(
     it over the problem's whole (n_max, k_max) box; the sup-norm mismatch
     between the reproduced energy and the datum is the amplitude's
     ``energy_residual``, a self-consistency residual.  The two solves share
-    one kernel dict, made for this call, so each eigenvalue's table and
-    initial-state trajectory is built once: the forward solve builds only
-    the pieces the recovery's k = 0 modes did not need."""
-    kernels = {}
+    one ``SetUp``, made for this call: the forward solve builds only the
+    projections and kernel pieces the recovery's k = 0 box did not need."""
+    setup = SetUp(problem.op, problem.grid, problem.phi, problem.source)
     amplitude = recover_source(
         problem.source, datum, problem.op, problem.grid, phi=problem.phi,
-        flux_modes=problem.n_max, kernels=kernels,
+        flux_modes=problem.n_max, setup=setup,
     )
-    bundle = solve_forward(problem.with_amplitude(amplitude.a), kernels=kernels)
+    bundle = solve_forward(problem.with_amplitude(amplitude.a), setup=setup)
     residual = float(np.max(np.abs(bundle.energy.values - datum.E.values)))
     amplitude.metadata["energy_residual"] = residual
     return amplitude, bundle
@@ -285,22 +277,25 @@ def stability_probe(
     """Perturb the energy datum by d * t / T for each d in ``deltas`` and
     report the sup-norm change of the recovered amplitude; the log-log slope
     quantifies the (linear) stability: ``deltas`` without two distinct
-    values, or with one that is not finite and positive, raise ValueError.
-    Recovery runs as in ``solve_inverse``: phi's flux closure and
-    ``flux_modes = n_max``.  The recoveries share one kernel dict, made for
-    this call, so their kernels are set up once."""
+    values, or with one that is not finite and positive, raise ValueError,
+    and so does a delta whose amplitude change is not.  Recovery runs as in
+    ``solve_inverse``: phi's flux closure and ``flux_modes = n_max``.  The
+    recoveries share one ``SetUp``, made for this call, so projections and
+    kernels are set up once."""
     deltas = [float(d) for d in deltas]
     if len(set(deltas)) < 2 or not all(0.0 < d < np.inf for d in deltas):
         raise ValueError(f"deltas must be finite and positive, two distinct at least: {deltas}")
     grid = problem.grid
     recover = partial(
         recover_source, problem.source, op=problem.op, grid=grid, phi=problem.phi,
-        flux_modes=problem.n_max, kernels={},
+        flux_modes=problem.n_max, setup=SetUp(problem.op, grid, problem.phi, problem.source),
     )
     base = recover(datum).a
     a_diffs = []
     for d in deltas:
         tilde = EnergyDatum(TimeSeries(grid, datum.E.values + d * grid.nodes / grid.T))
         a_diffs.append(float(np.max(np.abs(recover(tilde).a.values - base.values))))
+        if not 0.0 < a_diffs[-1] < np.inf:
+            raise ValueError(f"delta = {d:g} changed the amplitude by {a_diffs[-1]:g}")
     slope = float(np.polyfit(np.log(deltas), np.log(a_diffs), 1)[0])
     return StabilityReport(deltas=deltas, a_diffs=a_diffs, slope=slope, base=base)

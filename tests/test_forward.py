@@ -15,7 +15,7 @@ import pytest
 from test_mlf import mpmath_kernel
 
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
-from fracsource import forward, fractional, mlf
+from fracsource import catalog, forward, fractional, mlf, spectral
 from fracsource.forward import (
     ProblemData,
     mode_kernel_spec,
@@ -150,9 +150,11 @@ class TestTrivialSolutions:
         for family in Family:
             index = ModeIndex(family, 0 if family is Family.Zero else 1, 1)
             assert forward._kernel_needs([(index, 0.0, False)]) == (set(), set())
+        setup = forward.SetUp(FractionalOperatorSpec(0.8), grid, None, None)
         for forcing in (None, zero):
-            traj = forward._mode_trajectory(0.0, forcing, None, grid)
+            traj = forward._mode_trajectory(0.0, forcing, 1.0, setup)
             np.testing.assert_array_equal(traj.values, 0.0)
+        assert setup.relaxation == setup.tables == {}
 
 
 class TestSingleModeClosedForms:
@@ -367,11 +369,11 @@ def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
         assert not solves
         init(self, *args, **kwargs)
 
-    def solving(phi_c, forcing, pieces, grid):
-        solves.append(pieces)
+    def solving(phi_c, forcing, sigma, setup):
+        solves.append(sigma)
         if forcing is not None and np.any(forcing.values):
-            forced.add(id(pieces))
-        return trajectory(phi_c, forcing, pieces, grid)
+            forced.add(sigma)
+        return trajectory(phi_c, forcing, sigma, setup)
 
     def convolving(g, table):
         used.append(id(table))
@@ -426,11 +428,10 @@ def test_forward_sweep_box_needs_no_series(monkeypatch, op):
     ))
 
 
-def _piece_bits(pieces):
-    table = pieces.table
+def _piece_bits(setup):
     return (
-        None if pieces.relaxation is None else pieces.relaxation.tobytes(),
-        None if table is None else (table.moments.tobytes(), table.gap),
+        {sigma: row.tobytes() for sigma, row in setup.relaxation.items()},
+        {sigma: (t.moments.tobytes(), t.gap) for sigma, t in setup.tables.items()},
     )
 
 
@@ -439,16 +440,14 @@ def test_one_pass_set_up_equals_per_mode_set_up(monkeypatch):
     # eigenvalue at a time, bit for bit, piece by piece and in the solve
     set_up, built = forward.eigen_kernels, []
 
-    def one_at_a_time(op, grid, relaxed, tabled, shared):
-        kernels = {}
+    def one_at_a_time(setup, relaxed, tabled):
         for sigma in relaxed | tabled:
-            kernels.update(set_up(op, grid, relaxed & {sigma}, tabled & {sigma}))
-        return kernels
+            set_up(setup, relaxed & {sigma}, tabled & {sigma})
 
     def recording(build):
-        def recorded(*args):
-            built.append(build(*args))
-            return built[-1]
+        def recorded(setup, *args):
+            build(setup, *args)
+            built.append(setup)
         return recorded
 
     monkeypatch.setattr(forward, "eigen_kernels", recording(set_up))
@@ -456,38 +455,79 @@ def test_one_pass_set_up_equals_per_mode_set_up(monkeypatch):
     monkeypatch.setattr(forward, "eigen_kernels", recording(one_at_a_time))
     alone = solve_forward(_box_problem()).coeffs.values
     together, single = built
-    assert 0.0 in together and together.keys() == single.keys()
-    for sigma, pieces in together.items():
-        assert _piece_bits(pieces) == _piece_bits(single[sigma])
+    assert 0.0 in together.tables and _piece_bits(together) == _piece_bits(single)
     assert batched.tobytes() == alone.tobytes()
 
 
-def test_kernel_dict_keyed_by_operator_and_grid(monkeypatch):
-    # a dict passed to several solves serves each piece once per (operator,
-    # grid): a repeated solve builds nothing, and pieces built for another
-    # operator or grid are never read
-    shared, built, init = {}, [], forward.KernelMoments.__init__
+def count_projections(monkeypatch):
+    """Count the projections of phi (``project_field``) and of f's terms
+    (``term_coefficients``) the solvers make, in the dict returned."""
+    counts, project = {"phi": 0, "f": 0}, spectral.project_modes
 
-    def building(self, *args, **kwargs):
-        built.append(args[1])
-        init(self, *args, **kwargs)
+    def counting(key):
+        def counted(*args):
+            counts[key] += 1
+            return project(*args)
+        return counted
 
-    monkeypatch.setattr(forward.KernelMoments, "__init__", building)
+    monkeypatch.setattr(spectral, "project_modes", counting("phi"))
+    monkeypatch.setattr(catalog, "project_modes", counting("f"))
+    return counts
+
+
+def _count_builds(monkeypatch):
+    """Count the projections, tables and initial-state inversions made, in
+    the dict returned."""
+    counts = count_projections(monkeypatch)
+    counts.update(tables=0, inversions=0)
+    family, kernel_sum = forward.KernelMoments.family, forward._kernel_sum
+
+    def tabling(spec, rates, grid):
+        counts["tables"] += len(rates)
+        return family(spec, rates, grid)
+
+    def inverting(*args):
+        counts["inversions"] += 1
+        return kernel_sum(*args)
+
+    monkeypatch.setattr(forward.KernelMoments, "family", tabling)
+    monkeypatch.setattr(forward, "_kernel_sum", inverting)
+    return counts
+
+
+def test_second_solve_with_one_set_up_builds_nothing(monkeypatch):
+    # a set-up passed to several solves of one problem serves each
+    # projection and kernel piece once, and a piece is the same bits
+    counts = _count_builds(monkeypatch)
     base = _box_problem()
-    first = solve_forward(base, kernels=shared).coeffs.values
-    built.clear()
-    again = solve_forward(base, kernels=shared).coeffs.values
-    assert built == [] and again.tobytes() == first.tobytes()
-    fine = TimeGrid(1.0, 64)
-    for other in (
-        replace(base, op=FractionalOperatorSpec(0.7, ((0.5, 0.4),))),
-        replace(base, grid=fine, amplitude=_amp(fine, lambda t: 1.0 + t)),
-    ):
-        built.clear()
-        alone = solve_forward(other).coeffs.values
-        fresh = len(built)
-        built.clear()
-        together = solve_forward(other, kernels=shared).coeffs.values
-        assert len(built) == fresh > 0
-        assert together.tobytes() == alone.tobytes()
-    assert len(shared) == 3
+    setup = forward.SetUp(base.op, base.grid, base.phi, base.source)
+    first = solve_forward(base, setup=setup)
+    assert counts == {"phi": 1, "f": 1, "tables": 15, "inversions": 1}
+    again = solve_forward(base, setup=setup)
+    assert counts == {"phi": 1, "f": 1, "tables": 15, "inversions": 1}
+    assert again.coeffs.values.tobytes() == first.coeffs.values.tobytes()
+
+
+@pytest.mark.parametrize("other", ["op", "grid", "phi", "source"])
+def test_set_up_of_other_data_refused(monkeypatch, other):
+    # a set-up serves one problem: one made from another operator, grid,
+    # phi or source is refused before it serves a piece
+    base = _box_problem()
+    data = {"op": base.op, "grid": base.grid, "phi": base.phi, "source": base.source}
+    data[other] = {
+        "op": FractionalOperatorSpec(0.7, ((0.5, 0.4),)),
+        "grid": TimeGrid(1.0, 64),
+        "phi": make_field("cos_exp"),
+        "source": SpaceTimeField.static(make_field("constant")),
+    }[other]
+    counts = _count_builds(monkeypatch)
+    with pytest.raises(ValueError, match="another problem"):
+        solve_forward(base, setup=forward.SetUp(**data))
+    assert counts == {"phi": 0, "f": 0, "tables": 0, "inversions": 0}
+
+
+def test_missing_amplitude_refused_before_any_projection(monkeypatch):
+    counts = count_projections(monkeypatch)
+    with pytest.raises(ValueError, match="known amplitude"):
+        solve_forward(replace(_box_problem(), amplitude=None))
+    assert counts == {"phi": 0, "f": 0}

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from test_forward import count_projections
+
 from fracsource.catalog import SpaceTimeField, make_field, make_time_fn
 from fracsource.forward import ProblemData, solve_forward
 from fracsource.fractional import (
@@ -363,20 +365,20 @@ def _forward_datum(prob):
 
 
 def _count_set_ups(monkeypatch):
-    """Record the rate of every table built and of every initial-state row
-    computed, in the lists returned."""
+    """Record the rate of every table built (the rates ``KernelMoments.family``
+    is given) and of every initial-state row computed, in the lists returned."""
     tabled, relaxed = [], []
-    init, kernel_sum = forward.KernelMoments.__init__, forward._kernel_sum
+    family, kernel_sum = forward.KernelMoments.family, forward._kernel_sum
 
-    def building(self, *args, **kwargs):
-        tabled.append(args[0].terms[-1][0])
-        init(self, *args, **kwargs)
+    def building(spec, rates, grid):
+        tabled.extend(rates)
+        return family(spec, rates, grid)
 
     def relaxing(*args):
         relaxed.extend(args[-1])
         return kernel_sum(*args)
 
-    monkeypatch.setattr(forward.KernelMoments, "__init__", building)
+    monkeypatch.setattr(forward.KernelMoments, "family", building)
     monkeypatch.setattr(forward, "_kernel_sum", relaxing)
     return tabled, relaxed
 
@@ -403,6 +405,21 @@ class TestSharedKernels:
         stability_probe(prob, datum, deltas=(1e-1, 1e-2))
         assert sorted(tabled) == sorted(set(tabled)) and len(tabled) == 4
         assert sorted(relaxed) == sorted(set(relaxed)) and len(relaxed) == 4
+
+    def test_solve_inverse_projects_the_k0_box_once(self, monkeypatch):
+        # with k_max = 0 the recovery's box is the forward solve's box
+        prob = _cos_exp_problem(k_max=0)
+        datum = _forward_datum(prob)
+        counts = count_projections(monkeypatch)
+        solve_inverse(prob, datum)
+        assert counts == {"phi": 1, "f": 1}
+
+    def test_stability_probe_projects_once(self, monkeypatch):
+        prob = _poly_phi_problem()
+        datum = _forward_datum(prob)
+        counts = count_projections(monkeypatch)
+        stability_probe(prob, datum)
+        assert counts == {"phi": 1, "f": 1}
 
     def test_shared_set_up_moves_no_value(self):
         # invariant: a piece is the same bits whichever solve builds it
@@ -448,13 +465,13 @@ def _per_mode_closure(prob, datum):
     fmean = f_coeffs.mean().values
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     excited = [i for i in associated if np.any(f_coeffs[i].values)]
-    pieces = forward.eigen_kernels(op, grid, *forward._kernel_needs(
+    setup = forward.SetUp(op, grid, prob.phi, prob.source)
+    forward.eigen_kernels(setup, *forward._kernel_needs(
         (i, phi_coeffs[i], i in excited) for i in associated
     ))
 
     def trajectory(index, phi_c, forcing=None):
-        piece = pieces.get(eigen(index).sigma_nk)
-        return forward._mode_trajectory(phi_c, forcing, piece, grid).values
+        return forward._mode_trajectory(phi_c, forcing, eigen(index).sigma_nk, setup).values
 
     homog = sum(mode_mean(i) * (trajectory(i, phi_coeffs[i]) - phi_coeffs[i]) for i in associated)
     E = TimeSeries(grid, datum.E.values - homog)
@@ -537,14 +554,13 @@ class TestCombinedFluxTables:
 
         spoiled = []
 
-        def spoiling(*args):
-            pieces = set_up(*args)
+        def spoiling(setup, *args):
+            set_up(setup, *args)
             # the excited modes are Even (n, 0), n = 1..4, in increasing sigma
-            tables = [pieces[sigma].table for sigma in sorted(pieces)]
+            tables = [setup.tables[sigma] for sigma in sorted(setup.tables)]
             for table, scale in zip(tables[1:3], (1e-9, 1e-8)):
                 table.gap = scale * table.integral
                 spoiled.append(table)
-            return pieces
 
         monkeypatch.setattr(inverse, "eigen_kernels", spoiling)
         calls = _count_convolutions(monkeypatch)
@@ -634,6 +650,12 @@ class TestStability:
         monkeypatch.setattr(inverse, "recover_source", recovering)
         with pytest.raises(ValueError, match="deltas"):
             stability_probe(prob, datum, deltas=deltas)
+
+    def test_unchanged_amplitude_refused_before_the_fit(self):
+        # d = 1e-300 leaves the amplitude as it was: log 0 has no slope
+        prob = _poly_phi_problem()
+        with pytest.raises(ValueError, match="delta = 1e-300 changed the amplitude by 0"):
+            stability_probe(prob, _forward_datum(prob), deltas=(1e-1, 1e-300))
 
     def test_base_amplitude_matches_solve_inverse(self):
         # the probe recovers with phi's flux closure and flux_modes = n_max,

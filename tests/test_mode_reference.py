@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fracsource.catalog import make_time_fn
-from fracsource.forward import _mode_trajectory, eigen_kernels
+from fracsource.forward import SetUp, _mode_trajectory, eigen_kernels
 from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
 from fracsource.spectral import Family, ModeIndex, eigen
 
@@ -51,10 +51,11 @@ def test_homogeneous_trajectory_against_laplace_reference(name, N):
     grid = TimeGrid(1.0, N)
     # seven nodes from tau to T, spread evenly in log t
     nodes = np.unique(np.geomspace(1, N, 7).round().astype(int))
-    kernels = eigen_kernels(op, grid, set(SIGMAS), set())
+    setup = SetUp(op, grid, None, None)
+    eigen_kernels(setup, set(SIGMAS), set())
     worst = 0.0
     for sigma in SIGMAS:
-        traj = _mode_trajectory(PHI_C, None, kernels[sigma], grid).values
+        traj = _mode_trajectory(PHI_C, None, sigma, setup).values
         want = np.array([laplace_reference(op, sigma, PHI_C, grid.nodes[i]) for i in nodes])
         # the scale is the largest value at t >= tau, not phi_c at t = 0:
         # at sigma = 1e8 the trajectory has fallen below 1e-6 of phi_c by tau
@@ -89,12 +90,13 @@ def forced_errors(op, law, N, want):
     h, _ = FORCINGS[law]
     grid = TimeGrid(1.0, N)
     sigmas = [eigen(index).sigma_nk for index in FORCED_MODES]
-    kernels = eigen_kernels(op, grid, set(sigmas), set(sigmas))
+    setup = SetUp(op, grid, None, None)
+    eigen_kernels(setup, set(sigmas), set(sigmas))
     forcing = TimeSeries(grid, A * h(grid.nodes))
     nodes = (N // 128) * np.array([1, 3, 9, 27, 64, 128])
     worst = 0.0
     for sigma, ref in zip(sigmas, want):
-        traj = _mode_trajectory(PHI_C, forcing, kernels[sigma], grid).values
+        traj = _mode_trajectory(PHI_C, forcing, sigma, setup).values
         worst = max(worst, np.max(np.abs(traj[nodes] - ref)) / np.max(np.abs(traj[1:])))
     return worst
 

@@ -7,13 +7,16 @@ of the multi-term Caputo derivative in time.  The march runs in a closed-form
 basis, the DCT-I along y and along x the Jordan basis of the nonlocal second
 difference (the discrete pairs cos 2 pi n x, x sin 2 pi n x), where a step
 matrix is diagonal but for one coupling per pair.  A probe checks the basis
-operator against the sparse operator once per march.  The scheme shares no
-code path with the spectral solver, so their agreement is meaningful evidence.
+operator against the sparse operator once per march.  One worker thread per
+march sums the far L1 history of the next block of steps while the main
+thread marches the current one.  The scheme shares no code path with the
+spectral solver, so their agreement is meaningful evidence.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +37,11 @@ class StepRejected(RuntimeError):
 
 _GROWTH_LIMIT = 1e6
 # Steps per block of the L1 history sum in fdm_forward, and per sub-block of
-# a block.  On a 64 x 64 grid with 1024 steps (one BLAS thread), blocks of
-# 32, 64 and 128 and sub-blocks of 4, 8 and 16 time within 3 % of each
-# other; without sub-blocks the march takes about 14 % longer.
+# a block.  On a 64 x 64 grid with 1024 steps (one BLAS thread, the far
+# history in the worker; medians of 12-30 round-robin marches, four runs),
+# no pair of blocks 32/64/128 and sub-blocks 4/8/16 beats 64/8 by more than
+# 7 %, and never outside the quartiles; blocks of 128 take -2 to +22 %.
+# Without sub-blocks the march takes about 26 % longer.
 _HISTORY_BLOCK = 64
 _HISTORY_SUB_BLOCK = 8
 # Largest relative gap, on a fixed probe, between the step operator applied
@@ -137,7 +142,7 @@ class FieldHistory:
 
 def _amplitude_on(grid: FDGrid, problem: ProblemData) -> np.ndarray:
     if problem.amplitude is None:
-        return np.ones(grid.N + 1)
+        raise ValueError("forward solve needs a known amplitude a(t)")
     src = problem.amplitude
     if abs(src.grid.T - grid.T) > 1e-12 * max(src.grid.T, grid.T):
         raise ValueError("amplitude horizon does not match the FD grid")
@@ -224,11 +229,11 @@ def _step_basis(grid: FDGrid, c0: float) -> _StepBasis:
     return basis
 
 
-def _lagged_sums(c: np.ndarray, diffs: np.ndarray, lo: int, hi: int, first: int) -> np.ndarray:
-    """L1 history of steps lo..hi-1 over the differences first..lo-1: row
+def _lagged_sums(c: np.ndarray, diffs: np.ndarray, lo: int, hi: int, first: int, last: int) -> np.ndarray:
+    """L1 history of steps lo..hi-1 over the differences first..last-1: row
     p - lo is sum_j c[p - j] diffs[j].  One matrix product."""
-    lags = np.arange(lo, hi)[:, None] - np.arange(first, lo)[None, :]
-    return c[lags] @ diffs[first:lo]
+    lags = np.arange(lo, hi)[:, None] - np.arange(first, last)[None, :]
+    return c[lags] @ diffs[first:last]
 
 
 def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
@@ -239,27 +244,30 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     pair's coupling off its c_n coefficient.  φ, the source's spatial
     factors, u, its differences and the history live in that basis; one
     transform back per step gives the field that is stored and read by the
-    step guards.  The source's time factors are sampled once per march.
+    step guards.  a(t) and the source's time factors are sampled once, before
+    any set-up, and a missing a(t) is refused as ``solve_forward`` does.
 
     The L1 history at step p is the Toeplitz sum
     sum_{j<p} c_{p-j} (u_j - u_{j-1}), taken in two levels.  At the start of
-    each block of ``_HISTORY_BLOCK`` steps one matrix product adds what all
-    earlier blocks contribute; at the start of each sub-block of
-    ``_HISTORY_SUB_BLOCK`` steps one more adds the block's earlier
-    sub-blocks; each step then adds the at most ``_HISTORY_SUB_BLOCK - 1``
-    terms of its own sub-block.
+    each block of ``_HISTORY_BLOCK`` steps two matrix products add what all
+    earlier blocks contribute: one over the previous block, and one over
+    every block before it, which the worker took while the previous block
+    marched.  At the start of each sub-block of ``_HISTORY_SUB_BLOCK`` steps
+    one more adds the block's earlier sub-blocks; each step then adds the at
+    most ``_HISTORY_SUB_BLOCK - 1`` terms of its own sub-block.  Each split
+    depends on the block index only, so a march is the same to the bit from
+    run to run.  The worker is joined before the march returns or raises.
     """
     X, Y = np.meshgrid(grid.xs[:-1], grid.ys, indexing="ij")
     tau = grid.tau
+    step_times = np.arange(grid.N + 1) * tau
+    src = _amplitude_on(grid, problem) * problem.source.time_factors(step_times)
     c = l1_weights(problem.op, tau, grid.N)  # coefficient of the difference m steps back
     c0 = float(c[0])
     basis = _step_basis(grid, c0)
     diag, to_plane, P = basis.diag, basis.to_plane, len(basis.coupling)
     lead = basis.coupling / diag[1:P + 1]  # each c_n takes lead times its g_n off
-
-    step_times = np.arange(grid.N + 1) * tau
     g_coef = np.array([basis.to_coef(g(X, Y)).reshape(-1) for g, _ in problem.source.terms])
-    src = _amplitude_on(grid, problem) * problem.source.time_factors(step_times)
 
     plane = problem.phi(X, Y)
     u = basis.to_coef(plane)
@@ -269,29 +277,35 @@ def fdm_forward(problem: ProblemData, grid: FDGrid) -> FieldHistory:
     out = np.empty((grid.N + 1, grid.Mx + 1, grid.My + 1))
     out[0, :-1] = plane
     norm = np.linalg.norm(plane)
-    for start in range(1, grid.N + 1, _HISTORY_BLOCK):
-        stop = min(start + _HISTORY_BLOCK, grid.N + 1)
-        far = _lagged_sums(c, diffs, start, stop, 1)
-        for sub in range(start, stop, _HISTORY_SUB_BLOCK):
-            sub_stop = min(sub + _HISTORY_SUB_BLOCK, stop)
-            near = far[sub - start:sub_stop - start] + _lagged_sums(c, diffs, sub, sub_stop, start)
-            for p in range(sub, sub_stop):
-                hist = near[p - sub]
-                if p > sub:
-                    hist = hist + np.dot(tail[sub - p:], diffs[sub:p])
-                rhs = (np.dot(src[:, p], g_coef) - hist).reshape(shape) + c0 * u
-                new = rhs / diag
-                new[1:P + 1] -= lead * new[-P:]
-                plane = to_plane(new)
-                new_norm = np.linalg.norm(plane)
-                # a finite norm means finite entries; an infinite one may be overflow
-                if not np.isfinite(new_norm) and not np.isfinite(plane).all():
-                    raise StepRejected(f"non-finite solution at step {p}")
-                if new_norm > _GROWTH_LIMIT * max(1.0, norm):
-                    raise StepRejected(f"norm growth beyond {_GROWTH_LIMIT:g} at step {p}")
-                diffs[p] = (new - u).reshape(-1)
-                u, norm = new, new_norm
-                out[p, :-1] = plane
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        early = None  # the worker's sum for this block, over all blocks before the previous one
+        for start in range(1, grid.N + 1, _HISTORY_BLOCK):
+            stop = min(start + _HISTORY_BLOCK, grid.N + 1)
+            far = _lagged_sums(c, diffs, start, stop, max(1, start - _HISTORY_BLOCK), start)
+            if early is not None:
+                far += early.result()
+            hi = min(stop + _HISTORY_BLOCK, grid.N + 1)
+            early = pool.submit(_lagged_sums, c, diffs, stop, hi, 1, start) if 1 < start and stop < hi else None
+            for sub in range(start, stop, _HISTORY_SUB_BLOCK):
+                sub_stop = min(sub + _HISTORY_SUB_BLOCK, stop)
+                near = far[sub - start:sub_stop - start] + _lagged_sums(c, diffs, sub, sub_stop, start, sub)
+                for p in range(sub, sub_stop):
+                    hist = near[p - sub]
+                    if p > sub:
+                        hist = hist + np.dot(tail[sub - p:], diffs[sub:p])
+                    rhs = (np.dot(src[:, p], g_coef) - hist).reshape(shape) + c0 * u
+                    new = rhs / diag
+                    new[1:P + 1] -= lead * new[-P:]
+                    plane = to_plane(new)
+                    new_norm = np.linalg.norm(plane)
+                    # a finite norm means finite entries; an infinite one may be overflow
+                    if not np.isfinite(new_norm) and not np.isfinite(plane).all():
+                        raise StepRejected(f"non-finite solution at step {p}")
+                    if new_norm > _GROWTH_LIMIT * max(1.0, norm):
+                        raise StepRejected(f"norm growth beyond {_GROWTH_LIMIT:g} at step {p}")
+                    diffs[p] = (new - u).reshape(-1)
+                    u, norm = new, new_norm
+                    out[p, :-1] = plane
     out[:, -1] = out[:, 0]  # value coupling at the nonlocal edge
 
     return FieldHistory(grid=grid, values=out)

@@ -6,6 +6,10 @@ spectral solver are both meaningful.
 """
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,13 +34,10 @@ from fracsource.oracle import (
 from fracsource.spectral import Field2D, synthesize
 
 
-def _problem(op, phi, source, grid, amp_fn=None, n_max=4):
-    amp = None
-    if amp_fn is not None:
-        amp = TimeSeries.from_function(grid, amp_fn)
+def _problem(op, phi, source, grid, amp_fn=np.ones_like, n_max=4):
     return ProblemData(
-        op=op, phi=phi, source=source, grid=grid, amplitude=amp,
-        n_max=n_max, k_max=n_max,
+        op=op, phi=phi, source=source, grid=grid,
+        amplitude=TimeSeries.from_function(grid, amp_fn), n_max=n_max, k_max=n_max,
     )
 
 
@@ -146,6 +147,25 @@ class TestFDMForward:
         hist = fdm_forward(prob, FDGrid(16, 16, 32))
         np.testing.assert_array_equal(hist.values, 0.0)
 
+    def test_missing_amplitude_refused_before_the_basis(self, monkeypatch):
+        # the spectral solver's refusal, not a march with a(t) = 1
+        def no_basis(grid, c0):
+            raise AssertionError("step basis built for a problem without a(t)")
+
+        prob = replace(
+            _problem(
+                FractionalOperatorSpec(0.8), make_field("cos_exp"),
+                SpaceTimeField.static(Field2D.constant(1.0)), TimeGrid(0.5, 8),
+            ),
+            amplitude=None,
+        )
+        with pytest.raises(ValueError) as spectral:
+            solve_forward(prob)
+        monkeypatch.setattr(oracle, "_step_basis", no_basis)
+        with pytest.raises(ValueError) as fd:
+            fdm_forward(prob, FDGrid(8, 8, 8, T=0.5))
+        assert str(fd.value) == str(spectral.value) == "forward solve needs a known amplitude a(t)"
+
     def test_boundary_value_coupling_exact(self):
         # u(0, y, t) = u(1, y, t) holds exactly at every step by construction
         prob = _problem(
@@ -219,7 +239,7 @@ class TestFDMForward:
         phi, source, exact = manufactured_quadratic(op)
         errs = []
         for M in (16, 32):
-            prob = _problem(op, phi, source, TimeGrid(0.5, 512), amp_fn=None)
+            prob = _problem(op, phi, source, TimeGrid(0.5, 512))
             hist = fdm_forward(prob, FDGrid(M, M, 512, T=0.5))
             X, Y = np.meshgrid(hist.grid.xs, hist.grid.ys, indexing="ij")
             want = exact(X, Y, 0.5)
@@ -316,6 +336,88 @@ class TestBlockedHistory:
         got = fdm_forward(prob, grid).values[:, :-1, :]
         want = _unblocked_march(prob, grid)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _three_term_march(N):
+    """TestBlockedHistory's problem and grid: from the third block of
+    _HISTORY_BLOCK steps on, a worker thread sums part of the history."""
+    op = FractionalOperatorSpec(0.8, ((0.5, 0.4), (0.3, 0.1)))
+    phi, source, _ = manufactured_quadratic(op)
+    return _problem(op, phi, source, TimeGrid(0.5, N)), FDGrid(16, 16, N, T=0.5)
+
+
+def _spy_lagged_sums(monkeypatch, fail_in_worker=False):
+    """Record the threads that call oracle._lagged_sums; with
+    ``fail_in_worker``, raise in any thread but the main one."""
+    callers, lagged = set(), oracle._lagged_sums
+
+    def spy(*args):
+        callers.add(threading.current_thread())
+        if fail_in_worker and threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("history product failed in the worker")
+        return lagged(*args)
+
+    monkeypatch.setattr(oracle, "_lagged_sums", spy)
+    return callers
+
+
+class TestHistoryWorker:
+    def test_marches_bit_identical_with_one_worker_each(self, monkeypatch):
+        prob, grid = _three_term_march(200)
+        runs = []
+        for _ in range(2):
+            callers = _spy_lagged_sums(monkeypatch)
+            runs.append(fdm_forward(prob, grid).values)
+            workers = callers - {threading.main_thread()}
+            assert len(workers) == 1 and not any(t.is_alive() for t in workers)
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_concurrent_marches_under_short_switch_interval(self):
+        # two marches at once, each with its own worker: four threads on at
+        # most two CPUs, switching often; a history row read before it is
+        # final, or state shared between marches, would move a field
+        prob, grid = _three_term_march(200)
+        want = fdm_forward(prob, grid).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                marches = [pool.submit(fdm_forward, prob, grid) for _ in range(2)]
+                got = [m.result(timeout=120).values for m in marches]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, want) for g in got)
+
+    @pytest.mark.parametrize("N, jump", [(128, 100), (200, 150)])
+    def test_growth_refusal_leaves_no_thread(self, monkeypatch, N, jump):
+        # N = 128 refuses in the second block, before any worker starts;
+        # N = 200 refuses in the third, while the worker sums the fourth's
+        # history over the first two
+        assert N <= 2 * _HISTORY_BLOCK or 2 * _HISTORY_BLOCK < jump < 3 * _HISTORY_BLOCK < N
+        callers = _spy_lagged_sums(monkeypatch)
+        tau = 0.5 / N
+        prob = _problem(
+            FractionalOperatorSpec(0.8), Field2D.constant(0.0),
+            SpaceTimeField.static(Field2D.constant(1.0)), TimeGrid(0.5, N),
+            amp_fn=lambda t: np.where(t > (jump + 0.5) * tau, 1e12, 1.0),
+        )
+        before = threading.active_count()
+        with pytest.raises(StepRejected, match=rf"^norm growth beyond 1e\+06 at step {jump + 1}$"):
+            fdm_forward(prob, FDGrid(8, 8, N, T=0.5))
+        assert threading.active_count() == before
+        workers = callers - {threading.main_thread()}
+        assert len(workers) == (N > 2 * _HISTORY_BLOCK)
+        assert not any(t.is_alive() for t in workers)
+
+    def test_worker_failure_propagates(self, monkeypatch):
+        callers = _spy_lagged_sums(monkeypatch, fail_in_worker=True)
+        prob, grid = _three_term_march(200)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="failed in the worker"):
+            fdm_forward(prob, grid)
+        assert threading.active_count() == before
+        workers = callers - {threading.main_thread()}
+        assert len(workers) == 1 and not any(t.is_alive() for t in workers)
 
 
 class TestSingularSystem:

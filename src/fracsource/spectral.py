@@ -14,7 +14,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,7 +147,8 @@ class Field2D:
     Either wraps an analytic callable of vectorized (x, y) or a tabulated
     rectangular grid of values with bilinear interpolation; a tabulated grid
     must cover the square, as it is never extrapolated.  Calls broadcast
-    (x, y) to one shape before the wrapped callable sees them.
+    (x, y) to one shape before the wrapped callable sees them, and a scalar
+    result to that shape; a result of any other shape raises ValueError.
     """
 
     def __init__(self, fn, description: str = "analytic"):
@@ -239,20 +240,23 @@ class Field2D:
 
     def __call__(self, x, y) -> np.ndarray:
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return np.asarray(self._fn(x, y), dtype=float)
+        values = np.asarray(self._fn(x, y), dtype=float)
+        if values.ndim and values.shape != x.shape:
+            raise ValueError(f"{self.description}: {values.shape} values at {x.shape} points")
+        return values if values.ndim else np.full(x.shape, values)
 
 
 # projection and synthesis ----------------------------------------------------
 
 
-def _gauss_moments(field: Field2D, q: int, x_factors, y_factors) -> np.ndarray:
-    """Integrals of field(x, y) * X_i(x) * Y_j(y) over the unit square for
-    every pair of factors, by q-point tensor Gauss-Legendre: one field
-    evaluation and two matrix products."""
+def _gauss_moments(field: Field2D, q: int, xkeys, ks) -> np.ndarray:
+    """Integrals of field(x, y) * X(x) * Y_k(y) over the unit square for
+    every (family, n) of ``xkeys`` and k of ``ks``, by q-point tensor
+    Gauss-Legendre: one field evaluation and two matrix products."""
     g, w = _gauss01(q)
     X, Y = np.meshgrid(g, g, indexing="ij")
-    xw = np.stack([fn(g) for fn in x_factors]) * w
-    yw = np.stack([fn(g) for fn in y_factors]) * w
+    xw = np.stack([_w_x_factor(family, n, g) for family, n in xkeys]) * w
+    yw = np.stack([_y_factor(k, g) for k in ks]) * w
     return xw @ field(X, Y) @ yw.T
 
 
@@ -260,37 +264,30 @@ _DOUBLING_TOL = 1e-9  # absolute agreement of every quadrature with its doubled 
 
 
 def _nodes_for(n: int, k: int) -> int:
-    """Gauss-Legendre nodes per axis that resolve the factors of mode (n, k)."""
+    """Gauss-Legendre nodes per axis that resolve the factors of mode (n, k)
+    and of every mode below it in n and k, so of a box (n_max, k_max)."""
     return max(32, 4 * max(2 * n, k))
 
 
 def project_modes(field: Field2D, modes: list[ModeIndex]) -> np.ndarray:
     """Coefficients <field, W_i> for every mode in ``modes``, in order.
 
-    Each mode is integrated with q = ``_nodes_for(n, k)`` Gauss-Legendre
-    nodes per axis, enough to resolve its oscillatory factors.  Modes that
-    share q share one field evaluation at q and one at 2q nodes: W is the
-    product X_n(x) Y_k(y), so each coefficient is an entry of
-    (X w) F (Y w)^T.  Every coefficient must agree between q and 2q nodes to
-    1e-9 absolutely; otherwise QuadratureFailure names the first mode that
-    does not.
+    All modes share one tensor Gauss-Legendre rule, q = the largest
+    ``_nodes_for(n, k)`` in the list per axis, which resolves every mode's
+    oscillatory factors.  The field is evaluated once at q and once at 2q
+    nodes: W is the product X_n(x) Y_k(y), so each coefficient is an entry
+    of (X w) F (Y w)^T.  Every coefficient must agree between q and 2q nodes
+    to 1e-9 absolutely; otherwise QuadratureFailure names the first mode
+    that does not.
     """
-    groups: dict[int, list[int]] = {}
-    for pos, index in enumerate(modes):
-        groups.setdefault(_nodes_for(index.n, index.k), []).append(pos)
-    coarse = np.empty(len(modes))
-    fine = np.empty(len(modes))
-    for q, positions in groups.items():
-        group = [modes[p] for p in positions]
-        xkeys = list(dict.fromkeys((i.family, i.n) for i in group))
-        ks = list(dict.fromkeys(i.k for i in group))
-        rows = [xkeys.index((i.family, i.n)) for i in group]
-        cols = [ks.index(i.k) for i in group]
-        x_factors = [partial(_w_x_factor, family, n) for family, n in xkeys]
-        y_factors = [partial(_y_factor, k) for k in ks]
-        for nodes, out in ((q, coarse), (2 * q, fine)):
-            moments = _gauss_moments(field, nodes, x_factors, y_factors)
-            out[positions] = moments[rows, cols]
+    if not modes:
+        return np.empty(0)
+    q = max(_nodes_for(i.n, i.k) for i in modes)
+    xkeys = list(dict.fromkeys((i.family, i.n) for i in modes))
+    ks = list(dict.fromkeys(i.k for i in modes))
+    rows = [xkeys.index((i.family, i.n)) for i in modes]
+    cols = [ks.index(i.k) for i in modes]
+    coarse, fine = (_gauss_moments(field, nodes, xkeys, ks)[rows, cols] for nodes in (q, 2 * q))
     bad = np.flatnonzero(~(np.abs(coarse - fine) <= _DOUBLING_TOL))
     if bad.size:
         i = bad[0]
@@ -380,9 +377,9 @@ def synthesize(
     x = pts[..., 0]
     y = pts[..., 1]
     column = coeffs.values
+    if (coeffs.grid is None) != (time_index is None):
+        raise ValueError("time-dependent coefficients need a time index; static ones take none")
     if coeffs.grid is not None:
-        if time_index is None:
-            raise ValueError("time-dependent coefficients need a time index")
         column = column[:, time_index]
     values = np.zeros(x.shape)
     for r in np.flatnonzero(column):

@@ -5,7 +5,9 @@ so most oracles here are hand-computed integrals frozen into the tests.
 """
 
 import math
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,17 @@ class TestField2D:
         want = [field(float(a), float(b)) for a, b in zip(X.ravel(), Y.ravel())]
         np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-15)
 
+    def test_scalar_result_broadcast_other_shapes_refused(self):
+        two = Field2D.analytic(lambda x, y: 2.0, "two")
+        assert two(np.zeros((3, 4)), 0.5).shape == (3, 4)
+        np.testing.assert_array_equal(
+            project_modes(two, enumerate_modes(2, 2)),
+            project_modes(Field2D.constant(2.0), enumerate_modes(2, 2)),
+        )
+        row = Field2D.analytic(lambda x, y: np.ones(4), "row of four")
+        with pytest.raises(ValueError, match="row of four"):
+            row(np.zeros((3, 4)), 0.5)
+
     def test_csv_round_trip(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 33)
         ys = np.linspace(0.0, 1.0, 33)
@@ -260,6 +273,13 @@ class TestSpectralCoefficients:
         got = synthesize(coeffs, pts)
         np.testing.assert_allclose(got, np.cos(2 * math.pi * x), atol=1e-10)
 
+    def test_static_synthesis_refuses_time_index(self):
+        coeffs = SpectralCoefficients.project_field(Field2D.constant(2.0), 2, 2)
+        pts = np.array([[0.25, 0.5]])
+        assert synthesize(coeffs, pts) == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="static ones take none"):
+            synthesize(coeffs, pts, 7)
+
     @given(c=st.floats(-10.0, 10.0))
     @settings(max_examples=10, deadline=None)
     def test_projection_is_linear_in_field(self, c):
@@ -277,24 +297,75 @@ class TestSpectralCoefficients:
 
 def _per_mode_projections(field, modes):
     """Reference: one tensor Gauss-Legendre sum per mode at the node count
-    the projection settles on, 2 max(32, 4 max(2n, k)) per axis, snapped at
-    1e-12 of the largest magnitude."""
+    the projection of the list settles on, 2 max(32, 4 max(2 n_max, k_max))
+    per axis, snapped at 1e-12 of the largest magnitude."""
+    n_max = max(index.n for index in modes)
+    k_max = max(index.k for index in modes)
+    q = 2 * max(32, 4 * max(2 * n_max, k_max))
+    g, w = np.polynomial.legendre.leggauss(q)
+    g, w = (g + 1.0) / 2.0, w / 2.0
+    X, Y = np.meshgrid(g, g, indexing="ij")
     out = []
     for index in modes:
-        q = 2 * max(32, 4 * max(2 * index.n, index.k))
-        g, w = np.polynomial.legendre.leggauss(q)
-        g, w = (g + 1.0) / 2.0, w / 2.0
-        X, Y = np.meshgrid(g, g, indexing="ij")
         out.append(w @ (field(X, Y) * eval_W(index, X, Y)) @ w)
     out = np.array(out)
     out[np.abs(out) <= 1e-12 * np.max(np.abs(out))] = 0.0
     return out
 
 
+def _mp_w_x(family, n, x):
+    if family is Family.Zero:
+        return 2 * (1 - x)
+    if family is Family.Odd:
+        return 4 * (1 - x) * mpmath.cos(2 * n * mpmath.pi * x)
+    return 4 * mpmath.sin(2 * n * mpmath.pi * x)
+
+
+def _mp_x_moment(g, family, n):
+    """Integral of g(x) X_n(x) over [0, 1] by mpmath's Gauss-Legendre quad,
+    one interval per period of the factor."""
+    nodes = mpmath.linspace(0, 1, n + 2)
+    f = lambda x: g(x) * _mp_w_x(family, n, x)  # noqa: E731
+    return mpmath.quad(f, nodes, method="gauss-legendre")
+
+
+def _mp_y_moment(h, k):
+    nodes = mpmath.linspace(0, 1, k + 2)
+    c = 1 if k == 0 else mpmath.sqrt(2)
+    f = lambda y: h(y) * c * mpmath.cos(k * mpmath.pi * y)  # noqa: E731
+    return mpmath.quad(f, nodes, method="gauss-legendre")
+
+
+def _mp_projections(terms, modes):
+    """Reference <f, W_i> at 30 digits for f = sum of g(x) h(y) over
+    ``terms``, each a pair of g and a callable k -> integral of h Y_k."""
+    xkeys = dict.fromkeys((i.family, i.n) for i in modes)
+    ks = dict.fromkeys(i.k for i in modes)
+    with mpmath.workdps(30):
+        sums = [mpmath.mpf(0)] * len(modes)
+        for g, y_moment in terms:
+            xm = {key: _mp_x_moment(g, *key) for key in xkeys}
+            ym = {k: y_moment(k) for k in ks}
+            sums = [t + xm[i.family, i.n] * ym[i.k] for t, i in zip(sums, modes)]
+        return np.array([float(t) for t in sums])
+
+
 class TestProjectModes:
     FIELDS = {
         "cos_exp": make_field("cos_exp"),
         "1+xy/2": make_field("poly", {"terms": ((1.0, 0, 0), (0.5, 1, 1))}),
+    }
+    # each field as a sum of g(x) h(y), h given by its moments k -> <h, Y_k>;
+    # cos_exp's are sqrt(2) I_k(1), and I_0(1) at k = 0
+    MP_TERMS = {
+        "cos_exp": [(
+            lambda x: 1 + mpmath.cos(2 * mpmath.pi * x),
+            lambda k: mpmath.besseli(k, 1) * (1 if k == 0 else mpmath.sqrt(2)),
+        )],
+        "1+xy/2": [
+            (lambda x: 1, partial(_mp_y_moment, lambda y: 1)),
+            (lambda x: x / 2, partial(_mp_y_moment, lambda y: y)),
+        ],
     }
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -310,6 +381,31 @@ class TestProjectModes:
         ):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
             np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_box_coefficients_match_mpmath(self, name):
+        modes = enumerate_modes(16, 16)
+        got = project_modes(self.FIELDS[name], modes)
+        want = _mp_projections(self.MP_TERMS[name], modes)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=3e-14)
+
+    def test_one_rule_per_projection(self):
+        # each projection evaluates the field once at q = 128 nodes per axis,
+        # the (16, 16) box's highest mode's count, and once at 2q
+        shapes = []
+
+        def fn(x, y):
+            shapes.append(x.shape)
+            return 1.0 + x * y / 2.0
+
+        field = Field2D.analytic(fn, "counting")
+        SpectralCoefficients.project_field(field, 16, 16)
+        SpaceTimeField.static(field).term_coefficients(TimeGrid(1.0, 1), 16, 16)
+        assert shapes == [(128, 128), (256, 256)] * 2
+
+    def test_empty_mode_list(self):
+        got = project_modes(self.FIELDS["cos_exp"], [])
+        assert got.shape == (0,)
 
     def test_order_and_duplicates_kept(self):
         field = self.FIELDS["1+xy/2"]
@@ -338,6 +434,11 @@ class TestProjectModes:
         assert first in str(exc.value)
         with pytest.raises(QuadratureFailure) as exc:
             SpaceTimeField.static(fast).coeff_series(TimeGrid(1.0, 1), 2, 2)
+        assert first in str(exc.value)
+        # about 300 periods in x defeat the (16, 16) box's 128- and 256-node rules
+        faster = Field2D.analytic(lambda x, y: np.cos(600 * math.pi * x), "cos(2 pi 300 x)")
+        with pytest.raises(QuadratureFailure) as exc:
+            SpectralCoefficients.project_field(faster, 16, 16)
         assert first in str(exc.value)
 
 

@@ -253,12 +253,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_coeffs(path: Path, coeffs: SpectralCoefficients, grid: TimeGrid) -> None:
+    """One line per mode, in ``indices()`` order, and node: the mode's
+    family, n and k, then t and the value as %.17g."""
+    times = [f"{t:.17g}" for t in grid.nodes.tolist()]
     with open(path, "w") as fh:
         fh.write("family,n,k,t,value\n")
         for index in coeffs.indices():
-            series = coeffs[index]
-            for t, v in zip(grid.nodes, series.values):
-                fh.write(f"{index.family.name},{index.n},{index.k},{t:.17g},{v:.17g}\n")
+            mode, values = f"{index.family.name},{index.n},{index.k}", coeffs[index].values.tolist()
+            fh.writelines(f"{mode},{t},{v:.17g}\n" for t, v in zip(times, values))
 
 
 def _write_field_slice(path: Path, coeffs: SpectralCoefficients, time_index: int) -> None:
@@ -297,15 +299,13 @@ def _build_problem(cfg: dict) -> ProblemData:
     phi = _parse_field(_require(cfg, "phi"), "phi")
     source = _parse_source(cfg)
     source.time_factors(grid.nodes)  # refuses a factor that is not finite on the grid
-    modes = cfg.get("modes", {})
     return ProblemData(
         op=op,
         phi=phi,
         source=source,
         grid=grid,
         amplitude=_parse_amplitude(cfg, grid) or TimeSeries(grid, np.ones(grid.N + 1)),
-        n_max=modes.get("n_max", 16),
-        k_max=modes.get("k_max", 16),
+        **{key: n for key, n in cfg.get("modes", {}).items() if key in ("n_max", "k_max")},
     )
 
 
@@ -554,6 +554,8 @@ def cmd_oracle_compare(cfg: dict, out: Path, tol: float | None) -> int:
         times = cfg.get("times", [problem.grid.T / 2.0, problem.grid.T])
         step_indices(times, fd_grid, problem.grid)
         threshold = tol if tol is not None else float(cfg.get("tol", 0.02))
+    if not 0.0 <= threshold < math.inf:
+        raise ConfigError(f"tol must be finite and nonnegative, got {threshold:g}")
     bundle = solve_forward(problem)
     history = fdm_forward(problem, fd_grid)
     report = compare(bundle, history, times)

@@ -134,25 +134,12 @@ class SetUp:
         return self._f[n_max, k_max]
 
 
-def _kernel_needs(modes) -> tuple[set, set]:
-    """The eigenvalues whose kernel pieces a solve needs.  ``modes`` yields
-    (index, phi_c, forced) of each mode the solve will solve, forced telling
-    whether its own forcing is nonzero.  A mode with phi_c != 0 needs its
-    initial-state trajectory (``relaxed``); a forced one, or an Odd one whose
-    Even partner moves, needs its moment table (``tabled``)."""
-    modes = list(modes)
-    moving = {
-        (i.n, i.k) for i, phi_c, forced in modes
-        if i.family is Family.Even and (forced or phi_c != 0.0)
-    }
-    relaxed, tabled = set(), set()
-    for index, phi_c, forced in modes:
-        sigma = eigen(index).sigma_nk
-        if phi_c != 0.0:
-            relaxed.add(sigma)
-        if forced or (index.family is Family.Odd and (index.n, index.k) in moving):
-            tabled.add(sigma)
-    return relaxed, tabled
+def _kernel_needs(sigma: np.ndarray, phi: np.ndarray, driven: np.ndarray) -> tuple[set, set]:
+    """The eigenvalues whose kernel pieces a solve needs, from its modes'
+    ``sigma``, ``phi`` and ``driven`` by row: a mode with phi_c != 0 needs its
+    initial-state trajectory (``relaxed``); one driven by its own forcing or,
+    an Odd one, by its moving Even partner, its moment table (``tabled``)."""
+    return set(sigma[phi != 0.0].tolist()), set(sigma[driven].tolist())
 
 
 def eigen_kernels(setup: SetUp, relaxed: set, tabled: set) -> None:
@@ -179,21 +166,22 @@ def eigen_kernels(setup: SetUp, relaxed: set, tabled: set) -> None:
 
 
 def _mode_trajectory(
-    phi_c: float, forcing: TimeSeries | None, sigma: float, setup: SetUp
-) -> TimeSeries:
+    phi_c: float, forcing: np.ndarray | None, sigma: float, setup: SetUp
+) -> np.ndarray:
     """Solve one mode ODE (D^alpha + sum psi_i D^alpha_i + sigma) T = forcing,
     T(0) = phi_c, via the explicit relaxation-kernel formula, from the
     eigenvalue's pieces in ``setup``: phi_c times the initial-state
-    trajectory plus the forcing's convolution with the table.  A mode with
-    no data reads no piece."""
+    trajectory plus the forcing's convolution with the table.  ``forcing``
+    is the row at ``setup.grid``'s nodes, None for an unforced mode; a mode
+    with no data reads no piece."""
     grid = setup.grid
     vals = np.zeros(grid.N + 1)
     if phi_c != 0.0:
         vals[0] = phi_c
         vals[1:] = phi_c * setup.relaxation[sigma]
-    if forcing is not None and np.any(forcing.values):
-        vals += singular_convolve(forcing, setup.tables[sigma]).values
-    return TimeSeries(grid, vals)
+    if forcing is not None:
+        vals += singular_convolve(TimeSeries(grid, forcing), setup.tables[sigma]).values
+    return vals
 
 
 def _odd_coupling(n: int) -> float:
@@ -202,24 +190,26 @@ def _odd_coupling(n: int) -> float:
     return 4.0 * (2 * n * math.pi) ** 3
 
 
-def mode_zero(k: int, phi_c: float, forcing: TimeSeries, setup: SetUp) -> TimeSeries:
+# One function per family, called once per mode of the family, so that a tracer
+# wrapping them sees every mode solve; (n, k) name the mode, sigma is its eigenvalue.
+def mode_zero(k: int, phi_c: float, forcing, sigma: float, setup: SetUp) -> np.ndarray:
     """Trajectory of the Zero-family mode (eigenvalue mu_k)."""
-    return _mode_trajectory(phi_c, forcing, eigen(ModeIndex(Family.Zero, 0, k)).sigma_nk, setup)
+    return _mode_trajectory(phi_c, forcing, sigma, setup)
 
 
-def mode_even(n: int, k: int, phi_c: float, forcing: TimeSeries, setup: SetUp) -> TimeSeries:
+def mode_even(n: int, k: int, phi_c: float, forcing, sigma: float, setup: SetUp) -> np.ndarray:
     """Trajectory of the Even-family mode (eigenvalue sigma_nk)."""
-    return _mode_trajectory(phi_c, forcing, eigen(ModeIndex(Family.Even, n, k)).sigma_nk, setup)
+    return _mode_trajectory(phi_c, forcing, sigma, setup)
 
 
-def mode_odd(
-    n: int, k: int, phi_c: float, forcing: TimeSeries, even_traj: TimeSeries, setup: SetUp
-) -> TimeSeries:
-    """Trajectory of the Odd-family mode; couples to the Even trajectory of
-    the same index through the forcing term 4 lambda_n^(3/4) T_even."""
-    sigma = eigen(ModeIndex(Family.Odd, n, k)).sigma_nk
-    coupled = forcing.values + _odd_coupling(n) * even_traj.values
-    return _mode_trajectory(phi_c, TimeSeries(setup.grid, coupled), sigma, setup)
+def mode_odd(n: int, k: int, phi_c: float, forcing, even, sigma: float, setup: SetUp) -> np.ndarray:
+    """Trajectory of the Odd-family mode; couples to the trajectory ``even``
+    of the Even mode with the same index (None: zero) through the forcing
+    term 4 lambda_n^(3/4) T_even."""
+    if even is not None:
+        coupling = _odd_coupling(n) * even
+        forcing = coupling if forcing is None else forcing + coupling
+    return _mode_trajectory(phi_c, forcing, sigma, setup)
 
 
 def solve_forward(problem: ProblemData, *, setup: SetUp | None = None) -> SolutionBundle:
@@ -246,21 +236,21 @@ def solve_forward(problem: ProblemData, *, setup: SetUp | None = None) -> Soluti
     )
     coeffs = SpectralCoefficients(n_max, k_max, np.empty_like(f_coeffs.values), grid)
 
-    # storage order solves each Even mode right before the Odd mode it couples to
-    modes = coeffs.modes
-    eigen_kernels(setup, *_kernel_needs(
-        zip(modes, phi_coeffs.values, np.any(forcing_coeffs.values, axis=1))
-    ))
-    for r, index in enumerate(modes):
-        phi_c, forcing = phi_coeffs[index], forcing_coeffs[index]
+    modes, phi = coeffs.modes, phi_coeffs.values
+    forcing, rows = forcing_coeffs.values, coeffs.values
+    forced = np.any(forcing, axis=1)
+    # each Odd row follows its Even partner (enumerate_modes), which drives it when it moves
+    coupled = np.roll(forced | (phi != 0.0), 1) & [i.family is Family.Odd for i in modes]
+    eigen_kernels(setup, *_kernel_needs(coeffs.sigma, phi, forced | coupled))
+    for r, (index, phi_c, sigma) in enumerate(zip(modes, phi.tolist(), coeffs.sigma.tolist())):
+        f = forcing[r] if forced[r] else None
         if index.family is Family.Zero:
-            traj = mode_zero(index.k, phi_c, forcing, setup)
+            rows[r] = mode_zero(index.k, phi_c, f, sigma, setup)
         elif index.family is Family.Even:
-            traj = mode_even(index.n, index.k, phi_c, forcing, setup)
+            rows[r] = mode_even(index.n, index.k, phi_c, f, sigma, setup)
         else:
-            even = coeffs[ModeIndex(Family.Even, index.n, index.k)]
-            traj = mode_odd(index.n, index.k, phi_c, forcing, even, setup)
-        coeffs.values[r] = traj.values
+            even = rows[r - 1] if coupled[r] else None
+            rows[r] = mode_odd(index.n, index.k, phi_c, f, even, sigma, setup)
 
     energy = coeffs.mean()
     shell = [r for r, i in enumerate(modes) if max(i.n, i.k) == max(n_max, k_max)]

@@ -41,7 +41,7 @@ from .fractional import (
     whole_number,
 )
 from .mlf import NonConvergence
-from .spectral import Family, Field2D, eigen, mode_mean
+from .spectral import Family, Field2D
 
 
 class MeanTooSmall(ValueError):
@@ -195,26 +195,24 @@ def recover_source(
             f"|truncated mean of f| = {abs(fmean[j]):.3g} at t = "
             f"{grid.nodes[j]:.6g} is below the threshold {DEFAULT_MEAN_THRESHOLD:g}"
         )
-    associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
-    excited = [i for i in associated if np.any(f_coeffs[i].values)]
-    eigen_kernels(setup, *_kernel_needs(
-        (i, 0.0 if phi_coeffs is None else phi_coeffs[i], i in excited) for i in associated
-    ))
+    associated = [r for r, i in enumerate(f_coeffs.modes) if i.family is Family.Even]
+    sigma, means = f_coeffs.sigma[associated], f_coeffs.means[associated]
+    phi_c = np.zeros(len(associated)) if phi_coeffs is None else phi_coeffs.values[associated]
+    excited = np.any(f_coeffs.values[associated], axis=1)
+    eigen_kernels(setup, *_kernel_needs(sigma, phi_c, excited))
 
     if phi_coeffs is not None:
         homog = np.zeros(grid.N + 1)
-        for index in associated:
-            c = phi_coeffs[index]
+        for c, s, m in zip(phi_c.tolist(), sigma.tolist(), means.tolist()):
             if c != 0.0:
-                homog[1:] += mode_mean(index) * (c * setup.relaxation[eigen(index).sigma_nk] - c)
+                homog[1:] += m * (c * setup.relaxation[s] - c)
         E = TimeSeries(grid, E.values - homog)
     deriv = caputo_multiterm(E, op).values + _startup_correction(E, op)
     a = np.empty(grid.N + 1)
     a[1:] = deriv[1:] / fmean[1:]
     _extrapolate_origin(a, grid.N)
-    c_n = np.array([eigen(i).sigma_nk * mode_mean(i) for i in excited])
-    weights = spatial[:, [f_coeffs.modes.index(i) for i in excited]] * c_n
-    tables = [setup.tables[eigen(i).sigma_nk] for i in excited]
+    weights = spatial[:, associated][:, excited] * (sigma * means)[excited]
+    tables = [setup.tables[s] for s in sigma[excited].tolist()]
     live = [(h, KernelMoments.combine(tables, w)) for w, h in zip(weights, hvals) if np.any(w)]
     iterations = 0
     if live:
@@ -236,7 +234,7 @@ def recover_source(
     return SourceAmplitude(
         a=TimeSeries(grid, a),
         metadata={
-            "flux_modes_excited": len(excited),
+            "flux_modes_excited": int(np.count_nonzero(excited)),
             "flux_iterations": iterations,
             "flux_convolutions": iterations * len(live),
         },

@@ -326,9 +326,12 @@ class ErrorReport:
 
 def step_indices(times, *grids) -> list[tuple[int, ...]]:
     """Step index of each time on every grid (a TimeGrid or an FDGrid);
-    ValueError unless each time is a node of all of them."""
+    ValueError unless each time lies in [0, T] and is a node of all of them."""
     out = []
     for t in np.atleast_1d(np.asarray(times, dtype=float)):
+        for g in grids:
+            if not -1e-9 * g.T < t < (1.0 + 1e-9) * g.T:
+                raise ValueError(f"t = {t:g} lies outside the horizon [0, {g.T:g}]")
         steps = tuple(int(round(t / g.tau)) for g in grids)
         if not all(abs(p * g.tau - t) < 1e-9 * g.T for p, g in zip(steps, grids)):
             raise ValueError(f"t = {t:g} is not a node of every time grid")

@@ -128,14 +128,18 @@ def enumerate_modes(n_max: int, k_max: int) -> list[ModeIndex]:
 
 # A run uses one or two boxes (the solve's, and an inverse run's flux box).
 @lru_cache(maxsize=16)
-def _box(n_max: int, k_max: int) -> tuple[tuple[ModeIndex, ...], dict]:
-    """The truncation box's modes in ``enumerate_modes`` order, and the row
-    of each.  Cached: treat as read-only."""
+def _box(n_max: int, k_max: int) -> tuple[tuple[ModeIndex, ...], dict, np.ndarray, np.ndarray]:
+    """The truncation box's modes in ``enumerate_modes`` order, the row of
+    each, and each row's eigenvalue sigma_nk and ``mode_mean``.  Cached and
+    read-only."""
     modes = [ModeIndex(Family.Zero, 0, k) for k in range(k_max + 1)]
     for n in range(1, n_max + 1):
         for k in range(k_max + 1):
             modes += [ModeIndex(Family.Even, n, k), ModeIndex(Family.Odd, n, k)]
-    return tuple(modes), {index: r for r, index in enumerate(modes)}
+    sigma = np.array([eigen(i).sigma_nk for i in modes])
+    means = np.array([mode_mean(i) for i in modes])
+    sigma.flags.writeable = means.flags.writeable = False
+    return tuple(modes), {index: r for r, index in enumerate(modes)}, sigma, means
 
 
 # fields ----------------------------------------------------------------------
@@ -320,11 +324,13 @@ class SpectralCoefficients:
     ``values`` holds one row per mode of ``enumerate_modes(N_max, K_max)``:
     shape (modes,) for static data (projections of phi) or (modes, N+1) on
     ``grid`` for time-dependent data (source coefficients, mode trajectories).
+    ``modes``, ``sigma`` and ``means`` give each row's mode, eigenvalue
+    sigma_nk and ``mode_mean``, shared read-only by every box of that size.
     """
 
     def __init__(self, N_max: int, K_max: int, values, grid: TimeGrid | None = None):
         self.N_max, self.K_max, self.grid = N_max, K_max, grid
-        self.modes, self._rows = _box(N_max, K_max)
+        self.modes, self._rows, self.sigma, self.means = _box(N_max, K_max)
         self.values = np.asarray(values, dtype=float)
         shape = (len(self.modes),) + (() if grid is None else (grid.N + 1,))
         if self.values.shape != shape:
@@ -352,9 +358,8 @@ class SpectralCoefficients:
     def mean(self):
         """Integral of the truncated expansion over the unit square,
         sum_i mode_mean(i) * row i: a float, or a TimeSeries on ``grid``."""
-        w = np.array([mode_mean(i) for i in self.modes])
-        rows = np.flatnonzero(w)
-        w = w[rows].reshape((-1,) + (1,) * (self.values.ndim - 1))
+        rows = np.flatnonzero(self.means)
+        w = self.means[rows].reshape((-1,) + (1,) * (self.values.ndim - 1))
         # a series sum along axis 0 adds the rows one after another, in mode order
         total = (w * self.values[rows]).sum(axis=0)
         return float(total) if self.grid is None else TimeSeries(self.grid, total)

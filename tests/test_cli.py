@@ -5,6 +5,7 @@ temporary directory and asserts on exit codes and emitted artifacts.
 """
 
 import argparse
+import csv
 import gc
 import json
 import math
@@ -113,6 +114,30 @@ class TestForward:
         meta = json.loads((out / "forward_metadata.json").read_text())
         assert meta["n_max"] == 2
         assert math.isfinite(meta["energy_final"])
+
+    def test_coefficients_csv_reads_back(self, tmp_path, monkeypatch):
+        # one line per mode, in indices() order, and node, each value to the bit
+        import fracsource.cli as cli
+
+        bundles = []
+
+        def keeping(problem):
+            bundles.append(forward.solve_forward(problem))
+            return bundles[-1]
+
+        monkeypatch.setattr(cli, "solve_forward", keeping)
+        cfg = _write_cfg(tmp_path, "c.json", _forward_cfg(N=16))
+        assert main(["forward", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        coeffs = bundles[0].coeffs
+        with open(tmp_path / "o" / "coefficients.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["family", "n", "k", "t", "value"]
+        assert len(rows) == len(coeffs.modes) * (coeffs.grid.N + 1)
+        assert [(f, int(n), int(k), float(t), float(v)) for f, n, k, t, v in rows] == [
+            (i.family.name, i.n, i.k, t, v)
+            for i in coeffs.indices()
+            for t, v in zip(coeffs.grid.nodes.tolist(), coeffs[i].values.tolist())
+        ]
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = _write_cfg(tmp_path, "c.json", _forward_cfg())
@@ -656,6 +681,41 @@ class TestOracleCompare:
         report = json.loads((out / "oracle_compare.json").read_text())
         assert report["passed"] is True
         assert max(report["relative_l2"]) < 0.05
+
+    @staticmethod
+    def _refused_before_any_solve(tmp_path, monkeypatch, cfg, *flags):
+        import fracsource.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_forward called on a refused config")
+
+        monkeypatch.setattr(cli, "solve_forward", no_solve)
+        out = tmp_path / "o"
+        assert main(["oracle-compare", cfg, "--out", str(out), *flags]) == EXIT_VALIDATION
+        assert not (out / "oracle_compare.json").exists()
+
+    @pytest.mark.parametrize("t", [-0.25, 2.0])
+    def test_time_outside_horizon_refused(self, tmp_path, capsys, monkeypatch, t):
+        # a negative time would read the step that many from the end, and a
+        # time past T a step past the history
+        payload = {**_forward_cfg(), "fd": {"Mx": 16, "My": 16, "N": 64}, "times": [t]}
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        self._refused_before_any_solve(tmp_path, monkeypatch, cfg)
+        assert capsys.readouterr().err == (
+            f"validation error: t = {t:g} lies outside the horizon [0, 1]\n"
+        )
+
+    @pytest.mark.parametrize("flags, tol", [
+        (["--tol", "nan"], None), (["--tol", "-1"], None), ([], "1e999"),
+    ], ids=["nan", "negative", "inf"])
+    def test_bad_tolerance_refused(self, tmp_path, monkeypatch, flags, tol):
+        # JSON reads 1e999 as inf
+        text = json.dumps({**_forward_cfg(), "fd": {"Mx": 16, "My": 16, "N": 64}})
+        if tol is not None:
+            text = text[:-1] + f', "tol": {tol}}}'
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        self._refused_before_any_solve(tmp_path, monkeypatch, str(cfg), *flags)
 
     def test_tight_tolerance_fails_numerically(self, tmp_path):
         payload = _forward_cfg(N=64, n_max=2)

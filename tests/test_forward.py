@@ -144,16 +144,27 @@ class TestTrivialSolutions:
 
     def test_data_free_mode_builds_no_kernel(self):
         # a mode with no data puts no eigenvalue into the set-up, and its
-        # trajectory reads no kernel piece
+        # trajectory reads no kernel piece; a zero forcing row counts as no
+        # forcing, so a solve of zero data builds no piece either
         grid = TimeGrid(1.0, 16)
-        zero = TimeSeries(grid, np.zeros(grid.N + 1))
-        for family in Family:
-            index = ModeIndex(family, 0 if family is Family.Zero else 1, 1)
-            assert forward._kernel_needs([(index, 0.0, False)]) == (set(), set())
-        setup = forward.SetUp(FractionalOperatorSpec(0.8), grid, None, None)
-        for forcing in (None, zero):
-            traj = forward._mode_trajectory(0.0, forcing, 1.0, setup)
-            np.testing.assert_array_equal(traj.values, 0.0)
+        sigma = np.array([
+            eigen(ModeIndex(family, 0 if family is Family.Zero else 1, 1)).sigma_nk
+            for family in Family
+        ])
+        assert forward._kernel_needs(sigma, np.zeros(3), np.zeros(3, bool)) == (set(), set())
+        prob = ProblemData(
+            op=FractionalOperatorSpec(0.8),
+            phi=Field2D.constant(0.0),
+            source=_zero_source(),
+            grid=grid,
+            amplitude=_amp(grid, lambda t: 1.0 + t),
+            n_max=2,
+            k_max=2,
+        )
+        setup = forward.SetUp(prob.op, grid, prob.phi, prob.source)
+        np.testing.assert_array_equal(forward._mode_trajectory(0.0, None, 1.0, setup), 0.0)
+        bundle = solve_forward(prob, setup=setup)
+        np.testing.assert_array_equal(bundle.coeffs.values, 0.0)
         assert setup.relaxation == setup.tables == {}
 
 
@@ -309,15 +320,22 @@ class TestResidualAndEnergy:
 
 
 def test_each_even_mode_solved_once(monkeypatch):
-    # each Even mode is solved once, so n = k = 4 takes 4 * 5 Even solves
-    calls = []
-    original = forward.mode_even
+    # every mode is solved once, through its family's function, so n = k = 4
+    # takes 5 Zero, 4 * 5 Even and 4 * 5 Odd solves; the functions' leading
+    # arguments name the mode, (k) for Zero and (n, k) for the others
+    calls = {"mode_zero": [], "mode_even": [], "mode_odd": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args[:2])
-        return original(*args, **kwargs)
+    def counted(name, named):
+        original = getattr(forward, name)
 
-    monkeypatch.setattr(forward, "mode_even", counted)
+        def solve(*args, **kwargs):
+            calls[name].append(args[:named])
+            return original(*args, **kwargs)
+
+        return solve
+
+    for name, named in (("mode_zero", 1), ("mode_even", 2), ("mode_odd", 2)):
+        monkeypatch.setattr(forward, name, counted(name, named))
     grid = TimeGrid(1.0, 16)
     prob = ProblemData(
         op=FractionalOperatorSpec(0.8),
@@ -329,8 +347,8 @@ def test_each_even_mode_solved_once(monkeypatch):
         k_max=4,
     )
     bundle = solve_forward(prob)
-    assert len(calls) == 20
-    assert len(set(calls)) == 20
+    for name, count in (("mode_zero", 5), ("mode_even", 20), ("mode_odd", 20)):
+        assert len(calls[name]) == len(set(calls[name])) == count
     assert len(bundle.coeffs.indices()) == 45
 
 
@@ -371,7 +389,7 @@ def test_one_table_per_distinct_eigenvalue(monkeypatch, data, counts):
 
     def solving(phi_c, forcing, sigma, setup):
         solves.append(sigma)
-        if forcing is not None and np.any(forcing.values):
+        if forcing is not None and np.any(forcing):
             forced.add(sigma)
         return trajectory(phi_c, forcing, sigma, setup)
 

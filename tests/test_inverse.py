@@ -466,12 +466,14 @@ def _per_mode_closure(prob, datum):
     associated = [i for i in f_coeffs.indices() if i.family is Family.Even]
     excited = [i for i in associated if np.any(f_coeffs[i].values)]
     setup = forward.SetUp(op, grid, prob.phi, prob.source)
-    forward.eigen_kernels(setup, *forward._kernel_needs(
-        (i, phi_coeffs[i], i in excited) for i in associated
-    ))
+    forward.eigen_kernels(
+        setup,
+        {eigen(i).sigma_nk for i in associated if phi_coeffs[i] != 0.0},
+        {eigen(i).sigma_nk for i in excited},
+    )
 
     def trajectory(index, phi_c, forcing=None):
-        return forward._mode_trajectory(phi_c, forcing, eigen(index).sigma_nk, setup).values
+        return forward._mode_trajectory(phi_c, forcing, eigen(index).sigma_nk, setup)
 
     homog = sum(mode_mean(i) * (trajectory(i, phi_coeffs[i]) - phi_coeffs[i]) for i in associated)
     E = TimeSeries(grid, datum.E.values - homog)
@@ -487,7 +489,7 @@ def _per_mode_closure(prob, datum):
     for sweeps in range(1, inverse._MAX_FLUX_ITERATIONS + 1):
         flux = np.zeros(grid.N + 1)
         for i in excited:
-            forcing = TimeSeries(grid, a * f_coeffs[i].values)
+            forcing = a * f_coeffs[i].values
             flux += eigen(i).sigma_nk * mode_mean(i) * trajectory(i, 0.0, forcing)
         new = ratio(flux)
         change, a = np.max(np.abs(new - a)), new

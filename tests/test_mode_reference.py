@@ -18,7 +18,7 @@ import pytest
 
 from fracsource.catalog import make_time_fn
 from fracsource.forward import SetUp, _mode_trajectory, eigen_kernels
-from fracsource.fractional import FractionalOperatorSpec, TimeGrid, TimeSeries
+from fracsource.fractional import FractionalOperatorSpec, TimeGrid
 from fracsource.spectral import Family, ModeIndex, eigen
 
 OPERATORS = {
@@ -55,7 +55,7 @@ def test_homogeneous_trajectory_against_laplace_reference(name, N):
     eigen_kernels(setup, set(SIGMAS), set())
     worst = 0.0
     for sigma in SIGMAS:
-        traj = _mode_trajectory(PHI_C, None, sigma, setup).values
+        traj = _mode_trajectory(PHI_C, None, sigma, setup)
         want = np.array([laplace_reference(op, sigma, PHI_C, grid.nodes[i]) for i in nodes])
         # the scale is the largest value at t >= tau, not phi_c at t = 0:
         # at sigma = 1e8 the trajectory has fallen below 1e-6 of phi_c by tau
@@ -92,11 +92,11 @@ def forced_errors(op, law, N, want):
     sigmas = [eigen(index).sigma_nk for index in FORCED_MODES]
     setup = SetUp(op, grid, None, None)
     eigen_kernels(setup, set(sigmas), set(sigmas))
-    forcing = TimeSeries(grid, A * h(grid.nodes))
+    forcing = A * h(grid.nodes)
     nodes = (N // 128) * np.array([1, 3, 9, 27, 64, 128])
     worst = 0.0
     for sigma, ref in zip(sigmas, want):
-        traj = _mode_trajectory(PHI_C, forcing, sigma, setup).values
+        traj = _mode_trajectory(PHI_C, forcing, sigma, setup)
         worst = max(worst, np.max(np.abs(traj[nodes] - ref)) / np.max(np.abs(traj[1:])))
     return worst
 

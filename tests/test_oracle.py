@@ -565,6 +565,23 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(bundle, hist, [0.33333])
 
+    @pytest.mark.parametrize("t", [-0.25, 2.0])
+    def test_time_outside_horizon_rejected(self, t):
+        # a negative time would wrap to a step from the end, and a time past
+        # T index past the history
+        grid = TimeGrid(1.0, 64)
+        prob = _problem(
+            FractionalOperatorSpec(0.8),
+            Field2D.constant(0.0),
+            _zero_source(),
+            grid,
+            amp_fn=lambda t: np.zeros_like(t),
+        )
+        bundle = solve_forward(prob)
+        hist = fdm_forward(prob, FDGrid(16, 16, 64))
+        with pytest.raises(ValueError, match=rf"^t = {t:g} lies outside the horizon \[0, 1\]$"):
+            compare(bundle, hist, [t])
+
     def test_energy_of_history_matches_spectral(self):
         grid = TimeGrid(1.0, 256)
         prob = _problem(
